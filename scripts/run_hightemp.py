@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """High-temperature tail experiment at the full published scale (β = 0.1, 8×8).
 
-Takes a couple of minutes: N = 10^5 Glauber replicas plus the exact
+Takes a few seconds: N = 10^5 Glauber replicas plus the exact
 enumeration used for the condition check and the decay fit.  Pass
 `--samples 5000` for a quick look.
 """

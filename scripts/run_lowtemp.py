@@ -2,7 +2,7 @@
 """Low-temperature experiment at the full published scale (β = 1.0, 16×16).
 
 Writes the report plus the fitted tail profile (path-magnetization survival
-and per-distance disagreement envelope) as CSV.  Runs in about a minute.
+and per-distance disagreement envelope) as CSV.  Runs in about half a minute.
 """
 
 import pathlib

@@ -300,8 +300,9 @@ def _parser() -> argparse.ArgumentParser:
                        help="output directory (default: artifacts)")
         p.add_argument("--samples", type=int, default=None,
                        help="override the main sample count")
-        p.add_argument("--threads", type=int, default=0,
-                       help="worker threads, 0 = all cores")
+        if name == "battery":
+            p.add_argument("--threads", type=int, default=0,
+                           help="battery worker threads, 0 = all cores")
     return parser
 
 

@@ -27,7 +27,7 @@ from spinconc.bounds import profile_norm_bound
 from spinconc.errors import CapacityError, ConfigError, ConvergenceError
 from spinconc.fields import LocalFunction, delta_vector
 from spinconc.lattice import Site
-from spinconc.models import ExactJoint, GibbsModel, grid_layout
+from spinconc.models import ExactJoint, GibbsModel, _heat_bath
 
 _RESID_TOL = 1e-15
 
@@ -366,65 +366,28 @@ class PairGlauberResult:
 
 def coupled_glauber_disagreement(model: GibbsModel, n_samples: int, sweeps: int,
                                  seed: int, frozen: int = 0) -> PairGlauberResult:
-    """Two synchronized heat-bath chains whose frozen site is + vs -.
+    """Two heat-bath chains sharing every uniform whose frozen site is + vs -.
 
-    Requires a ferromagnetic binary nearest-neighbor model on a full
-    rectangle: the shared-uniform update then preserves the pointwise order
-    of the two legs, so per-site disagreement is (upper - lower) / 2.  Block
-    updates alternate over the two sublattices of the bipartite volume; each
-    block draw is an exact product of single-site conditionals.
+    Requires a ferromagnetic binary nearest-neighbor model, on any site set:
+    the shared-uniform update then preserves the pointwise order of the two
+    legs, so per-site disagreement is upper minus lower in symbol indices.
     """
-    if model.alphabet.size != 2 or getattr(model, "nn_index", None) is None:
-        raise ConfigError("pair chains need a binary nearest-neighbor model")
+    chunks = _heat_bath(model, n_samples, sweeps, seed, frozen=(frozen, (1, 0)))
     if model.beta < 0:
         raise ConfigError("monotone coupling needs a ferromagnetic interaction")
-    rows, cols, to_grid, parity = grid_layout(model)
     m = model.n_sites
-    rng = np.random.default_rng(seed)
-    bf_grid = np.zeros(rows * cols, dtype=np.float32)
-    bf_grid[to_grid] = model.boundary_field
-    bf_grid = bf_grid.reshape(rows, cols)
-    frozen_cell = int(to_grid[frozen])
-
-    block_masks = []
-    par_grid = np.zeros(rows * cols, dtype=bool)
-    par_grid[to_grid] = parity.astype(bool)
-    par_grid = par_grid.reshape(rows, cols)
-    for want in (False, True):
-        mask = (par_grid == want)
-        mask.reshape(-1)[frozen_cell] = False
-        block_masks.append(mask)
-
-    up = np.ones((n_samples, rows, cols), dtype=np.int8)
-    dn = np.ones((n_samples, rows, cols), dtype=np.int8)
-    dn.reshape(n_samples, -1)[:, frozen_cell] = -1
-    beta = model.beta
-
-    def neighbor_sum(spins):
-        s = np.zeros((n_samples, rows, cols), dtype=np.float32)
-        s[:, 1:, :] += spins[:, :-1, :]
-        s[:, :-1, :] += spins[:, 1:, :]
-        s[:, :, 1:] += spins[:, :, :-1]
-        s[:, :, :-1] += spins[:, :, 1:]
-        return s + bf_grid
-
-    for _ in range(sweeps):
-        for mask in block_masks:
-            u = rng.random((n_samples, int(mask.sum())))
-            for spins in (up, dn):
-                s = neighbor_sum(spins)[:, mask]
-                p_plus = 1.0 / (1.0 + np.exp(-2.0 * beta * s))
-                spins[:, mask] = np.where(u < p_plus, 1, -1).astype(np.int8)
-
-    up_flat = up.reshape(n_samples, -1)[:, to_grid]
-    dn_flat = dn.reshape(n_samples, -1)[:, to_grid]
-    violations = int((up_flat < dn_flat).sum())
-    diff = (up_flat.astype(np.float64) - dn_flat.astype(np.float64)) / 2.0
-    p_hat = diff.mean(axis=0)
+    up_sum = np.zeros(m, dtype=np.int64)
+    dn_sum = np.zeros(m, dtype=np.int64)
+    violations = 0
+    for _, _, (up, dn) in chunks:
+        violations += int((up < dn).sum())
+        up_sum += up.sum(axis=1)
+        dn_sum += dn.sum(axis=1)
+    p_hat = (up_sum - dn_sum) / n_samples
     se = np.sqrt(np.clip(p_hat * (1.0 - p_hat), 0.0, None) / n_samples)
     return PairGlauberResult(model.sites, frozen, n_samples, sweeps, p_hat, se,
-                             up_flat.mean(axis=0), dn_flat.mean(axis=0),
-                             violations)
+                             2.0 * up_sum / n_samples - 1.0,
+                             2.0 * dn_sum / n_samples - 1.0, violations)
 
 
 # ---------------------------------------------------------------------------

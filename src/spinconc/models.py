@@ -3,8 +3,8 @@
 Every model lives on a finite, enumeration-ordered site tuple and exposes
 unnormalized log weights over full configurations plus single-site
 conditionals given the rest of the volume.  Small volumes are handled exactly
-through `ExactJoint`; larger binary nearest-neighbor models get a vectorized
-heat-bath sampler.
+through `ExactJoint`; `glauber_batch` draws product and Markov models exactly
+and runs binary nearest-neighbor Gibbs models through one heat-bath kernel.
 """
 
 from __future__ import annotations
@@ -453,59 +453,163 @@ def single_site_conditional(model: Model, site: Site, assignment: dict) -> np.nd
 
 
 # ---------------------------------------------------------------------------
-# heat-bath sampling
+# sampling
 # ---------------------------------------------------------------------------
 
-def glauber_sample(model: Model, sweeps: int, seed: int,
-                   start: str = "plus") -> np.ndarray:
-    """Single-configuration heat bath; sites are visited in enumeration order.
+#: replicas per chunk; every chunk draws from its own `SeedSequence` child,
+#: so replica r depends only on the seed and r // CHUNK, never on n_samples
+CHUNK = 1024
 
-    Returns symbol indices of the final configuration.  Intended for small
-    volumes and cross-checks; use `glauber_batch` for replicated sampling.
+# start configurations as site-major symbol indices (n_sites, replicas)
+_STARTS = {
+    "plus": lambda m, n, rng: np.ones((m, n), dtype=np.int8),
+    "minus": lambda m, n, rng: np.zeros((m, n), dtype=np.int8),
+    "random": lambda m, n, rng: rng.integers(2, size=(m, n), dtype=np.int8),
+}
+
+
+def _chunks(n_samples: int, seed: int):
+    """(lo, hi, generator) for each chunk of replicas lo..hi-1."""
+    children = np.random.SeedSequence(seed).spawn(-(-n_samples // CHUNK))
+    for j, child in enumerate(children):
+        lo = j * CHUNK
+        yield lo, min(lo + CHUNK, n_samples), np.random.default_rng(child)
+
+
+def _heat_bath(model: Model, n_samples: int, sweeps: int, seed: int,
+               start: str = "plus", frozen: tuple[int, tuple[int, ...]] | None = None):
+    """The heat-bath kernel for binary nearest-neighbor Gibbs models.
+
+    Returns an iterator of (lo, hi, legs), one per chunk of CHUNK replicas:
+    each leg is a site-major int8 array (n_sites, hi - lo) of symbol indices
+    after `sweeps` sweeps from `start`, in the model's site order.  There is
+    one leg, or with `frozen=(site, symbols)` one leg per entry of
+    `symbols`: leg k starts with `site` set to symbols[k] and never updates
+    it.  All legs of a chunk read the same uniforms, which for a
+    ferromagnet is the monotone coupling: the update is increasing in the
+    neighbor configuration, so the pointwise order of the legs persists.
+
+    Any finite site set works.  Nearest neighbors have opposite coordinate
+    parity, so each parity class is resampled at once from its exact
+    single-site conditionals; the conditionals read a table of p_+ over
+    (site, number of plus neighbors), with missing neighbors pointing at a
+    ghost row that holds 0.  Uniforms are float32 multiples of 2^-24 and the
+    table is rounded to the same grid, so each update's law is off by at
+    most 2^-25 <= 2^-24 from the exact conditional.  Working memory is one
+    chunk, whatever n_samples is.
     """
-    rng = np.random.default_rng(seed)
-    config = _start_config(model, start, 1, rng)[0].astype(object)
-    for _ in range(sweeps):
-        for idx in range(model.n_sites):
-            p = model.site_conditional(idx, config)
-            config[idx] = int(np.searchsorted(np.cumsum(p), rng.random()))
-    return np.array([int(c) for c in config])
+    if not (isinstance(model, GibbsModel) and model.alphabet.size == 2
+            and model.nn_index is not None):
+        raise ConfigError("heat-bath sampling needs a binary nearest-neighbor Gibbs model")
+    if start not in _STARTS:
+        raise ConfigError(f"unknown start configuration {start!r}")
+    m = model.n_sites
+    pinned, symbols = frozen if frozen is not None else (None, (None,))
+    parity = np.array([sum(s) & 1 for s in model.sites])
+    free = np.arange(m) != pinned
+    order = np.concatenate([np.flatnonzero(free & (parity == 0)),
+                            np.flatnonzero(free & (parity == 1)),
+                            np.flatnonzero(~free)])
+    row = np.empty(m, dtype=np.intp)  # model site index -> kernel row
+    row[order] = np.arange(m)
+    deg = max(1, max(len(nb) for nb in model.nn_index))
+    nbr = np.full((m, deg), m, dtype=np.intp)  # row m is the ghost
+    for i, nb in enumerate(model.nn_index):
+        nbr[row[i], :len(nb)] = row[nb]
+    n_plus = np.arange(deg + 1)
+    degree = np.array([len(nb) for nb in model.nn_index])[order]
+    field = (2 * n_plus - degree[:, None]) + model.boundary_field[order][:, None]
+    p_plus = 0.5 * (1.0 + np.tanh(model.beta * field))
+    table = (np.round(p_plus * 2.0**24) / 2.0**24).astype(np.float32).reshape(-1)
+    base = (np.arange(m) * (deg + 1))[:, None]
+    n0 = int((free & (parity == 0)).sum())
+    classes = [(0, n0), (n0, int(free.sum()))]
+
+    def run(size: int, rng) -> list[np.ndarray]:
+        start_cfg = _STARTS[start](m, size, rng)
+        legs = []
+        for sym in symbols:
+            spins = np.zeros((m + 1, size), dtype=np.int8)
+            spins[row] = start_cfg
+            if pinned is not None:
+                spins[row[pinned]] = sym
+            legs.append(spins)
+        for _ in range(sweeps):
+            for a, b in classes:
+                u = rng.random((b - a, size), dtype=np.float32)
+                for spins in legs:
+                    count = spins[nbr[a:b, 0]]
+                    for j in range(1, deg):
+                        count += spins[nbr[a:b, j]]
+                    np.less(u, table[base[a:b] + count], out=spins[a:b].view(bool))
+        return [spins[row] for spins in legs]
+
+    return ((lo, hi, run(hi - lo, rng)) for lo, hi, rng in _chunks(n_samples, seed))
+
+
+def _inverse_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Symbol index whose cumulative interval holds u (broadcast over rows)."""
+    return (u[..., None] >= cdf[..., :-1]).sum(axis=-1)
+
+
+def _exact_draws(model: Model, n_samples: int, seed: int):
+    """(lo, hi, [ids]) chunks of exact draws; ids is site-major like a leg."""
+    m = model.n_sites
+    for lo, hi, rng in _chunks(n_samples, seed):
+        u = rng.random((hi - lo, m))
+        if isinstance(model, ProductModel):
+            ids = _inverse_cdf(np.cumsum(model.marginals, axis=1), u)
+        else:  # ancestral sampling along the chain
+            step = np.cumsum(model.transition, axis=1)
+            ids = np.empty((hi - lo, m), dtype=np.intp)
+            ids[:, 0] = _inverse_cdf(np.cumsum(model.initial), u[:, 0])
+            for i in range(1, m):
+                ids[:, i] = _inverse_cdf(step[ids[:, i - 1]], u[:, i])
+        yield lo, hi, [ids.T]
+
+
+def _collect(model: Model, n_samples: int, chunks) -> np.ndarray:
+    values = np.asarray(model.alphabet.values)
+    out = np.empty((n_samples, model.n_sites))
+    for lo, hi, legs in chunks:
+        out[lo:hi] = values[legs[0].T]
+    return out
 
 
 def glauber_batch(model: Model, n_samples: int, sweeps: int, seed: int,
                   start: str = "plus") -> np.ndarray:
-    """Independent heat-bath replicas; returns numeric values (n_samples, n_sites).
+    """Independent draws from the model's law; values (n_samples, n_sites).
 
-    Binary nearest-neighbor models run vectorized across replicas; other
-    models fall back to a per-replica loop.
+    Product models are drawn exactly site by site and Markov chains exactly
+    by ancestral sampling (`sweeps` and `start` do not enter); a binary
+    nearest-neighbor Gibbs model runs the heat-bath kernel `_heat_bath`.  Any
+    other model raises ConfigError.
     """
-    rng = np.random.default_rng(seed)
-    if getattr(model, "nn_index", None) is not None and model.alphabet.size == 2:
-        return _glauber_batch_nn(model, n_samples, sweeps, rng, start)
-    values = np.asarray(model.alphabet.values)
-    out = np.empty((n_samples, model.n_sites))
-    for r in range(n_samples):
-        cfg = glauber_sample(model, sweeps, int(rng.integers(2**63)), start)
-        out[r] = values[cfg]
-    return out
+    if start not in _STARTS:
+        raise ConfigError(f"unknown start configuration {start!r}")
+    if isinstance(model, GibbsModel):
+        chunks = _heat_bath(model, n_samples, sweeps, seed, start)
+    elif isinstance(model, (ProductModel, MarkovChainModel)):
+        chunks = _exact_draws(model, n_samples, seed)
+    else:
+        raise ConfigError(f"no sampler for {type(model).__name__}")
+    return _collect(model, n_samples, chunks)
 
 
-def _start_config(model: Model, start: str, n: int, rng) -> np.ndarray:
-    if start == "plus":
-        return np.full((n, model.n_sites), model.alphabet.size - 1, dtype=np.int8)
-    if start == "minus":
-        return np.zeros((n, model.n_sites), dtype=np.int8)
-    if start == "random":
-        return rng.integers(model.alphabet.size, size=(n, model.n_sites)).astype(np.int8)
-    raise ConfigError(f"unknown start configuration {start!r}")
+def glauber_block_batch(model: GibbsModel, n_samples: int, sweeps: int,
+                        seed: int, start: str = "plus") -> np.ndarray:
+    """Heat-bath replicas of a binary nearest-neighbor Gibbs model.
+
+    Returns values (n_samples, n_sites) aligned with the model's site order;
+    see `_heat_bath` for the update and its precision.
+    """
+    return _collect(model, n_samples, _heat_bath(model, n_samples, sweeps, seed, start))
 
 
 def grid_layout(model: GibbsModel):
-    """(rows, cols, flat grid cell per site index, site parity) for a rectangle.
+    """(rows, cols, flat grid cell per site index) for a rectangle.
 
-    `to_grid[i]` is the row-major grid cell of enumeration index i; parity
-    splits the volume into its two sublattices, on which single-site
-    conditionals are mutually independent.
+    `to_grid[i]` is the row-major grid cell of enumeration index i.
     """
     xs = sorted({s[0] for s in model.sites})
     ys = sorted({s[1] for s in model.sites})
@@ -517,69 +621,7 @@ def grid_layout(model: GibbsModel):
     to_grid = np.empty(model.n_sites, dtype=np.int64)
     for idx, (x, y) in enumerate(model.sites):
         to_grid[idx] = row_of[y] * cols + col_of[x]
-    parity = np.array([(x + y) & 1 for (x, y) in model.sites], dtype=np.int64)
-    return rows, cols, to_grid, parity
-
-
-def glauber_block_batch(model: GibbsModel, n_samples: int, sweeps: int,
-                        seed: int, start: str = "plus") -> np.ndarray:
-    """Heat-bath replicas updating one sublattice of a rectangle at a time.
-
-    Each block draw resamples an independent set of sites from their exact
-    conditionals, so the target law is untouched; the block form trades the
-    per-site python loop for whole-array updates, which is what makes 10^5
-    replicas on a 16x16 volume affordable.  Returns values (n_samples, n_sites)
-    aligned with the model's site order.
-    """
-    if model.alphabet.size != 2 or getattr(model, "nn_index", None) is None:
-        raise ConfigError("block sampler needs a binary nearest-neighbor model")
-    rows, cols, to_grid, parity = grid_layout(model)
-    rng = np.random.default_rng(seed)
-    ids = _start_config(model, start, n_samples, rng)
-    vals = np.asarray(model.alphabet.values)
-    spins = np.zeros((n_samples, rows * cols), dtype=np.int8)
-    spins[:, to_grid] = np.where(ids == 1, 1, -1)
-    spins = spins.reshape(n_samples, rows, cols)
-    bf = np.zeros(rows * cols, dtype=np.float32)
-    bf[to_grid] = model.boundary_field
-    bf = bf.reshape(rows, cols)
-    par = np.zeros(rows * cols, dtype=bool)
-    par[to_grid] = parity.astype(bool)
-    par = par.reshape(rows, cols)
-    masks = [par == want for want in (False, True)]
-    beta = model.beta
-    for _ in range(sweeps):
-        for mask in masks:
-            s = np.zeros((n_samples, rows, cols), dtype=np.float32)
-            s[:, 1:, :] += spins[:, :-1, :]
-            s[:, :-1, :] += spins[:, 1:, :]
-            s[:, :, 1:] += spins[:, :, :-1]
-            s[:, :, :-1] += spins[:, :, 1:]
-            s += bf
-            p_plus = 1.0 / (1.0 + np.exp(-2.0 * beta * s[:, mask]))
-            u = rng.random((n_samples, int(mask.sum())))
-            spins[:, mask] = np.where(u < p_plus, 1, -1).astype(np.int8)
-    flat = spins.reshape(n_samples, -1)[:, to_grid].astype(np.float64)
-    if not (vals[0] == -1.0 and vals[1] == 1.0):
-        flat = np.where(flat > 0, vals[1], vals[0])
-    return flat
-
-
-def _glauber_batch_nn(model: GibbsModel, n_samples: int, sweeps: int, rng,
-                      start: str) -> np.ndarray:
-    values = np.asarray(model.alphabet.values)
-    ids = _start_config(model, start, n_samples, rng)
-    spins = values[ids].astype(np.float64)
-    beta = model.beta
-    nn = model.nn_index
-    bf = model.boundary_field
-    for _ in range(sweeps):
-        for i in range(model.n_sites):
-            s = spins[:, nn[i]].sum(axis=1) + bf[i] if nn[i].size else np.full(n_samples, bf[i])
-            p_plus = 1.0 / (1.0 + np.exp(-2.0 * beta * s))
-            u = rng.random(n_samples)
-            spins[:, i] = np.where(u < p_plus, 1.0, -1.0)
-    return spins
+    return rows, cols, to_grid
 
 
 # ---------------------------------------------------------------------------
@@ -593,8 +635,8 @@ class DobrushinData:
     `influence[x, y]` is twice the largest total-variation change of the
     conditional law at x caused by editing y alone (the factor 2 is kept so
     reported values match the defining convention used across the package;
-    `influence_tv` drops it).  `delta` is the truncated Neumann series of
-    `influence` when the row-sum condition holds.
+    `influence_tv` drops it).  `delta` is (I - influence)^-1, the sum of the
+    Neumann series of `influence`, when the row-sum condition holds.
     """
 
     sites: tuple[Site, ...]
@@ -638,7 +680,7 @@ def _conditionals_over_contexts(model: GibbsModel, idx: int, dep: list[int],
     return out
 
 
-def dobrushin_matrix(model: GibbsModel, neumann_tol: float = 1e-12) -> DobrushinData:
+def dobrushin_matrix(model: GibbsModel) -> DobrushinData:
     """Exact influence matrix by enumeration of dependency neighborhoods."""
     m = model.n_sites
     k = model.alphabet.size
@@ -669,22 +711,8 @@ def dobrushin_matrix(model: GibbsModel, neumann_tol: float = 1e-12) -> Dobrushin
             influence_tv[x, y] = best
     influence = 2.0 * influence_tv
     row_max = float(influence.sum(axis=1).max())
-    delta = None
     ok = row_max < 1.0
-    if ok:
-        delta = np.eye(m)
-        power = np.eye(m)
-        c = row_max if row_max > 0 else 0.0
-        tail = 1.0
-        while True:
-            power = power @ influence
-            if not power.any():
-                break
-            delta = delta + power
-            tail = tail * c
-            # entrywise remainder of the series is below tail*c/(1-c)
-            if c == 0.0 or tail * c / (1.0 - c) <= neumann_tol:
-                break
+    delta = np.linalg.solve(np.eye(m) - influence, np.eye(m)) if ok else None
     return DobrushinData(
         sites=model.sites,
         influence=influence,

@@ -14,12 +14,13 @@ interval; exact-path results never touch a random number generator.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy import stats as sstats
@@ -265,20 +266,14 @@ def _g_columns(model: Model, g: LocalFunction) -> list[int]:
     return [model.sites.index(tuple(s)) for s in g.sites]
 
 
-def _sample_values(model: Model, n: int, sweeps: int, seed: int,
-                   start: str) -> np.ndarray:
-    try:
-        return models.glauber_block_batch(model, n, sweeps, seed, start)
-    except ConfigError:
-        return models.glauber_batch(model, n, sweeps, seed, start)
-
-
 def empirical_tail(model: Model, g: LocalFunction, t_grid, n_samples: int,
                    sweeps: int, seed: int, start: str = "plus") -> list[TailEstimate]:
-    """Replicated-chain tail estimates at each t in `t_grid`.
+    """Replicated tail estimates at each t in `t_grid`.
 
-    Every replica is an independent chain with a derived seed; the mean batch
-    is max(1000, n_samples // 5) further replicas.
+    Replicas come from `models.glauber_batch`: exact draws for product and
+    Markov models, independent heat-bath chains for Gibbs models.  The mean
+    batch of max(1000, n_samples // 5) further replicas and the main batch
+    each get their own seed, both drawn from `seed`.
     """
     if n_samples < 1000:
         raise ConfigError("tail estimation needs at least 1000 replicas")
@@ -286,10 +281,12 @@ def empirical_tail(model: Model, g: LocalFunction, t_grid, n_samples: int,
     seed_mean, seed_main = (int(s) for s in rng.integers(2 ** 63, size=2))
     cols = _g_columns(model, g)
     n_mean = max(1000, n_samples // 5)
-    g_mean = g.eval_batch(_sample_values(model, n_mean, sweeps, seed_mean, start)[:, cols])
+    g_mean = g.eval_batch(
+        models.glauber_batch(model, n_mean, sweeps, seed_mean, start)[:, cols])
     m_hat = float(g_mean.mean())
     se_mean = float(g_mean.std(ddof=1) / math.sqrt(n_mean))
-    gs = g.eval_batch(_sample_values(model, n_samples, sweeps, seed_main, start)[:, cols])
+    gs = g.eval_batch(
+        models.glauber_batch(model, n_samples, sweeps, seed_main, start)[:, cols])
     dev = np.abs(gs - m_hat)
     out = []
     for t in np.asarray(t_grid, dtype=float):
@@ -497,7 +494,7 @@ def ell_statistic(spins: np.ndarray, theta: float = 0.9) -> int:
 def ell_samples(model: GibbsModel, n_samples: int, sweeps: int, seed: int,
                 theta: float, start: str = "plus") -> np.ndarray:
     """Path-magnetization statistic on independent equilibrium samples."""
-    rows, cols, to_grid, _ = models.grid_layout(model)
+    rows, cols, to_grid = models.grid_layout(model)
     vals = models.glauber_block_batch(model, n_samples, sweeps, seed, start)
     grids = np.zeros((n_samples, rows * cols))
     grids[:, to_grid] = vals
@@ -650,14 +647,16 @@ def lowtemp_experiment(config: LowtempConfig) -> tuple[TailProfile, BoundReport]
     n_split = (config.n_tail - n_mean) // 2
     if n_split < 1000:
         raise ConfigError("tail splits need at least 1000 replicas each")
-    g_mean = g.eval_batch(_sample_values(model, n_mean, config.sweeps,
-                                         seed_mean, config.start)[:, cols])
+
+    def g_values(n, seed):
+        return g.eval_batch(models.glauber_batch(model, n, config.sweeps, seed,
+                                                 config.start)[:, cols])
+
+    g_mean = g_values(n_mean, seed_mean)
     m_hat = float(g_mean.mean())
     se_mean = float(g_mean.std(ddof=1) / math.sqrt(n_mean))
-    dev_a = np.abs(g.eval_batch(_sample_values(model, n_split, config.sweeps,
-                                               seed_a, config.start)[:, cols]) - m_hat)
-    dev_b = np.abs(g.eval_batch(_sample_values(model, n_split, config.sweeps,
-                                               seed_b, config.start)[:, cols]) - m_hat)
+    dev_a = np.abs(g_values(n_split, seed_a) - m_hat)
+    dev_b = np.abs(g_values(n_split, seed_b) - m_hat)
     t_grid = np.quantile(dev_a, config.quantiles)
     report.meta["t_grid"] = [float(t) for t in t_grid]
     report.meta["mean_se"] = se_mean
@@ -672,11 +671,18 @@ def lowtemp_experiment(config: LowtempConfig) -> tuple[TailProfile, BoundReport]
     tails_b = [split_tail(dev_b, t) for t in t_grid]
 
     fit_pts = [e for e in tails_a if 0.0 < e.estimate < 1.0 and e.t > 0.0]
-    if len(fit_pts) >= 2:
-        xs = np.array([math.log(e.t / dv.l2) for e in fit_pts])
-        ys = np.array([math.log(-math.log(e.estimate / 4.0)) for e in fit_pts])
-        slope, _, r2 = _loglinear_fit(xs, ys)
-        rho_hat = min(max(slope, 0.05), 1.0)
+    if fit_pts:
+        if len({e.t for e in fit_pts}) >= 2:
+            xs = np.array([math.log(e.t / dv.l2) for e in fit_pts])
+            ys = np.array([math.log(-math.log(e.estimate / 4.0)) for e in fit_pts])
+            slope, _, r2 = _loglinear_fit(xs, ys)
+            rho_hat = min(max(slope, 0.05), 1.0)
+        else:
+            # One level (a single point, or quantiles tied on an atom of a
+            # discrete observable) fixes no slope.  Every grid point lies at
+            # or below that level, where rho = 1, the largest admissible
+            # value, gives the largest bound.
+            slope, r2, rho_hat = math.nan, math.nan, 1.0
         c_hat = min(
             (dv.l2 / e.t) ** rho_hat
             * -math.log(min(config.kappa * e.hi, 3.999) / 4.0)
@@ -701,8 +707,8 @@ def lowtemp_experiment(config: LowtempConfig) -> tuple[TailProfile, BoundReport]
             report.add(classify_tail_row(row))
     else:
         report.add(BoundRow(model.name, g.name, "stretched_fit",
-                            {"n_points": len(fit_pts)}, math.nan, verdict="info",
-                            note="degenerate: not enough resolvable split-A points"))
+                            {"n_points": 0}, math.nan, verdict="info",
+                            note="degenerate: no resolvable split-A points"))
 
     # --- informational bound assemblies from the fitted profile ------------
     for p in config.p_list:
@@ -743,48 +749,37 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
 
 
-def _take(cfg: dict, allowed: dict, kind: str) -> dict:
-    unknown = set(cfg) - set(allowed)
+def _config_from_dict(cls, cfg: dict, kind: str):
+    """Build the config dataclass `cls` from a JSON-style dict.
+
+    The dataclass fields are the allowed keys and their defaults the
+    defaults; a field without a default, or a key set to null, is missing.
+    `int` fields are coerced with int() and `tuple` fields to tuples whose
+    entries take the type of the default's entries; other values are kept
+    as given, so the artifact digests see them unchanged.
+    """
+    specs = dataclasses.fields(cls)
+    unknown = set(cfg) - {f.name for f in specs}
     if unknown:
         raise ConfigError(f"unknown {kind} config keys: {sorted(unknown)}")
-    merged = dict(allowed)
-    merged.update(cfg)
-    missing = [k for k, v in merged.items() if v is None]
+    merged = {f.name: cfg.get(f.name, f.default) for f in specs}
+    missing = [k for k, v in merged.items() if v is None or v is dataclasses.MISSING]
     if missing:
         raise ConfigError(f"{kind} config is missing required keys: {missing}")
-    return merged
+    for f in specs:
+        if f.type == "int":
+            merged[f.name] = int(merged[f.name])
+        elif f.type == "tuple":
+            merged[f.name] = tuple(type(f.default[0])(x) for x in merged[f.name])
+    return cls(**merged)
 
 
 def hightemp_config_from_dict(cfg: dict) -> HightempConfig:
-    merged = _take(cfg, {
-        "seed": None, "rows": 8, "cols": 8, "beta": 0.1, "boundary": "plus",
-        "n_samples": 100000, "sweeps": 40,
-        "t_multipliers": [0.5, 1.0, 2.0, 4.0, 8.0],
-        "fit_rows": 4, "fit_cols": 4, "start": "plus",
-    }, "high-temperature")
-    merged["t_multipliers"] = tuple(float(x) for x in merged["t_multipliers"])
-    return HightempConfig(**{k: (int(v) if k in ("seed", "rows", "cols", "n_samples",
-                                              "sweeps", "fit_rows", "fit_cols")
-                              else v)
-                          for k, v in merged.items()})
+    return _config_from_dict(HightempConfig, cfg, "high-temperature")
 
 
 def lowtemp_config_from_dict(cfg: dict) -> LowtempConfig:
-    merged = _take(cfg, {
-        "seed": None, "rows": 16, "cols": 16, "beta": 1.0, "boundary": "plus",
-        "frozen": 0, "n_pair": 80000, "n_tail": 100000, "n_ell": 20000,
-        "sweeps": 60, "theta": 0.9,
-        "quantiles": [0.5, 0.75, 0.9, 0.99, 0.999],
-        "kappa": 3.0, "spearman_dmax": 3, "p_list": [1, 2, 3],
-        "rho_grid": [0.25, 0.5], "eps": 0.5, "start": "plus",
-    }, "low-temperature")
-    for key in ("quantiles", "rho_grid"):
-        merged[key] = tuple(float(x) for x in merged[key])
-    merged["p_list"] = tuple(int(x) for x in merged["p_list"])
-    ints = ("seed", "rows", "cols", "frozen", "n_pair", "n_tail", "n_ell",
-            "sweeps", "spearman_dmax")
-    return LowtempConfig(**{k: (int(v) if k in ints else v)
-                            for k, v in merged.items()})
+    return _config_from_dict(LowtempConfig, cfg, "low-temperature")
 
 
 def config_digest(cfg: dict, seed: int) -> str:

@@ -46,6 +46,8 @@ def test_seed_is_required_for_sampling(tmp_path):
 
 def test_unknown_subcommand_is_exit_2(capsys):
     assert run(["bogus"]) == 2
+    # --threads belongs to the battery alone
+    assert run(["hightemp", "--seed", "1", "--threads", "2"]) == 2
     capsys.readouterr()
 
 

@@ -23,10 +23,12 @@ from spinconc.coupling import (
 )
 from spinconc.errors import CapacityError
 from spinconc.fields import SPIN, magnetization, single_spin
+from spinconc.lattice import rect_sites
 from spinconc.models import (
     MarkovChainModel,
     exact_joint,
     iid_spins,
+    ising_model,
     ising_rect,
     ising_segment,
 )
@@ -239,6 +241,17 @@ def test_pair_glauber_legs_are_ordered_and_sensible():
     assert res.monotone_violations == 0
     assert np.all(res.upper_leg_mean >= res.lower_leg_mean - 1e-12)
     assert res.upper_leg_mean[0] == 1.0 and res.lower_leg_mean[0] == -1.0
+
+
+def test_pair_glauber_runs_off_rectangle():
+    # an L-shaped volume: a 4x4 box without its upper-right 2x2 corner
+    sites = [s for s in rect_sites(4, 4) if not (s[0] > 0 and s[1] > 0)]
+    model = ising_model(sites, beta=0.6, boundary="plus")
+    res = coupled_glauber_disagreement(model, n_samples=1500, sweeps=40, seed=2)
+    assert res.monotone_violations == 0
+    assert res.disagree[0] == 1.0
+    assert np.all((res.disagree >= 0.0) & (res.disagree <= 1.0))
+    assert np.all(res.upper_leg_mean >= res.lower_leg_mean)
 
 
 # ---------------------------------------------------------------------------

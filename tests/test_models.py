@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from math import exp
 
 import numpy as np
@@ -9,17 +10,19 @@ from spinconc.errors import (
     ConfigError,
     DegenerateConditioningError,
 )
-from spinconc.fields import SPIN, magnetization, total_spin
+from spinconc.fields import SPIN, magnetization, pair_product, single_spin, total_spin
 from spinconc.lattice import rect_sites, segment_sites
 from spinconc.models import (
+    CHUNK,
     SITE_PERCOLATION_PC_2D,
+    GibbsModel,
     MarkovChainModel,
     ProductModel,
     dobrushin_matrix,
     exact_joint,
     glauber_batch,
-    glauber_sample,
     iid_spins,
+    ising_model,
     ising_rect,
     ising_segment,
     model_from_config,
@@ -154,12 +157,67 @@ def test_glauber_batch_deterministic():
     assert not np.array_equal(a, c)
 
 
-def test_glauber_sample_runs_on_generic_model():
-    chain = MarkovChainModel(5, np.array([0.5, 0.5]),
-                             np.array([[0.7, 0.3], [0.2, 0.8]]))
-    cfg = glauber_sample(chain, sweeps=20, seed=2)
-    assert cfg.shape == (5,)
-    assert set(cfg) <= {0, 1}
+# a 4x4 box without its upper-right 2x2 corner
+L_SHAPE = [s for s in rect_sites(4, 4) if not (s[0] > 0 and s[1] > 0)]
+
+
+@pytest.mark.parametrize("model", [ising_model(L_SHAPE, 0.4, "plus"),
+                                   ising_segment(6, 0.4, "minus")],
+                         ids=["L-shape", "segment"])
+def test_glauber_matches_exact_mean_off_rectangle(model):
+    joint = exact_joint(model)
+    g = magnetization(model.sites)
+    exact_mean = joint.expectation(joint.function_table(g))
+    vals = g.eval_batch(glauber_batch(model, 4000, 60, seed=11))
+    se = vals.std(ddof=1) / np.sqrt(len(vals))
+    assert abs(vals.mean() - exact_mean) < 3 * se
+
+
+@pytest.mark.parametrize("model", [
+    MarkovChainModel(6, np.array([0.9, 0.1]), np.array([[0.7, 0.3], [0.2, 0.8]])),
+    ProductModel(segment_sites(4), np.array([[0.1, 0.9], [0.5, 0.5], [0.7, 0.3], [0.98, 0.02]])),
+], ids=["markov", "product"])
+def test_glauber_batch_is_exact_on_product_and_markov(model):
+    joint = exact_joint(model)
+    samples = glauber_batch(model, 20000, sweeps=0, seed=3)
+    sites = model.sites
+    observables = [single_spin(s) for s in sites]
+    observables += [pair_product(x, y) for x, y in zip(sites, sites[1:])]
+    for g in observables:
+        vals = g.eval_batch(samples[:, [sites.index(s) for s in g.sites]])
+        se = vals.std(ddof=1) / np.sqrt(len(vals))
+        assert abs(vals.mean() - joint.expectation(joint.function_table(g))) < 4 * se
+
+
+@pytest.mark.parametrize("model", [ising_model(L_SHAPE, 0.4, "plus"), iid_spins(5, 0.3)],
+                         ids=["gibbs", "product"])
+def test_glauber_batch_prefix_does_not_depend_on_n(model):
+    short = glauber_batch(model, 1500, 5, seed=9)
+    long = glauber_batch(model, 3000, 5, seed=9)
+    assert short.shape == (1500, model.n_sites)
+    assert np.array_equal(short[:CHUNK], long[:CHUNK])
+
+
+def test_sampler_working_memory_is_one_chunk():
+    model = ising_rect(16, 16, 1.0)
+    extra = []
+    for n in (2 * CHUNK, 20 * CHUNK):
+        tracemalloc.start()
+        try:
+            out = glauber_batch(model, n, 1, seed=1)
+            extra.append(tracemalloc.get_traced_memory()[1] - out.nbytes)
+        finally:
+            tracemalloc.stop()
+    assert extra[1] < extra[0] + 2**18
+
+
+def test_glauber_batch_rejects_what_it_cannot_sample():
+    # a Gibbs model given by its terms alone has no neighbor tables
+    generic = GibbsModel(segment_sites(2), [((0, 1), np.eye(2))], beta=0.5)
+    with pytest.raises(ConfigError):
+        glauber_batch(generic, 10, 5, seed=1)
+    with pytest.raises(ConfigError):
+        glauber_batch(iid_spins(3), 10, 5, seed=1, start="sideways")
 
 
 def test_magnetization_increasing_in_beta():
