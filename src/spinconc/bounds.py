@@ -25,19 +25,23 @@ from spinconc.models import ExactJoint
 # martingale decomposition along the enumeration order
 # ---------------------------------------------------------------------------
 
+_ORTHO_BLOCK = 2 ** 17  # entries in one orthogonality_error temporary (1 MiB)
+
+
 @dataclass
 class MartingaleDecomposition:
     """Increments V_i = E[g|first i+1 coordinates] - E[g|first i coordinates].
 
-    Arrays are broadcast to the joint's shape; entries over zero-probability
-    prefixes are set to zero and excluded from all identities.
+    `increments[i]` is V_i broadcast to the joint's shape (all m of them in
+    one array); entries over zero-probability prefixes are set to zero and
+    excluded from all identities.
     """
 
     joint: ExactJoint
     g: LocalFunction
     g_table: np.ndarray
     mean: float
-    increments: list[np.ndarray]
+    increments: np.ndarray
     support: np.ndarray
 
     def telescoping_error(self) -> float:
@@ -61,12 +65,21 @@ class MartingaleDecomposition:
         return worst
 
     def orthogonality_error(self) -> float:
-        """max over pairs i < j of |E[V_i V_j]|."""
-        p = self.joint.probs
+        """max over pairs i < j of |E[V_i V_j]|.
+
+        Row i sums p V_i V_j for a block of rows j > i at once; each sum runs
+        over the same contiguous values in the same order as a sum of the
+        single product, so the result does not depend on the blocking.  A
+        block's temporary holds at most `_ORTHO_BLOCK` entries.
+        """
+        p = self.joint.probs.reshape(-1)
+        v = self.increments.reshape(len(self.increments), -1)
+        step = max(1, _ORTHO_BLOCK // v.shape[1])
         worst = 0.0
-        for i in range(len(self.increments)):
-            for j in range(i + 1, len(self.increments)):
-                worst = max(worst, abs(float((p * self.increments[i] * self.increments[j]).sum())))
+        for i in range(len(v) - 1):
+            pv = p * v[i]
+            for j in range(i + 1, len(v), step):
+                worst = max(worst, float(np.abs((pv * v[j:j + step]).sum(axis=1)).max()))
         return worst
 
     def increment_of(self, i: int, config: tuple[int, ...]) -> float:
@@ -80,7 +93,7 @@ def martingale_decomposition(joint: ExactJoint, g: LocalFunction) -> MartingaleD
     mean = joint.expectation(g_table)
     support = p > 0
     prev = np.full(p.shape, mean)
-    increments = []
+    increments = np.empty((m,) + p.shape)
     for i in range(m):
         axes = tuple(range(i + 1, m))
         num = (p * g_table).sum(axis=axes, keepdims=True)
@@ -88,8 +101,7 @@ def martingale_decomposition(joint: ExactJoint, g: LocalFunction) -> MartingaleD
         with np.errstate(invalid="ignore", divide="ignore"):
             cond = np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)
         cond = np.broadcast_to(cond, p.shape)
-        v = np.where(support, cond - prev, 0.0)
-        increments.append(v)
+        increments[i] = np.where(support, cond - prev, 0.0)
         prev = np.where(den > 0, cond, prev)
     return MartingaleDecomposition(joint, g, g_table, mean, increments, support)
 

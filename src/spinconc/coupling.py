@@ -185,20 +185,24 @@ class EnvelopeData:
     moment: dict[int, np.ndarray] = field(default_factory=dict)
 
 
-def envelope_and_moment_matrices(joint: ExactJoint,
-                                 p_orders=(1, 2)) -> EnvelopeData:
+def envelope_and_moment_matrices(joint: ExactJoint, p_orders=(1, 2),
+                                 bands=None) -> EnvelopeData:
     """Enumerate every positive-probability past at every row.
 
     The moment matrix of order p holds (sum_w P(w) value(w)^p)^(1/p); the
-    envelope is the plain maximum over pasts.
+    envelope is the plain maximum over pasts.  `bands` yields the row bands
+    `coupling_rows_all(joint, i)` for i = 0..m-1 in order, for a caller that
+    shares them; a generator lets each band be dropped once reduced.  By
+    default they are computed here.
     """
     m = joint.n_sites
     env = np.zeros((m, m))
     lo_env = np.zeros((m, m))
     hi_env = np.zeros((m, m))
     mom = {p: np.zeros((m, m)) for p in p_orders}
-    for i in range(m):
-        band = coupling_rows_all(joint, i)
+    if bands is None:
+        bands = (coupling_rows_all(joint, i) for i in range(m))
+    for i, band in enumerate(bands):
         mask = band.past_mass > 0.0
         env[i] = band.value[mask].max(axis=0)
         lo_env[i] = band.lower[mask].max(axis=0)

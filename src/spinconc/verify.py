@@ -94,12 +94,15 @@ def battery_functions(model: Model) -> list[LocalFunction]:
 # ---------------------------------------------------------------------------
 
 def backbone_check(joint: ExactJoint, g: LocalFunction,
-                   decomposition=None, corrupt_entry=None):
+                   decomposition=None, corrupt_entry=None, values=None):
     """Worst violation of |V_i(sigma)| <= sum_y D_{i,y}(past) delta_y g.
 
     Returns (max over sigma, i of |V_i| - rhs, witness (i, flat config)).
-    `corrupt_entry=(i, y)` zeroes column y of the row-i coupling values, a
-    deliberate sabotage hook used to confirm the check has teeth.
+    `values[i]`, when given, is `coupling_rows_all(joint, i).value`, shared
+    by a caller that checks several observables on one joint; by default the
+    bands are computed here.  `corrupt_entry=(i, y)` zeroes column y of the
+    row-i coupling values in a copy, a deliberate sabotage hook used to
+    confirm the check has teeth.
     """
     dec = decomposition or bounds.martingale_decomposition(joint, g)
     dv = fields.delta_vector(g, joint.sites, joint.alphabet)
@@ -109,8 +112,8 @@ def backbone_check(joint: ExactJoint, g: LocalFunction,
     worst = -math.inf
     witness = (0, 0)
     for i in range(m):
-        band = coupling.coupling_rows_all(joint, i)
-        value = band.value
+        value = (coupling.coupling_rows_all(joint, i).value if values is None
+                 else values[i])
         if corrupt_entry is not None and corrupt_entry[0] == i:
             value = value.copy()
             value[:, corrupt_entry[1]] = 0.0
@@ -128,11 +131,12 @@ def backbone_check(joint: ExactJoint, g: LocalFunction,
 # exact battery
 # ---------------------------------------------------------------------------
 
-def _battery_task(model: Model, g: LocalFunction, t_points: int) -> list[BoundRow]:
-    joint = models.exact_joint(model)
+def _observable_rows(model: Model, joint: ExactJoint, g: LocalFunction,
+                     values: list[np.ndarray], env_norm: float,
+                     moment_norm: dict[int, float], t_points: int) -> list[BoundRow]:
+    """The exact rows of one observable, on its model's shared bands and norms."""
     dec = bounds.martingale_decomposition(joint, g)
     dv = fields.delta_vector(g, joint.sites, joint.alphabet)
-    env = coupling.envelope_and_moment_matrices(joint, p_orders=(2, 4, 6))
     name, fname = model.name, g.name
     rows = []
 
@@ -152,12 +156,11 @@ def _battery_task(model: Model, g: LocalFunction, t_points: int) -> list[BoundRo
                           _TOLERANCES["decomposition"],
                           dec.orthogonality_error(), 0.0))
 
-    viol, witness = backbone_check(joint, g, decomposition=dec)
+    viol, witness = backbone_check(joint, g, decomposition=dec, values=values)
     rows.append(exact_row("backbone_rowsum", _TOLERANCES["backbone"], viol, 0.0,
                           params={"witness_row": witness[0],
                                   "witness_config": witness[1]}))
 
-    env_norm = bounds.operator_norm_l2(env.envelope)
     centered = np.abs(dec.g_table - dec.mean)
     t_max = float(centered[dec.support].max()) if dec.support.any() else 0.0
     grid = np.linspace(0.0, t_max, t_points)
@@ -172,11 +175,11 @@ def _battery_task(model: Model, g: LocalFunction, t_points: int) -> list[BoundRo
                                   "t_max": t_max, "t_points": t_points}))
 
     var = joint.central_moment(dec.g_table, 2)
-    norm2 = bounds.operator_norm_l2(env.moment[2])
+    norm2 = moment_norm[2]
     rows.append(exact_row("variance", bounds.variance_bound(norm2, dv.l2), var,
                           _TOLERANCES["moment"], params={"moment2_norm": norm2}))
     for p in (1, 2, 3):
-        norm_2p = bounds.operator_norm_l2(env.moment[2 * p])
+        norm_2p = moment_norm[2 * p]
         rows.append(exact_row(
             f"moment_p{p}", bounds.moment_bound(p, norm_2p, dv.l2),
             joint.central_moment(dec.g_table, 2 * p), _TOLERANCES["moment"],
@@ -187,27 +190,57 @@ def _battery_task(model: Model, g: LocalFunction, t_points: int) -> list[BoundRo
     return rows
 
 
+def _battery_task(model: Model, functions: list[LocalFunction],
+                  t_points: int) -> list[BoundRow]:
+    """Every exact row of one model, observable by observable.
+
+    Each coupling band is computed once: its envelope and moment rows are
+    taken as it is produced, then only its `value` array is kept, for the
+    backbone check of every observable.  The envelope norm and the moment
+    norms of orders 2, 4 and 6 do not depend on the observable either.
+    """
+    joint = models.exact_joint(model)
+    values = []
+
+    def bands():
+        for i in range(joint.n_sites):
+            band = coupling.coupling_rows_all(joint, i)
+            values.append(band.value)
+            yield band
+
+    env = coupling.envelope_and_moment_matrices(joint, p_orders=(2, 4, 6),
+                                                bands=bands())
+    env_norm = bounds.operator_norm_l2(env.envelope)
+    moment_norm = {q: bounds.operator_norm_l2(env.moment[q]) for q in (2, 4, 6)}
+    return [row for g in functions
+            for row in _observable_rows(model, joint, g, values, env_norm,
+                                        moment_norm, t_points)]
+
+
 def exact_battery(model_list=None, function_factory=None, threads: int = 0,
                   t_points: int = 20, seed: int = 101) -> BoundReport:
     """Run every exact check over the battery; no verdict tolerates a violation.
 
     `function_factory(model)` supplies the observables per model (the
-    defaults live in `battery_functions`).  Tasks are independent, so they
-    run on a thread pool; `threads=0` picks the machine's CPU count.
+    defaults live in `battery_functions`).  One task per model builds the
+    joint and its coupling bands once and checks every observable on them.
+    Tasks are independent, so they run on a thread pool; `threads=0` picks
+    the machine's CPU count.  Rows come out in model order whatever the
+    thread count.
     """
     model_list = battery_models(seed) if model_list is None else model_list
     factory = function_factory or battery_functions
-    tasks = [(m, g) for m in model_list for g in factory(m)]
+    tasks = [(m, factory(m)) for m in model_list]
     workers = threads if threads > 0 else (os.cpu_count() or 1)
     if workers == 1:
-        chunks = [_battery_task(m, g, t_points) for m, g in tasks]
+        chunks = [_battery_task(m, fs, t_points) for m, fs in tasks]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(lambda mg: _battery_task(*mg, t_points), tasks))
+            chunks = list(pool.map(lambda mf: _battery_task(*mf, t_points), tasks))
     report = BoundReport(meta={
         "experiment": "exact_battery",
         "models": [m.name for m in model_list],
-        "functions_per_model": len(factory(model_list[0])),
+        "functions_per_model": len(tasks[0][1]),
         "battery_seed": seed,
         "t_points": t_points,
         "tolerances": dict(_TOLERANCES),

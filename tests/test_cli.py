@@ -1,9 +1,12 @@
 import filecmp
 import json
+from pathlib import Path
 
 import pytest
 
 from spinconc.cli import run
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _files(path):
@@ -20,6 +23,15 @@ def test_battery_runs_clean(tmp_path):
         blob = json.load(fh)
     assert blob["meta"]["experiment"] == "exact_battery"
     assert all(r["verdict"] == "pass" for r in blob["rows"])
+
+
+def test_battery_reproduces_committed_artifacts(tmp_path):
+    config = ROOT / "configs" / "battery_small.json"
+    assert run(["battery", "--config", str(config), "--out", str(tmp_path)]) == 0
+    stem = "battery_0175aa03_s101"
+    assert _files(tmp_path) == [f"{stem}.csv", f"{stem}.json"]
+    for name in _files(tmp_path):
+        assert filecmp.cmp(tmp_path / name, ROOT / "artifacts" / name, shallow=False)
 
 
 def test_missing_config_is_exit_2(tmp_path):

@@ -155,6 +155,19 @@ def test_envelope_dominates_and_moments_are_monotone():
         assert np.all(mats.value <= data.envelope + 1e-12)
 
 
+def test_envelope_from_shared_bands_matches_default():
+    joint = exact_joint(ising_rect(2, 3, beta=0.4, boundary="plus"))
+    data = envelope_and_moment_matrices(joint, p_orders=(2, 4))
+    bands = (coupling_rows_all(joint, i) for i in range(joint.n_sites))
+    shared = envelope_and_moment_matrices(joint, p_orders=(2, 4), bands=bands)
+    for a, b in [(data.envelope, shared.envelope),
+                 (data.lower_envelope, shared.lower_envelope),
+                 (data.upper_envelope, shared.upper_envelope),
+                 (data.moment[2], shared.moment[2]),
+                 (data.moment[4], shared.moment[4])]:
+        assert np.array_equal(a, b)
+
+
 def test_envelope_decays_with_distance():
     joint = exact_joint(ising_segment(6, beta=0.5, boundary="free"))
     env = envelope_and_moment_matrices(joint, p_orders=(1,)).envelope

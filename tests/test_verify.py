@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spinconc import coupling
 from spinconc.bounds import martingale_decomposition
 from spinconc.coupling import coupling_matrix_exact
 from spinconc.errors import ConfigError
@@ -60,10 +61,28 @@ def test_battery_all_exact_checks_pass():
 
 
 def test_battery_thread_count_does_not_change_output():
-    small = battery_models()[:3]
+    # three iid models, whose bands are trivial, plus a Markov chain, an
+    # Ising segment and a 2x3 rectangle with real coupling bands
+    ms = battery_models()
+    small = ms[:3] + [ms[3], ms[6], ms[8]]
+    assert [m.name for m in small[3:]] == ["markov[6]_r0", "ising[6]_b0.7_plus",
+                                           "ising[2x3]_b0.5_plus"]
     serial = exact_battery(model_list=small, threads=1)
     pooled = exact_battery(model_list=small, threads=4)
     assert serial.to_json() == pooled.to_json()
+
+
+def test_battery_computes_each_band_once(monkeypatch):
+    calls = []
+    original = coupling.coupling_rows_all
+
+    def counted(joint, i):
+        calls.append(i)
+        return original(joint, i)
+
+    monkeypatch.setattr(coupling, "coupling_rows_all", counted)
+    exact_battery(threads=1)
+    assert len(calls) == sum(m.n_sites for m in battery_models()) == 70
 
 
 def test_backbone_corruption_is_detected():
@@ -76,6 +95,19 @@ def test_backbone_corruption_is_detected():
     bad, witness = backbone_check(joint, g, corrupt_entry=(3, 3))
     assert bad == pytest.approx(1.0, abs=1e-12)
     assert witness[0] == 3
+
+
+def test_backbone_corruption_leaves_shared_bands_intact():
+    # the battery shares one set of band values across observables; the
+    # sabotage hook must corrupt a copy, not the shared arrays
+    joint = exact_joint(iid_spins(6, 0.5))
+    g = total_spin(joint.sites)
+    values = [coupling.coupling_rows_all(joint, i).value for i in range(joint.n_sites)]
+    bad, witness = backbone_check(joint, g, corrupt_entry=(3, 3), values=values)
+    assert bad == pytest.approx(1.0, abs=1e-12)
+    assert witness[0] == 3
+    clean, _ = backbone_check(joint, g, values=values)
+    assert clean <= 1e-12
 
 
 def test_backbone_witness_reproduces_the_gap():
