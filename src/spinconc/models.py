@@ -34,6 +34,9 @@ SITE_PERCOLATION_PC_2D = 0.5927
 
 DEFAULT_JOINT_CAP = 2**20
 
+#: most configurations per `LocalFunction.eval_batch` call in `function_table`
+_TABLE_BLOCK = 2**12
+
 
 # ---------------------------------------------------------------------------
 # exact joint law
@@ -93,15 +96,28 @@ class ExactJoint:
 
     def function_table(self, g: LocalFunction,
                        cap: int = DEFAULT_JOINT_CAP) -> np.ndarray:
-        """Values of g on every configuration, broadcast to the joint's shape."""
+        """Values of g on every configuration, broadcast to the joint's shape.
+
+        g's own configurations are enumerated row-major and evaluated with
+        `g.eval_batch`, one block per setting of the leading coordinates; a
+        block enumerates the trailing ones and holds at most `_TABLE_BLOCK`
+        rows.
+        """
         axes = [self.site_axis(s) for s in g.sites]
-        k = self.k
-        if k ** len(axes) > cap:
-            raise CapacityError(f"observable table needs {k}^{len(axes)} evaluations")
-        local = np.array(
-            [g.fn(v) for v in itertools.product(self.alphabet.values, repeat=len(axes))],
-            dtype=float,
-        ).reshape((k,) * len(axes))
+        k, n = self.k, len(axes)
+        if k ** n > cap:
+            raise CapacityError(f"observable table needs {k}^{n} evaluations")
+        values = np.asarray(self.alphabet.values, dtype=float)
+        tail = n
+        while tail > 0 and k ** tail > _TABLE_BLOCK:
+            tail -= 1
+        block = np.empty((k ** tail, n))
+        block[:, n - tail:] = values[np.indices((k,) * tail).reshape(tail, k ** tail).T]
+        local = np.empty((k ** (n - tail), k ** tail))
+        for row, lead in zip(local, itertools.product(values, repeat=n - tail)):
+            block[:, :n - tail] = lead
+            row[:] = g.eval_batch(block)
+        local = local.reshape((k,) * n)
         order = np.argsort(axes)
         local = np.transpose(local, order)
         shape = [1] * self.n_sites
@@ -116,10 +132,6 @@ class ExactJoint:
         """P(|g - Eg| >= t), exactly."""
         centered = table - self.expectation(table)
         return float(self.probs[np.abs(centered) >= t].sum())
-
-    def central_moment(self, table: np.ndarray, order: int) -> float:
-        centered = table - self.expectation(table)
-        return float((self.probs * centered ** order).sum())
 
     def sample(self, n: int, seed: int) -> np.ndarray:
         """Draw n configurations (symbol indices, shape (n, n_sites))."""
@@ -476,6 +488,21 @@ def _chunks(n_samples: int, seed: int):
         yield lo, min(lo + CHUNK, n_samples), np.random.default_rng(child)
 
 
+def _uniforms24(bit_generator, n: int, carry: np.ndarray):
+    """The next n values of `random(dtype=float32)`, times 2^24, and the new carry.
+
+    A float32 uniform is the next 32-bit half of a raw 64-bit word (low half
+    first, read here as the little-endian uint32 view) shifted right by 8.
+    `carry` holds the half a previous odd draw left pending, if any.
+    """
+    if n == 0:
+        return np.empty(0, dtype=np.uint32), carry
+    need = n - carry.size
+    halves = bit_generator.random_raw((need + 1) // 2).view(np.uint32)
+    words = np.concatenate([carry, halves[:need]]) if carry.size else halves[:need]
+    return np.right_shift(words, 8, out=words), halves[need:].copy()
+
+
 def _heat_bath(model: Model, n_samples: int, sweeps: int, seed: int,
                start: str = "plus", frozen: tuple[int, tuple[int, ...]] | None = None):
     """The heat-bath kernel for binary nearest-neighbor Gibbs models.
@@ -491,12 +518,23 @@ def _heat_bath(model: Model, n_samples: int, sweeps: int, seed: int,
 
     Any finite site set works.  Nearest neighbors have opposite coordinate
     parity, so each parity class is resampled at once from its exact
-    single-site conditionals; the conditionals read a table of p_+ over
-    (site, number of plus neighbors), with missing neighbors pointing at a
-    ghost row that holds 0.  Uniforms are float32 multiples of 2^-24 and the
-    table is rounded to the same grid, so each update's law is off by at
-    most 2^-25 <= 2^-24 from the exact conditional.  Working memory is one
-    chunk, whatever n_samples is.
+    single-site conditionals; missing neighbors point at a ghost row that
+    holds 0, so a leg's neighbor sum is its number c of plus neighbors.
+
+    Uniforms are 24-bit integers U, the values of `random(dtype=float32)`
+    times 2^24 read from raw PCG64 words (`_uniforms24`), so the stream is
+    the float32 one bit for bit.  The conditional is an integer threshold
+    q[s, c] = round(p_+(s, c) 2^24): site s with c plus neighbors turns plus
+    iff U < q[s, c].  U is uniform on {0, ..., 2^24 - 1} and q is p_+ rounded
+    to that grid, so each update's law is off by at most 2^-25 from the exact
+    conditional.  Once per class and sweep, shared by every leg, the kernel
+    counts T over the row of thresholds.  For beta >= 0 the row is
+    non-decreasing in c; with T = #{c : U >= q[s, c]} the spin is plus iff
+    c >= T.  For beta < 0 it is non-increasing; the kernel counts
+    T = #{c : U < q[s, c]} = deg + 1 - #{c : U >= q[s, c]} and the spin is
+    plus iff c < T.  One ufunc, `compare`, serves both counts and both
+    comparisons.  Each leg then only counts its plus neighbors and compares.
+    Working memory is one chunk, whatever n_samples is.
     """
     if not (isinstance(model, GibbsModel) and model.alphabet.size == 2
             and model.nn_index is not None):
@@ -520,8 +558,8 @@ def _heat_bath(model: Model, n_samples: int, sweeps: int, seed: int,
     degree = np.array([len(nb) for nb in model.nn_index])[order]
     field = (2 * n_plus - degree[:, None]) + model.boundary_field[order][:, None]
     p_plus = 0.5 * (1.0 + np.tanh(model.beta * field))
-    table = (np.round(p_plus * 2.0**24) / 2.0**24).astype(np.float32).reshape(-1)
-    base = (np.arange(m) * (deg + 1))[:, None]
+    q = np.round(p_plus * 2.0**24).astype(np.uint32)
+    compare = np.greater_equal if model.beta >= 0 else np.less
     n0 = int((free & (parity == 0)).sum())
     classes = [(0, n0), (n0, int(free.sum()))]
 
@@ -534,14 +572,22 @@ def _heat_bath(model: Model, n_samples: int, sweeps: int, seed: int,
             if pinned is not None:
                 spins[row[pinned]] = sym
             legs.append(spins)
+        state = rng.bit_generator.state  # the start may leave half a word pending
+        carry = np.array([state["uinteger"]] * state["has_uint32"], dtype=np.uint32)
+        hit = np.empty((max(b - a for a, b in classes), size), dtype=np.int8)
         for _ in range(sweeps):
             for a, b in classes:
-                u = rng.random((b - a, size), dtype=np.float32)
+                u, carry = _uniforms24(rng.bit_generator, (b - a) * size, carry)
+                u = u.reshape(b - a, size)
+                t = np.empty((b - a, size), dtype=np.int8)
+                compare(u, q[a:b, 0, None], out=t.view(bool))
+                for c in range(1, deg + 1):
+                    t += compare(u, q[a:b, c, None], out=hit[:b - a].view(bool)).view(np.int8)
                 for spins in legs:
                     count = spins[nbr[a:b, 0]]
                     for j in range(1, deg):
                         count += spins[nbr[a:b, j]]
-                    np.less(u, table[base[a:b] + count], out=spins[a:b].view(bool))
+                    compare(count, t, out=spins[a:b].view(bool))
         return [spins[row] for spins in legs]
 
     return ((lo, hi, run(hi - lo, rng)) for lo, hi, rng in _chunks(n_samples, seed))

@@ -161,12 +161,15 @@ def _observable_rows(model: Model, joint: ExactJoint, g: LocalFunction,
                           params={"witness_row": witness[0],
                                   "witness_config": witness[1]}))
 
-    centered = np.abs(dec.g_table - dec.mean)
-    t_max = float(centered[dec.support].max()) if dec.support.any() else 0.0
+    # centered once for the whole tail grid and every moment; each tail sum
+    # is the one ExactJoint.exact_tail makes, term for term
+    centered = dec.g_table - dec.mean
+    distance = np.abs(centered)
+    t_max = float(distance[dec.support].max()) if dec.support.any() else 0.0
     grid = np.linspace(0.0, t_max, t_points)
     worst_gap = -math.inf
     for t in grid:
-        tail = joint.exact_tail(dec.g_table, float(t))
+        tail = float(joint.probs[distance >= float(t)].sum())
         worst_gap = max(worst_gap,
                         tail - bounds.exponential_bound(float(t), env_norm, dv.l2))
     rows.append(exact_row("tail_exponential_grid", 0.0, worst_gap,
@@ -174,7 +177,8 @@ def _observable_rows(model: Model, joint: ExactJoint, g: LocalFunction,
                           params={"envelope_norm": env_norm, "delta_l2": dv.l2,
                                   "t_max": t_max, "t_points": t_points}))
 
-    var = joint.central_moment(dec.g_table, 2)
+    moment = {q: float((joint.probs * centered ** q).sum()) for q in (2, 4, 6)}
+    var = moment[2]
     norm2 = moment_norm[2]
     rows.append(exact_row("variance", bounds.variance_bound(norm2, dv.l2), var,
                           _TOLERANCES["moment"], params={"moment2_norm": norm2}))
@@ -182,7 +186,7 @@ def _observable_rows(model: Model, joint: ExactJoint, g: LocalFunction,
         norm_2p = moment_norm[2 * p]
         rows.append(exact_row(
             f"moment_p{p}", bounds.moment_bound(p, norm_2p, dv.l2),
-            joint.central_moment(dec.g_table, 2 * p), _TOLERANCES["moment"],
+            moment[2 * p], _TOLERANCES["moment"],
             params={"p": p, "moment_norm": norm_2p}))
     if isinstance(model, ProductModel):
         rows.append(exact_row("variance_independent", dv.l2_squared, var,

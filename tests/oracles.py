@@ -145,3 +145,62 @@ def transport_vertex_oracle(p, q, cost):
         if best is None or c < best - 1e-15:
             best = c
     return best
+
+
+def reference_heat_bath(model, n_samples, sweeps, seed, start="plus", frozen=None):
+    """Float32 heat bath with a gathered p_+ table, leg by leg.
+
+    Returns one site-major int8 array (n_legs, n_sites, n_samples) of symbol
+    indices.  Same chunks, seeds, site classes and start draws as the
+    package kernel; each class update draws `random(dtype=float32)` and sets
+    the spin to [u < p_+(site, plus neighbors)] read from a float32 table on
+    the 2^-24 grid.  The package kernel must match it bit for bit.
+    """
+    m = model.n_sites
+    pinned, symbols = frozen if frozen is not None else (None, (None,))
+    parity = np.array([sum(s) & 1 for s in model.sites])
+    free = np.arange(m) != pinned
+    order = np.concatenate([np.flatnonzero(free & (parity == 0)),
+                            np.flatnonzero(free & (parity == 1)),
+                            np.flatnonzero(~free)])
+    row = np.empty(m, dtype=np.intp)
+    row[order] = np.arange(m)
+    deg = max(1, max(len(nb) for nb in model.nn_index))
+    nbr = np.full((m, deg), m, dtype=np.intp)
+    for i, nb in enumerate(model.nn_index):
+        nbr[row[i], :len(nb)] = row[nb]
+    degree = np.array([len(nb) for nb in model.nn_index])[order]
+    field = (2 * np.arange(deg + 1) - degree[:, None]) + model.boundary_field[order][:, None]
+    p_plus = 0.5 * (1.0 + np.tanh(model.beta * field))
+    table = (np.round(p_plus * 2.0**24) / 2.0**24).astype(np.float32).reshape(-1)
+    base = (np.arange(m) * (deg + 1))[:, None]
+    n0 = int((free & (parity == 0)).sum())
+    classes = [(0, n0), (n0, int(free.sum()))]
+    out = np.empty((len(symbols), m, n_samples), dtype=np.int8)
+    children = np.random.SeedSequence(seed).spawn(-(-n_samples // 1024))
+    for j, child in enumerate(children):
+        lo, hi = j * 1024, min(j * 1024 + 1024, n_samples)
+        rng = np.random.default_rng(child)
+        size = hi - lo
+        if start == "plus":
+            start_cfg = np.ones((m, size), dtype=np.int8)
+        elif start == "minus":
+            start_cfg = np.zeros((m, size), dtype=np.int8)
+        else:
+            start_cfg = rng.integers(2, size=(m, size), dtype=np.int8)
+        legs = []
+        for sym in symbols:
+            spins = np.zeros((m + 1, size), dtype=np.int8)
+            spins[row] = start_cfg
+            if pinned is not None:
+                spins[row[pinned]] = sym
+            legs.append(spins)
+        for _ in range(sweeps):
+            for a, b in classes:
+                u = rng.random((b - a, size), dtype=np.float32)
+                for spins in legs:
+                    count = spins[nbr[a:b]].sum(axis=1, dtype=np.intp)
+                    spins[a:b] = u < table[base[a:b] + count]
+        for k, spins in enumerate(legs):
+            out[k, :, lo:hi] = spins[row]
+    return out

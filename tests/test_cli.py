@@ -34,6 +34,15 @@ def test_battery_reproduces_committed_artifacts(tmp_path):
         assert filecmp.cmp(tmp_path / name, ROOT / "artifacts" / name, shallow=False)
 
 
+def test_hightemp_reproduces_committed_artifacts(tmp_path):
+    config = ROOT / "configs" / "hightemp_8x8.json"
+    assert run(["hightemp", "--config", str(config), "--out", str(tmp_path)]) == 0
+    stem = "hightemp_eb29d58b_s20260818"
+    assert _files(tmp_path) == [f"{stem}.csv", f"{stem}.json"]
+    for name in _files(tmp_path):
+        assert filecmp.cmp(tmp_path / name, ROOT / "artifacts" / name, shallow=False)
+
+
 def test_missing_config_is_exit_2(tmp_path):
     assert run(["tail", "--config", str(tmp_path / "nope.json"),
                 "--out", str(tmp_path)]) == 2

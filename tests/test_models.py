@@ -10,7 +10,15 @@ from spinconc.errors import (
     ConfigError,
     DegenerateConditioningError,
 )
-from spinconc.fields import SPIN, magnetization, pair_product, single_spin, total_spin
+from spinconc.fields import (
+    SPIN,
+    Alphabet,
+    LocalFunction,
+    magnetization,
+    pair_product,
+    single_spin,
+    total_spin,
+)
 from spinconc.lattice import rect_sites, segment_sites
 from spinconc.models import (
     CHUNK,
@@ -27,9 +35,11 @@ from spinconc.models import (
     ising_segment,
     model_from_config,
     single_site_conditional,
+    _heat_bath,
+    _uniforms24,
 )
 
-from .oracles import ising_weight
+from .oracles import ising_weight, reference_heat_bath
 
 
 def test_uniform_at_infinite_temperature():
@@ -119,6 +129,25 @@ def test_capacity_guard():
         exact_joint(iid_spins(25), cap=2**20)
 
 
+@pytest.mark.parametrize("alphabet, n", [(SPIN, 13),
+                                         (Alphabet(("a", "b", "c"), (0.0, 0.5, 2.0)), 9)],
+                         ids=["spin-13", "three-symbol-9"])
+def test_function_table_matches_per_configuration_values(alphabet, n):
+    sites = segment_sites(n)
+    k = alphabet.size
+    joint = exact_joint(ProductModel(sites, np.full((n, k), 1.0 / k), alphabet))
+    picked = (sites[5], sites[1], sites[3])  # out of enumeration order
+    loop_only = LocalFunction("mixed", picked, lambda v: v[0] - 2.0 * v[1] + v[2] ** 2)
+    for g in (total_spin(sites), loop_only):
+        table = joint.function_table(g)
+        axes = [sites.index(s) for s in g.sites]
+        for config in itertools.product(range(k), repeat=n):
+            if sum(config) % 7:  # a spread-out subset keeps the loop short
+                continue
+            want = g.fn(tuple(alphabet.values[config[a]] for a in axes))
+            assert table[config] == want
+
+
 def test_heat_bath_detailed_balance():
     model = ising_rect(2, 2, 0.6, "plus")
     logw = model.log_weight_table()
@@ -196,6 +225,39 @@ def test_glauber_batch_prefix_does_not_depend_on_n(model):
     long = glauber_batch(model, 3000, 5, seed=9)
     assert short.shape == (1500, model.n_sites)
     assert np.array_equal(short[:CHUNK], long[:CHUNK])
+
+
+def test_uniforms24_continue_the_float32_stream():
+    ref, raw = np.random.default_rng(4), np.random.default_rng(4)
+    for rng in (ref, raw):
+        rng.integers(2, size=3, dtype=np.int8)  # leaves half a word pending
+    state = raw.bit_generator.state
+    carry = np.array([state["uinteger"]] * state["has_uint32"], dtype=np.uint32)
+    assert carry.size == 1
+    for n in (3, 5, 0, 8, 1, 1025):
+        u, carry = _uniforms24(raw.bit_generator, n, carry)
+        assert np.array_equal(u, ref.random(n, dtype=np.float32) * 2.0**24)
+
+
+def _kernel_legs(model, n, sweeps, seed, start, frozen):
+    chunks = list(_heat_bath(model, n, sweeps, seed, start, frozen))
+    return np.stack([np.concatenate([legs[k] for _, _, legs in chunks], axis=1)
+                     for k in range(len(chunks[0][2]))])
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.1, 1.0, -0.4])
+@pytest.mark.parametrize("model_of", [lambda b: ising_rect(5, 3, b, "plus"),
+                                      lambda b: ising_model(L_SHAPE, b, "free"),
+                                      lambda b: ising_segment(9, b, "minus")],
+                         ids=["rectangle", "L-shape", "segment"])
+def test_heat_bath_matches_float32_reference_bit_for_bit(model_of, beta):
+    model = model_of(beta)
+    for start in ("plus", "minus", "random"):
+        for frozen in (None, (model.n_sites // 2, (0, 1))):
+            for n in (1, 7, CHUNK + 1):
+                got = _kernel_legs(model, n, 3, 100 + n, start, frozen)
+                want = reference_heat_bath(model, n, 3, 100 + n, start, frozen)
+                assert np.array_equal(got, want), (start, frozen, n)
 
 
 def test_sampler_working_memory_is_one_chunk():
