@@ -18,6 +18,8 @@ import argparse
 import json
 import sys
 from collections import Counter
+from collections.abc import Callable
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,9 +38,8 @@ def _matrix_csv(matrix: np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _print_summary(report: BoundReport, paths: list[str]) -> None:
-    print(f"experiment: {report.meta.get('experiment', '?')}")
-    print(report.summary())
+def _summary_lines(report: BoundReport) -> list[str]:
+    lines = [f"experiment: {report.meta.get('experiment', '?')}", report.summary()]
     by_name = Counter((r.bound, r.verdict) for r in report.rows)
     names = []
     for r in report.rows:
@@ -48,9 +49,8 @@ def _print_summary(report: BoundReport, paths: list[str]) -> None:
         cells = ", ".join(f"{v} {by_name[(name, v)]}"
                           for v in ("pass", "fail", "unresolved", "info")
                           if by_name.get((name, v)))
-        print(f"  {name:<28} {cells}")
-    for p in paths:
-        print(f"wrote {p}")
+        lines.append(f"  {name:<28} {cells}")
+    return lines
 
 
 def _exact_failures(report: BoundReport) -> int:
@@ -62,87 +62,68 @@ def _status(report: BoundReport) -> int:
     return EXIT_CHECK_FAILED if _exact_failures(report) else EXIT_OK
 
 
-def _required_seed(cfg: dict, args) -> int:
-    seed = args.seed if args.seed is not None else cfg.get("seed")
-    if seed is None:
-        raise ConfigError("a seed is required (config key 'seed' or --seed)")
-    return int(seed)
+# ---------------------------------------------------------------------------
+# per-command configs and runs
+# ---------------------------------------------------------------------------
+# run(config, digested, args) -> (report or None, tables, summary lines of a
+# run without a report); `digested` is the config dict the stem digests.
+# Runs call verify through the module, so patched attributes are seen.
+
+@dataclass
+class BatteryConfig:
+    seed: int = 101
+    t_points: int = 20
 
 
-def _load(args) -> dict:
-    return verify.load_config(args.config) if args.config else {}
+def _run_battery(config: BatteryConfig, digested: dict, args):
+    return verify.exact_battery(threads=args.threads, t_points=config.t_points,
+                                seed=config.seed), {}, []
 
 
-def _cmd_battery(args) -> int:
-    cfg = _load(args)
-    extras = set(cfg) - {"seed", "t_points"}
-    if extras:
-        raise ConfigError(f"unknown battery config keys: {sorted(extras)}")
-    seed = int(args.seed if args.seed is not None else cfg.get("seed", 101))
-    t_points = int(cfg.get("t_points", 20))
-    effective = {"t_points": t_points}
-    report = verify.exact_battery(threads=args.threads, t_points=t_points, seed=seed)
-    stem = f"battery_{verify.config_digest(effective, seed)}_s{seed}"
-    paths = verify.write_artifacts(args.out, stem, report=report)
-    _print_summary(report, paths)
-    return _status(report)
+@dataclass
+class TailConfig:
+    seed: int
+    model: dict = field(default_factory=lambda: {"kind": "ising", "volume": [4, 4], "beta": 0.2})
+    function: dict = field(default_factory=lambda: {"kind": "magnetization"})
+    t_grid: tuple = (0.05, 0.1, 0.2, 0.4)
+    n_samples: int = 20000
+    sweeps: int = 30
+    start: str = "plus"
 
 
-def _cmd_tail(args) -> int:
-    cfg = _load(args)
-    allowed = {"seed", "model", "function", "t_grid", "n_samples", "sweeps", "start"}
-    extras = set(cfg) - allowed
-    if extras:
-        raise ConfigError(f"unknown tail config keys: {sorted(extras)}")
-    seed = _required_seed(cfg, args)
-    model_cfg = cfg.get("model", {"kind": "ising", "volume": [4, 4], "beta": 0.2})
-    model = models.model_from_config(model_cfg)
-    fn_cfg = cfg.get("function", {"kind": "magnetization"})
+def _run_tail(config: TailConfig, digested: dict, args):
+    model = models.model_from_config(config.model)
     try:
-        g = fields.build_function(fn_cfg, model.sites, model.alphabet)
-    except (ValueError, KeyError) as exc:
+        g = fields.build_function(config.function, model.sites, model.alphabet)
+    except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"bad function config: {exc}") from exc
-    n_samples = int(args.samples if args.samples is not None
-                    else cfg.get("n_samples", 20000))
-    sweeps = int(cfg.get("sweeps", 30))
-    start = cfg.get("start", "plus")
-    t_grid = [float(t) for t in cfg.get("t_grid", [0.05, 0.1, 0.2, 0.4])]
-    effective = {"model": model_cfg, "function": fn_cfg, "t_grid": t_grid,
-                 "n_samples": n_samples, "sweeps": sweeps, "start": start}
-    estimates = verify.empirical_tail(model, g, t_grid, n_samples, sweeps,
-                                      seed, start)
-    stem = f"tail_{verify.config_digest(effective, seed)}_s{seed}"
+    if not set(g.sites) <= set(model.sites):
+        raise ConfigError(f"function {g.name} reads sites outside the model volume")
+    estimates = verify.empirical_tail(model, g, config.t_grid, config.n_samples,
+                                      config.sweeps, config.seed, config.start)
     meta = {"experiment": "empirical_tail", "model": model.name,
-            "function": g.name, "config": effective, "seed": seed}
+            "function": g.name, "config": digested, "seed": config.seed}
     blob = json.dumps({"meta": meta,
                        "estimates": [vars(e) for e in estimates]},
                       sort_keys=True, separators=(",", ":"))
-    paths = verify.write_artifacts(
-        args.out, stem, tables={"estimates.csv": verify.tails_to_csv(estimates),
-                                "meta.json": blob + "\n"})
-    print(f"experiment: empirical_tail  model: {model.name}  function: {g.name}")
-    for e in estimates:
-        print(f"  t={e.t:<10.6g} tail={e.estimate:<12.6g} "
-              f"ci99=[{e.lo:.6g}, {e.hi:.6g}]")
-    for p in paths:
-        print(f"wrote {p}")
-    return EXIT_OK
+    tables = {"estimates.csv": verify.tails_to_csv(estimates), "meta.json": blob + "\n"}
+    lines = [f"experiment: empirical_tail  model: {model.name}  function: {g.name}"]
+    lines += [f"  t={e.t:<10.6g} tail={e.estimate:<12.6g} ci99=[{e.lo:.6g}, {e.hi:.6g}]"
+              for e in estimates]
+    return None, tables, lines
 
 
-def _cmd_coupling_matrix(args) -> int:
-    cfg = _load(args)
-    allowed = {"seed", "model", "p_orders"}
-    extras = set(cfg) - allowed
-    if extras:
-        raise ConfigError(f"unknown coupling-matrix config keys: {sorted(extras)}")
-    seed = int(args.seed if args.seed is not None else cfg.get("seed", 0))
-    model_cfg = cfg.get("model", {"kind": "ising", "volume": [3, 3], "beta": 0.3})
-    p_orders = tuple(int(p) for p in cfg.get("p_orders", [2, 4]))
-    model = models.model_from_config(model_cfg)
+@dataclass
+class CouplingMatrixConfig:
+    seed: int = 0
+    model: dict = field(default_factory=lambda: {"kind": "ising", "volume": [3, 3], "beta": 0.3})
+    p_orders: tuple = (2, 4)
+
+
+def _run_coupling_matrix(config: CouplingMatrixConfig, digested: dict, args):
+    model = models.model_from_config(config.model)
     joint = models.exact_joint(model)
-    data = coupling.envelope_and_moment_matrices(joint, p_orders=p_orders)
-    effective = {"model": model_cfg, "p_orders": list(p_orders)}
-    stem = f"couplingmatrix_{verify.config_digest(effective, seed)}_s{seed}"
+    data = coupling.envelope_and_moment_matrices(joint, p_orders=config.p_orders)
     norms = {"envelope": bounds.operator_norm_l2(data.envelope)}
     tables = {"envelope.csv": _matrix_csv(data.envelope),
               "lower.csv": _matrix_csv(data.lower_envelope),
@@ -151,34 +132,28 @@ def _cmd_coupling_matrix(args) -> int:
         tables[f"moment{q}.csv"] = _matrix_csv(mat)
         norms[f"moment{q}"] = bounds.operator_norm_l2(mat)
     meta = {"experiment": "coupling_matrices", "model": model.name,
-            "config": effective, "seed": seed, "operator_norms": norms}
+            "config": digested, "seed": config.seed, "operator_norms": norms}
     tables["meta.json"] = json.dumps(meta, sort_keys=True,
                                      separators=(",", ":")) + "\n"
-    paths = verify.write_artifacts(args.out, stem, tables=tables)
-    print(f"experiment: coupling_matrices  model: {model.name}")
-    for name, value in norms.items():
-        print(f"  |{name}|_2->2 = {value:.12g}")
-    for p in paths:
-        print(f"wrote {p}")
-    return EXIT_OK
+    lines = [f"experiment: coupling_matrices  model: {model.name}"]
+    lines += [f"  |{name}|_2->2 = {value:.12g}" for name, value in norms.items()]
+    return None, tables, lines
 
 
-def _cmd_transport(args) -> int:
-    cfg = _load(args)
-    allowed = {"seed", "n_instances", "support_cap", "gibbs_pair"}
-    extras = set(cfg) - allowed
-    if extras:
-        raise ConfigError(f"unknown transport config keys: {sorted(extras)}")
-    seed = _required_seed(cfg, args)
-    n_instances = int(cfg.get("n_instances", 50))
-    support_cap = int(cfg.get("support_cap", 16))
-    effective = {"n_instances": n_instances, "support_cap": support_cap,
-                 "gibbs_pair": bool(cfg.get("gibbs_pair", True))}
-    rng = np.random.default_rng(seed)
+@dataclass
+class TransportConfig:
+    seed: int
+    n_instances: int = 50
+    support_cap: int = 16
+    gibbs_pair: bool = True
+
+
+def _run_transport(config: TransportConfig, digested: dict, args):
+    rng = np.random.default_rng(config.seed)
     report = BoundReport(meta={"experiment": "transport_suite",
-                               "config": effective, "seed": seed})
-    side_cap = max(2, int(np.sqrt(support_cap)))
-    for idx in range(n_instances):
+                               "config": digested, "seed": config.seed})
+    side_cap = max(2, int(np.sqrt(config.support_cap)))
+    for idx in range(config.n_instances):
         a = int(rng.integers(2, side_cap + 1))
         b = int(rng.integers(2, side_cap + 1))
         p = rng.dirichlet(np.ones(a))
@@ -193,7 +168,7 @@ def _cmd_transport(args) -> int:
             BoundRow("random_pair", f"instance_{idx}", "transport_marginals",
                      {"shape": [a, b]}, 0.0, observed=plan.marginal_error,
                      observed_kind="exact"), tol=1e-12))
-    if effective["gibbs_pair"]:
+    if config.gibbs_pair:
         jp = models.exact_joint(models.ising_rect(2, 2, 0.4, "plus"))
         jq = models.exact_joint(models.ising_rect(2, 2, 0.4, "minus"))
         fns = [fields.magnetization(jp.sites), fields.single_spin(jp.sites[0])]
@@ -208,44 +183,76 @@ def _cmd_transport(args) -> int:
                      observed_kind="exact",
                      note="mean-gap/disagreement chain on the +/- boundary pair"),
             tol=0.0))
-    stem = f"transport_{verify.config_digest(effective, seed)}_s{seed}"
-    paths = verify.write_artifacts(args.out, stem, report=report)
-    _print_summary(report, paths)
-    return _status(report)
+    return report, {}, []
 
 
-def _cmd_hightemp(args) -> int:
-    cfg = _load(args)
-    if args.seed is not None:
-        cfg["seed"] = int(args.seed)
-    if args.samples is not None:
-        cfg["n_samples"] = int(args.samples)
-    config = verify.hightemp_config_from_dict(cfg)
-    report = verify.hightemp_experiment(config)
-    stem = f"hightemp_{verify.config_digest(config.as_dict(), config.seed)}_s{config.seed}"
-    paths = verify.write_artifacts(args.out, stem, report=report)
-    _print_summary(report, paths)
-    return _status(report)
+def _run_hightemp(config: verify.HightempConfig, digested: dict, args):
+    return verify.hightemp_experiment(config), {}, []
 
 
-def _cmd_lowtemp(args) -> int:
-    cfg = _load(args)
-    if args.seed is not None:
-        cfg["seed"] = int(args.seed)
-    if args.samples is not None:
-        cfg["n_tail"] = int(args.samples)
-    config = verify.lowtemp_config_from_dict(cfg)
+def _run_lowtemp(config: verify.LowtempConfig, digested: dict, args):
     profile, report = verify.lowtemp_experiment(config)
-    stem = f"lowtemp_{verify.config_digest(config.as_dict(), config.seed)}_s{config.seed}"
     lines = ["j,ell_tail,psi"]
     psi = np.asarray(profile.psi, dtype=float)
     for j, tail in enumerate(np.asarray(profile.ell0_tail, dtype=float), start=1):
         psi_j = repr(float(psi[j - 1])) if j - 1 < len(psi) else ""
         lines.append(f"{j},{float(tail)!r},{psi_j}")
-    paths = verify.write_artifacts(args.out, stem, report=report,
-                                   tables={"profile.csv": "\n".join(lines) + "\n"})
-    _print_summary(report, paths)
-    return _status(report)
+    return report, {"profile.csv": "\n".join(lines) + "\n"}, []
+
+
+# ---------------------------------------------------------------------------
+# the command table and the one path every command takes
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _Command:
+    help: str
+    config: type
+    run: Callable
+    samples: str | None     # the config field --samples sets; None: no --samples
+    seed_in_digest: bool    # fixed per command: changing it renames artifacts
+
+
+_COMMANDS = {
+    "battery": _Command("run every exact check over the model battery",
+                        BatteryConfig, _run_battery, None, False),
+    "tail": _Command("Monte Carlo tail estimates for one model and observable",
+                     TailConfig, _run_tail, "n_samples", False),
+    "coupling-matrix": _Command("enumerate envelope and moment coupling matrices",
+                                CouplingMatrixConfig, _run_coupling_matrix, None, False),
+    "transport": _Command("optimal-transport solver checks on random instances",
+                          TransportConfig, _run_transport, None, False),
+    "hightemp": _Command("high-temperature tail experiment with exact gating",
+                         verify.HightempConfig, _run_hightemp, "n_samples", True),
+    "lowtemp": _Command("low-temperature decay and held-out tail experiment",
+                        verify.LowtempConfig, _run_lowtemp, "n_tail", True),
+}
+
+
+def _configure(name: str, args):
+    """The validated config of one command, its digested dict and its stem."""
+    command = _COMMANDS[name]
+    cfg = verify.load_config(args.config) if args.config else {}
+    if args.seed is not None:
+        cfg["seed"] = args.seed
+    if command.samples and args.samples is not None:
+        cfg[command.samples] = args.samples
+    config = verify._config_from_dict(command.config, cfg, name)
+    digested = verify.config_dict(config)
+    if not command.seed_in_digest:
+        del digested["seed"]
+    digest = verify.config_digest(digested, config.seed)
+    return config, digested, f"{name.replace('-', '')}_{digest}_s{config.seed}"
+
+
+def _run_command(name: str, args) -> int:
+    config, digested, stem = _configure(name, args)
+    report, tables, lines = _COMMANDS[name].run(config, digested, args)
+    paths = verify.write_artifacts(args.out, stem, report=report, tables=tables)
+    if report is not None:
+        lines = _summary_lines(report)
+    print("\n".join(lines + [f"wrote {p}" for p in paths]))
+    return EXIT_OK if report is None else _status(report)
 
 
 def _cmd_report(args) -> int:
@@ -258,23 +265,12 @@ def _cmd_report(args) -> int:
         raise ConfigError(f"report file not found: {args.config}") from exc
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise ConfigError(f"not a report file: {exc}") from exc
-    _print_summary(report, [])
+    print("\n".join(_summary_lines(report)))
     worst = [r for r in report.rows if r.verdict == "fail"]
     for r in worst[:10]:
         print(f"  FAIL {r.model} {r.function} {r.bound}: "
               f"observed {r.observed!r} vs bound {r.theoretical!r}")
     return _status(report)
-
-
-_COMMANDS = {
-    "battery": _cmd_battery,
-    "tail": _cmd_tail,
-    "coupling-matrix": _cmd_coupling_matrix,
-    "transport": _cmd_transport,
-    "hightemp": _cmd_hightemp,
-    "lowtemp": _cmd_lowtemp,
-    "report": _cmd_report,
-}
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -283,26 +279,21 @@ def _parser() -> argparse.ArgumentParser:
         description="Exact and Monte Carlo checks of coupling-matrix "
                     "concentration bounds on finite spin systems.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, help_text in [
-        ("battery", "run every exact check over the model battery"),
-        ("tail", "Monte Carlo tail estimates for one model and observable"),
-        ("coupling-matrix", "enumerate envelope and moment coupling matrices"),
-        ("transport", "optimal-transport solver checks on random instances"),
-        ("hightemp", "high-temperature tail experiment with exact gating"),
-        ("lowtemp", "low-temperature decay and held-out tail experiment"),
-        ("report", "re-render a previously written report JSON"),
-    ]:
-        p = sub.add_parser(name, help=help_text)
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
         p.add_argument("--config", default=None, help="JSON config path")
         p.add_argument("--seed", type=int, default=None,
-                       help="override the config seed")
+                       help="set the config's seed")
         p.add_argument("--out", default="artifacts",
                        help="output directory (default: artifacts)")
-        p.add_argument("--samples", type=int, default=None,
-                       help="override the main sample count")
+        if command.samples:
+            p.add_argument("--samples", type=int, default=None,
+                           help=f"set the config's {command.samples}")
         if name == "battery":
             p.add_argument("--threads", type=int, default=0,
                            help="battery worker threads, 0 = all cores")
+    p = sub.add_parser("report", help="re-render a previously written report JSON")
+    p.add_argument("--config", default=None, help="report JSON path")
     return parser
 
 
@@ -312,7 +303,9 @@ def run(argv=None) -> int:
     except SystemExit as exc:  # argparse exits 2 on bad flags already
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.subcommand](args)
+        if args.subcommand == "report":
+            return _cmd_report(args)
+        return _run_command(args.subcommand, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG

@@ -807,6 +807,6 @@ def model_from_config(cfg: dict) -> Model:
                 np.asarray(cfg["initial"], float),
                 np.asarray(cfg["transition"], float),
             )
-    except (KeyError, TypeError, IndexError) as exc:
+    except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise ConfigError(f"malformed model config for kind {kind!r}: {exc}") from exc
     raise ConfigError(f"unknown model kind {kind!r}")

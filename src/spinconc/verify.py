@@ -299,8 +299,31 @@ def binomial_ci99(k: int, n: int) -> tuple[float, float]:
     return lo, hi
 
 
-def _g_columns(model: Model, g: LocalFunction) -> list[int]:
-    return [model.sites.index(tuple(s)) for s in g.sites]
+def _g_sampler(model: Model, g: LocalFunction, sweeps: int, start: str):
+    """`g_values(n, seed)`: g on n replicas from `models.glauber_batch`."""
+    cols = [model.sites.index(tuple(s)) for s in g.sites]
+    return lambda n, seed: g.eval_batch(
+        models.glauber_batch(model, n, sweeps, seed, start)[:, cols])
+
+
+def _mean_batch(g_values, n: int, seed: int) -> tuple[int, float, float]:
+    """Size, mean and standard error of the max(1000, n // 5) replicas of g
+    drawn to center a batch of n."""
+    size = max(1000, n // 5)
+    vals = g_values(size, seed)
+    return size, float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(size))
+
+
+def _tail_estimates(dev: np.ndarray, t_grid, se_mean: float) -> list[TailEstimate]:
+    """Tail points of one batch's deviations |g - mean|: each t counts
+    dev >= max(t - 3 se_mean, 0), with a 99% binomial interval."""
+    out = []
+    for t in np.asarray(t_grid, dtype=float):
+        t_eff = max(float(t) - 3.0 * se_mean, 0.0)
+        k = int((dev >= t_eff).sum())
+        lo, hi = binomial_ci99(k, len(dev))
+        out.append(TailEstimate(float(t), t_eff, k / len(dev), len(dev), lo, hi))
+    return out
 
 
 def empirical_tail(model: Model, g: LocalFunction, t_grid, n_samples: int,
@@ -309,29 +332,17 @@ def empirical_tail(model: Model, g: LocalFunction, t_grid, n_samples: int,
 
     Replicas come from `models.glauber_batch`: exact draws for product and
     Markov models, independent heat-bath chains for Gibbs models.  The mean
-    batch of max(1000, n_samples // 5) further replicas and the main batch
-    each get their own seed, both drawn from `seed`.
+    batch (`_mean_batch`) and the main batch each get their own seed, both
+    drawn from `seed`.
     """
     if n_samples < 1000:
         raise ConfigError("tail estimation needs at least 1000 replicas")
     rng = np.random.default_rng(seed)
     seed_mean, seed_main = (int(s) for s in rng.integers(2 ** 63, size=2))
-    cols = _g_columns(model, g)
-    n_mean = max(1000, n_samples // 5)
-    g_mean = g.eval_batch(
-        models.glauber_batch(model, n_mean, sweeps, seed_mean, start)[:, cols])
-    m_hat = float(g_mean.mean())
-    se_mean = float(g_mean.std(ddof=1) / math.sqrt(n_mean))
-    gs = g.eval_batch(
-        models.glauber_batch(model, n_samples, sweeps, seed_main, start)[:, cols])
-    dev = np.abs(gs - m_hat)
-    out = []
-    for t in np.asarray(t_grid, dtype=float):
-        t_eff = max(float(t) - 3.0 * se_mean, 0.0)
-        k = int((dev >= t_eff).sum())
-        lo, hi = binomial_ci99(k, n_samples)
-        out.append(TailEstimate(float(t), t_eff, k / n_samples, n_samples, lo, hi))
-    return out
+    g_values = _g_sampler(model, g, sweeps, start)
+    _, m_hat, se_mean = _mean_batch(g_values, n_samples, seed_mean)
+    return _tail_estimates(np.abs(g_values(n_samples, seed_main) - m_hat),
+                           t_grid, se_mean)
 
 
 def tails_to_csv(estimates: list[TailEstimate]) -> str:
@@ -385,11 +396,6 @@ class HightempConfig:
     fit_cols: int = 4
     start: str = "plus"
 
-    def as_dict(self) -> dict:
-        d = asdict(self)
-        d["t_multipliers"] = list(self.t_multipliers)
-        return d
-
 
 def hightemp_experiment(config: HightempConfig) -> BoundReport:
     """Check the exponential tail bound with an exactly fitted decay rate.
@@ -407,7 +413,7 @@ def hightemp_experiment(config: HightempConfig) -> BoundReport:
     p_raw = 2.0 * p_tv  # doubled convention; can exceed 1 nominally
     report = BoundReport(meta={
         "experiment": "high_temperature_tail",
-        "config": config.as_dict(),
+        "config": config_dict(config),
         "delta_l2": dv.l2,
         "p_c_site_2d": SITE_PERCOLATION_PC_2D,
     })
@@ -570,12 +576,6 @@ class LowtempConfig:
     eps: float = 0.5
     start: str = "plus"
 
-    def as_dict(self) -> dict:
-        d = asdict(self)
-        for key in ("quantiles", "p_list", "rho_grid"):
-            d[key] = list(d[key])
-        return d
-
 
 def _loglinear_fit(x: np.ndarray, y: np.ndarray):
     slope, intercept = np.polyfit(x, y, 1)
@@ -597,14 +597,13 @@ def lowtemp_experiment(config: LowtempConfig) -> tuple[TailProfile, BoundReport]
     model = models.ising_rect(config.rows, config.cols, config.beta, config.boundary)
     g = fields.magnetization(model.sites, normalized=True)
     dv = fields.delta_vector(g, model.sites, model.alphabet)
-    cols = _g_columns(model, g)
     rng = np.random.default_rng(config.seed)
     seed_pair, seed_mean, seed_a, seed_b, seed_ell = (
         int(s) for s in rng.integers(2 ** 63, size=5))
 
     report = BoundReport(meta={
         "experiment": "low_temperature_tail",
-        "config": config.as_dict(),
+        "config": config_dict(config),
         "delta_l2": dv.l2,
     })
 
@@ -680,32 +679,18 @@ def lowtemp_experiment(config: LowtempConfig) -> tuple[TailProfile, BoundReport]
                           ell0_rest=0.0, psi_rest=0.0)
 
     # --- held-out stretched-exponential tail bound -------------------------
-    n_mean = max(1000, config.n_tail // 5)
+    g_values = _g_sampler(model, g, config.sweeps, config.start)
+    n_mean, m_hat, se_mean = _mean_batch(g_values, config.n_tail, seed_mean)
     n_split = (config.n_tail - n_mean) // 2
     if n_split < 1000:
         raise ConfigError("tail splits need at least 1000 replicas each")
-
-    def g_values(n, seed):
-        return g.eval_batch(models.glauber_batch(model, n, config.sweeps, seed,
-                                                 config.start)[:, cols])
-
-    g_mean = g_values(n_mean, seed_mean)
-    m_hat = float(g_mean.mean())
-    se_mean = float(g_mean.std(ddof=1) / math.sqrt(n_mean))
     dev_a = np.abs(g_values(n_split, seed_a) - m_hat)
     dev_b = np.abs(g_values(n_split, seed_b) - m_hat)
     t_grid = np.quantile(dev_a, config.quantiles)
     report.meta["t_grid"] = [float(t) for t in t_grid]
     report.meta["mean_se"] = se_mean
-
-    def split_tail(dev, t):
-        t_eff = max(float(t) - 3.0 * se_mean, 0.0)
-        k = int((dev >= t_eff).sum())
-        lo, hi = binomial_ci99(k, len(dev))
-        return TailEstimate(float(t), t_eff, k / len(dev), len(dev), lo, hi)
-
-    tails_a = [split_tail(dev_a, t) for t in t_grid]
-    tails_b = [split_tail(dev_b, t) for t in t_grid]
+    tails_a = _tail_estimates(dev_a, t_grid, se_mean)
+    tails_b = _tail_estimates(dev_b, t_grid, se_mean)
 
     fit_pts = [e for e in tails_a if 0.0 < e.estimate < 1.0 and e.t > 0.0]
     if fit_pts:
@@ -779,44 +764,61 @@ def lowtemp_experiment(config: LowtempConfig) -> tuple[TailProfile, BoundReport]
 def load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config file must hold a JSON object: {path}")
+    return cfg
+
+
+# JSON kinds a config field of each annotated type may hold, kept as given
+_FIELD_KINDS = {"float": (int, float), "bool": bool, "str": str, "dict": dict}
 
 
 def _config_from_dict(cls, cfg: dict, kind: str):
     """Build the config dataclass `cls` from a JSON-style dict.
 
-    The dataclass fields are the allowed keys and their defaults the
-    defaults; a field without a default, or a key set to null, is missing.
-    `int` fields are coerced with int() and `tuple` fields to tuples whose
-    entries take the type of the default's entries; other values are kept
-    as given, so the artifact digests see them unchanged.
+    The dataclass fields are the allowed keys and their defaults (or
+    default factories) the defaults; a field without one, or a key set to
+    null, is missing.  `int` fields are coerced with int() and `tuple`
+    fields to tuples whose entries take the type of the default's entries.
+    `float`, `bool`, `str` and `dict` fields must hold a JSON value of that
+    kind and are kept as given, so the artifact digests see them unchanged.
+    Any other value is a ConfigError naming its key.
     """
     specs = dataclasses.fields(cls)
     unknown = set(cfg) - {f.name for f in specs}
     if unknown:
         raise ConfigError(f"unknown {kind} config keys: {sorted(unknown)}")
-    merged = {f.name: cfg.get(f.name, f.default) for f in specs}
+
+    def default(f):
+        return f.default if f.default_factory is dataclasses.MISSING else f.default_factory()
+
+    merged = {f.name: cfg.get(f.name, default(f)) for f in specs}
     missing = [k for k, v in merged.items() if v is None or v is dataclasses.MISSING]
     if missing:
         raise ConfigError(f"{kind} config is missing required keys: {missing}")
     for f in specs:
-        if f.type == "int":
-            merged[f.name] = int(merged[f.name])
-        elif f.type == "tuple":
-            merged[f.name] = tuple(type(f.default[0])(x) for x in merged[f.name])
+        value = merged[f.name]
+        try:
+            if f.type == "int":
+                merged[f.name] = int(value)
+            elif f.type == "tuple":
+                merged[f.name] = tuple(type(f.default[0])(x) for x in value)
+            elif not isinstance(value, _FIELD_KINDS[f.type]):
+                raise TypeError(f"expected {f.type}, got {value!r}")
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{kind} config key {f.name!r}: {exc}") from None
     return cls(**merged)
 
 
-def hightemp_config_from_dict(cfg: dict) -> HightempConfig:
-    return _config_from_dict(HightempConfig, cfg, "high-temperature")
-
-
-def lowtemp_config_from_dict(cfg: dict) -> LowtempConfig:
-    return _config_from_dict(LowtempConfig, cfg, "low-temperature")
+def config_dict(config) -> dict:
+    """A config dataclass as JSON values: its tuples become lists."""
+    return {k: list(v) if isinstance(v, tuple) else v
+            for k, v in asdict(config).items()}
 
 
 def config_digest(cfg: dict, seed: int) -> str:

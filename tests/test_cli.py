@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from spinconc.cli import run
+from spinconc.cli import _configure, _parser, run
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -65,11 +65,62 @@ def test_seed_is_required_for_sampling(tmp_path):
     assert run(["transport", "--out", str(tmp_path)]) == 2
 
 
-def test_unknown_subcommand_is_exit_2(capsys):
+def test_unknown_subcommand_is_exit_2(tmp_path, capsys):
     assert run(["bogus"]) == 2
     # --threads belongs to the battery alone
     assert run(["hightemp", "--seed", "1", "--threads", "2"]) == 2
+    # --samples belongs to tail, hightemp and lowtemp alone
+    for command in ("battery", "coupling-matrix", "transport"):
+        assert run([command, "--seed", "1", "--samples", "5", "--out", str(tmp_path)]) == 2
+    # report reads --config alone
+    report = str(ROOT / "artifacts" / "battery_0175aa03_s101.json")
+    for flag in ("--seed", "--samples", "--out"):
+        assert run(["report", "--config", report, flag, "5"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("hightemp", {"seed": 1, "rows": "x"}),
+    ("transport", {"seed": 1, "n_instances": "abc"}),
+    ("lowtemp", {"seed": 1, "quantiles": 0.5}),
+    ("tail", {"seed": 1, "function": "magnetization"}),
+    ("tail", {"seed": 1, "model": {"kind": "ising", "volume": [4, 4], "beta": "hot"}}),
+    ("tail", {"seed": 1, "model": {"kind": "ising", "volume": [0, 4], "beta": 0.2}}),
+    ("battery", 5),
+])
+def test_malformed_config_is_exit_2(tmp_path, capsys, command, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run([command, "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert "config error:" in capsys.readouterr().err
+
+
+def test_function_outside_the_model_is_exit_2(tmp_path, capsys):
+    for function in ({"kind": "single_spin", "site": 5},
+                     {"kind": "single_spin", "site": [9, 9]}):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"seed": 1, "function": function}))
+        assert run(["tail", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert "config error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, config, flags, stem", [
+    ("battery", "battery_small.json", [], "battery_0175aa03_s101"),
+    ("tail", "tail_4x4.json", [], "tail_4ed753e7_s7"),
+    ("coupling-matrix", "coupling_3x3.json", [], "couplingmatrix_19d9e2af_s0"),
+    ("transport", "transport_small.json", [], "transport_332eeab7_s9"),
+    ("hightemp", "hightemp_8x8.json", [], "hightemp_eb29d58b_s20260818"),
+    ("lowtemp", "lowtemp_16x16.json", [], "lowtemp_b1d11ea2_s20260818"),
+    # --samples sets tail's n_samples and lowtemp's n_tail
+    ("tail", "tail_4x4.json", ["--samples", "5000"], "tail_47d628f4_s7"),
+    ("lowtemp", "lowtemp_16x16.json", ["--samples", "5000"], "lowtemp_f7c7caf8_s20260818"),
+    # --seed is applied before the digest, in the digested dict or beside it
+    ("tail", "tail_4x4.json", ["--seed", "8"], "tail_d9ce89ff_s8"),
+    ("hightemp", "hightemp_8x8.json", ["--seed", "8"], "hightemp_c5878cc2_s8"),
+])
+def test_committed_config_stems(command, config, flags, stem):
+    args = _parser().parse_args([command, "--config", str(ROOT / "configs" / config), *flags])
+    assert _configure(command, args)[2] == stem
 
 
 def test_capacity_overflow_is_exit_3(tmp_path):

@@ -15,6 +15,7 @@ from spinconc.models import exact_joint, iid_spins, ising_rect, ising_segment
 from spinconc.verify import (
     HightempConfig,
     LowtempConfig,
+    _config_from_dict,
     backbone_check,
     battery_functions,
     battery_models,
@@ -24,10 +25,8 @@ from spinconc.verify import (
     empirical_tail,
     exact_battery,
     fit_decay_constant,
-    hightemp_config_from_dict,
     hightemp_experiment,
     load_config,
-    lowtemp_config_from_dict,
     lowtemp_experiment,
     tails_to_csv,
     write_artifacts,
@@ -385,14 +384,14 @@ def test_lowtemp_rejects_tiny_splits():
 # ---------------------------------------------------------------------------
 
 def test_config_from_dict_defaults_and_validation():
-    cfg = hightemp_config_from_dict({"seed": 3})
+    cfg = _config_from_dict(HightempConfig, {"seed": 3}, "hightemp")
     assert (cfg.rows, cfg.cols, cfg.beta) == (8, 8, 0.1)
-    cfg = lowtemp_config_from_dict({"seed": 3, "rows": 4})
+    cfg = _config_from_dict(LowtempConfig, {"seed": 3, "rows": 4}, "lowtemp")
     assert cfg.rows == 4 and cfg.cols == 16
     with pytest.raises(ConfigError):
-        hightemp_config_from_dict({"seed": 3, "bogus": 1})
+        _config_from_dict(HightempConfig, {"seed": 3, "bogus": 1}, "hightemp")
     with pytest.raises(ConfigError):
-        lowtemp_config_from_dict({})  # seed is required
+        _config_from_dict(LowtempConfig, {}, "lowtemp")  # seed is required
 
 
 def test_load_config_errors(tmp_path):
