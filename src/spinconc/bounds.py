@@ -82,9 +82,6 @@ class MartingaleDecomposition:
                 worst = max(worst, float(np.abs((pv * v[j:j + step]).sum(axis=1)).max()))
         return worst
 
-    def increment_of(self, i: int, config: tuple[int, ...]) -> float:
-        return float(self.increments[i][config])
-
 
 def martingale_decomposition(joint: ExactJoint, g: LocalFunction) -> MartingaleDecomposition:
     p = joint.probs
@@ -107,42 +104,17 @@ def martingale_decomposition(joint: ExactJoint, g: LocalFunction) -> MartingaleD
 
 
 # ---------------------------------------------------------------------------
-# operator norm by power iteration
+# operator norm
 # ---------------------------------------------------------------------------
 
-def operator_norm_l2(matrix: np.ndarray, rtol: float = 1e-10,
-                     max_iter: int = 20000) -> float:
-    """Largest singular value via power iteration on M^T M.
-
-    Deterministic start vector; the final estimate is ||Mv|| / ||v||, which is
-    exact (bitwise 1.0) for the identity matrix.
-    """
+def operator_norm_l2(matrix: np.ndarray) -> float:
+    """Largest singular value, from the SVD (`np.linalg.norm(a, 2)`)."""
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2:
         raise ValueError("operator_norm_l2 expects a matrix")
     if a.size == 0 or not np.any(a):
         return 0.0
-    n = a.shape[1]
-    v = np.full(n, 1.0 / math.sqrt(n))
-    sigma_old = -1.0
-    for _ in range(max_iter):
-        w = a.T @ (a @ v)
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            # v landed in the kernel; restart from a shifted deterministic vector
-            v = np.arange(1.0, n + 1.0)
-            v /= np.linalg.norm(v)
-            continue
-        v = w / nw
-        av = a @ v
-        sigma = float(np.linalg.norm(av) / np.linalg.norm(v))
-        if abs(sigma - sigma_old) <= rtol * max(abs(sigma), 1e-300):
-            return sigma
-        sigma_old = sigma
-    raise ConvergenceError(
-        f"power iteration did not stabilize within {max_iter} iterations "
-        f"(last estimate {sigma_old})"
-    )
+    return float(np.linalg.norm(a, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -312,13 +284,6 @@ def profile_moment_bound(p: int, eps: float, ell0_moment: float, psi_l1: float,
     z = riemann_zeta(1.0 + eps / (2 * p - 1))
     bracket = z ** ((2 * p - 1.0) / (2 * p)) * ell0_moment ** (1.0 / (2 * p)) + psi_l1
     return (20.0 * p) ** (2 * p) * bracket ** (2 * p) * delta_l2 ** (2 * p)
-
-
-def polynomial_bound(t: float, p: int, c_p: float, delta_l2: float) -> float:
-    """Tail bound C_p ||dg||^(2p) / t^(2p); C_p is a supplied constant."""
-    if t <= 0:
-        raise ValueError("t must be positive")
-    return c_p * (delta_l2 / t) ** (2 * p)
 
 
 def stretched_bound(t: float, rho: float, c: float, delta_l2: float) -> float:

@@ -16,7 +16,6 @@ reported by the solver is part of the result so callers can assert on it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -320,35 +319,6 @@ def sequential_coupling_sample(ja: ExactJoint, jb: ExactJoint, n_samples: int,
     se = np.sqrt(p_hat * (1.0 - p_hat) / n_samples)
     hist = np.bincount(first, minlength=m + 1).astype(float)
     return CoupledSampleStats(ja.sites, n_samples, p_hat, se, hist, mean_a, mean_b)
-
-
-def conditional_pair_tree(joint: ExactJoint, a: int, b: int,
-                          cap: int = 2 ** 22) -> SequentialCouplingTree:
-    """Couple the conditional laws given symbols a vs b at the first site."""
-    tree = sequential_coupling_tree(joint.conditional_future((a,)),
-                                    joint.conditional_future((b,)), cap=cap)
-    disagree = np.concatenate([[1.0 if a != b else 0.0], tree.disagree])
-    return SequentialCouplingTree(joint.sites, disagree, tree.leg_a, tree.leg_b)
-
-
-def conditional_pair_sample(joint: ExactJoint, a: int, b: int, n_samples: int,
-                            seed: int) -> CoupledSampleStats:
-    stats = sequential_coupling_sample(joint.conditional_future((a,)),
-                                       joint.conditional_future((b,)),
-                                       n_samples, seed)
-    pad = 1.0 if a != b else 0.0
-    vals = np.asarray(joint.alphabet.values)
-    # first_disagreement[y - 1] counts runs whose first differing coordinate
-    # beyond the forced one is site y; the last bin counts "never"
-    return CoupledSampleStats(
-        sites=joint.sites,
-        n_samples=n_samples,
-        disagree=np.concatenate([[pad], stats.disagree]),
-        disagree_se=np.concatenate([[0.0], stats.disagree_se]),
-        first_disagreement=stats.first_disagreement,
-        leg_a_mean=np.concatenate([[vals[a]], stats.leg_a_mean]),
-        leg_b_mean=np.concatenate([[vals[b]], stats.leg_b_mean]),
-    )
 
 
 # ---------------------------------------------------------------------------

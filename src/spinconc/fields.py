@@ -9,7 +9,7 @@ sums whose terms depend on disjoint coordinate sets.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -61,9 +61,6 @@ class LocalFunction:
     fn: Callable[[tuple[float, ...]], float]
     terms: tuple[tuple[tuple[Site, ...], Callable], ...] | None = None
     batch_fn: Callable[[np.ndarray], np.ndarray] | None = None
-
-    def evaluate(self, values: Sequence[float]) -> float:
-        return float(self.fn(tuple(values)))
 
     def eval_batch(self, values_matrix: np.ndarray) -> np.ndarray:
         """Evaluate on a (n_samples, len(sites)) matrix of numeric values."""

@@ -1,4 +1,4 @@
-"""Site enumeration on Z^d along a square spiral, boxes, and distances.
+"""Site enumeration on Z^d along a square spiral, rectangles, and distances.
 
 The enumeration fixes the total order used by filtrations, coupling
 constructions and sweep schedules everywhere else in the package.  In one
@@ -11,18 +11,12 @@ exactly the centered box of radius n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 Site = tuple[int, ...]
 
 # counterclockwise: +x, +y, -x, -y
 _DIRECTIONS = ((1, 0), (0, 1), (-1, 0), (0, -1))
-
-
-def sup_distance(x: Site, y: Site) -> int:
-    """Sup-norm distance between two sites."""
-    return max(abs(a - b) for a, b in zip(x, y))
 
 
 def l1_distance(x: Site, y: Site) -> int:
@@ -71,12 +65,6 @@ class SpiralOrder:
             self._index[s] = len(self._sites)
             self._sites.append(s)
 
-    def site_of(self, k: int) -> Site:
-        if k < 0:
-            raise ValueError("index must be nonnegative")
-        self._grow(k)
-        return self._sites[k]
-
     def index_of(self, site: Site) -> int:
         site = tuple(site)
         if len(site) != self.d:
@@ -91,15 +79,6 @@ class SpiralOrder:
             self._grow((2 * r + 1) ** 2 - 1)
         return self._index[site]
 
-    def predecessors(self, site: Site, strict: bool = True) -> tuple[Site, ...]:
-        """Sites preceding `site` in enumeration order (inclusive if strict=False)."""
-        k = self.index_of(site)
-        upto = k if not strict else k - 1
-        if upto < 0:
-            return ()
-        self._grow(upto)
-        return tuple(self._sites[: upto + 1])
-
 
 def sort_by_spiral(sites, order: SpiralOrder | None = None) -> tuple[Site, ...]:
     """Sort an arbitrary finite site collection by enumeration order."""
@@ -109,23 +88,6 @@ def sort_by_spiral(sites, order: SpiralOrder | None = None) -> tuple[Site, ...]:
     if order is None:
         order = SpiralOrder(len(sites[0]))
     return tuple(sorted(sites, key=order.index_of))
-
-
-@dataclass(frozen=True)
-class Box:
-    """Centered box of radius n: the first (2n+1)^d sites of the enumeration."""
-
-    d: int
-    radius: int
-    sites: tuple[Site, ...]
-
-
-def box(d: int, radius: int) -> Box:
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
-    count = (2 * radius + 1) ** d
-    gen = spiral_sites(d)
-    return Box(d, radius, tuple(next(gen) for _ in range(count)))
 
 
 def _centered_range(h: int) -> range:

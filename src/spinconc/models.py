@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -132,20 +132,6 @@ class ExactJoint:
         """P(|g - Eg| >= t), exactly."""
         centered = table - self.expectation(table)
         return float(self.probs[np.abs(centered) >= t].sum())
-
-    def sample(self, n: int, seed: int) -> np.ndarray:
-        """Draw n configurations (symbol indices, shape (n, n_sites))."""
-        rng = np.random.default_rng(seed)
-        flat = self.probs.reshape(-1)
-        picks = rng.choice(flat.size, size=n, p=flat / flat.sum())
-        return np.array(np.unravel_index(picks, self.probs.shape)).T
-
-    def config_rows(self) -> Iterator[tuple[str, float]]:
-        """(symbol string, probability) pairs in row-major enumeration order."""
-        syms = self.alphabet.symbols
-        for idx, p in zip(itertools.product(range(self.k), repeat=self.n_sites),
-                          self.probs.reshape(-1)):
-            yield "".join(syms[c] for c in idx), float(p)
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +412,7 @@ def iid_spins(n_sites: int | Sequence[Site], p_plus: float = 0.5,
 
 
 # ---------------------------------------------------------------------------
-# exact joint construction and conditionals
+# exact joint construction
 # ---------------------------------------------------------------------------
 
 def exact_joint(model: Model, cap: int = DEFAULT_JOINT_CAP) -> ExactJoint:
@@ -445,23 +431,6 @@ def exact_joint(model: Model, cap: int = DEFAULT_JOINT_CAP) -> ExactJoint:
         probs=w / z,
         log_z=float(peak + np.log(z)),
     )
-
-
-def conditional_future(joint: ExactJoint, prefix: Sequence[int]) -> ExactJoint:
-    return joint.conditional_future(prefix)
-
-
-def single_site_conditional(model: Model, site: Site, assignment: dict) -> np.ndarray:
-    """Conditional law at `site` given symbols for (at least) its neighborhood.
-
-    `assignment` maps sites to symbol strings; sites the conditional does not
-    depend on may be omitted.
-    """
-    idx = model.sites.index(tuple(site))
-    config: list = [None] * model.n_sites
-    for s, sym in assignment.items():
-        config[model.sites.index(tuple(s))] = model.alphabet.index(sym)
-    return model.site_conditional(idx, config)
 
 
 # ---------------------------------------------------------------------------
@@ -676,13 +645,13 @@ def grid_layout(model: GibbsModel):
 
 @dataclass
 class DobrushinData:
-    """Pairwise influence matrix and derived quantities for a finite model.
+    """Pairwise influence matrix and single-site sensitivities of a finite model.
 
     `influence[x, y]` is twice the largest total-variation change of the
     conditional law at x caused by editing y alone (the factor 2 is kept so
     reported values match the defining convention used across the package;
-    `influence_tv` drops it).  `delta` is (I - influence)^-1, the sum of the
-    Neumann series of `influence`, when the row-sum condition holds.
+    `influence_tv` drops it).  `p_tv[x]` is the largest total-variation
+    distance between the conditional laws at x over all pairs of contexts.
     """
 
     sites: tuple[Site, ...]
@@ -690,13 +659,7 @@ class DobrushinData:
     influence_tv: np.ndarray
     row_sum_max: float
     condition_ok: bool
-    delta: np.ndarray | None
-    p_raw: np.ndarray
     p_tv: np.ndarray
-
-    @property
-    def p_sup_raw(self) -> float:
-        return float(self.p_raw.max())
 
     @property
     def p_sup_tv(self) -> float:
@@ -757,16 +720,12 @@ def dobrushin_matrix(model: GibbsModel) -> DobrushinData:
             influence_tv[x, y] = best
     influence = 2.0 * influence_tv
     row_max = float(influence.sum(axis=1).max())
-    ok = row_max < 1.0
-    delta = np.linalg.solve(np.eye(m) - influence, np.eye(m)) if ok else None
     return DobrushinData(
         sites=model.sites,
         influence=influence,
         influence_tv=influence_tv,
         row_sum_max=row_max,
-        condition_ok=ok,
-        delta=delta,
-        p_raw=2.0 * p_tv,
+        condition_ok=row_max < 1.0,
         p_tv=p_tv,
     )
 

@@ -306,12 +306,17 @@ def _g_sampler(model: Model, g: LocalFunction, sweeps: int, start: str):
         models.glauber_batch(model, n, sweeps, seed, start)[:, cols])
 
 
-def _mean_batch(g_values, n: int, seed: int) -> tuple[int, float, float]:
-    """Size, mean and standard error of the max(1000, n // 5) replicas of g
-    drawn to center a batch of n."""
-    size = max(1000, n // 5)
+def _mean_size(n: int) -> int:
+    """Replicas drawn to center a batch of n."""
+    return max(1000, n // 5)
+
+
+def _mean_batch(g_values, n: int, seed: int) -> tuple[float, float]:
+    """Mean and standard error of the `_mean_size(n)` replicas of g drawn to
+    center a batch of n."""
+    size = _mean_size(n)
     vals = g_values(size, seed)
-    return size, float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(size))
+    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(size))
 
 
 def _tail_estimates(dev: np.ndarray, t_grid, se_mean: float) -> list[TailEstimate]:
@@ -337,12 +342,39 @@ def empirical_tail(model: Model, g: LocalFunction, t_grid, n_samples: int,
     """
     if n_samples < 1000:
         raise ConfigError("tail estimation needs at least 1000 replicas")
+    if sweeps < 0:
+        raise ConfigError("sweeps must be nonnegative")
     rng = np.random.default_rng(seed)
     seed_mean, seed_main = (int(s) for s in rng.integers(2 ** 63, size=2))
     g_values = _g_sampler(model, g, sweeps, start)
-    _, m_hat, se_mean = _mean_batch(g_values, n_samples, seed_mean)
+    m_hat, se_mean = _mean_batch(g_values, n_samples, seed_mean)
     return _tail_estimates(np.abs(g_values(n_samples, seed_main) - m_hat),
                            t_grid, se_mean)
+
+
+def _mc_tail_row(model: str, function: str, label: str, params: dict,
+                bound: float, est: TailEstimate, unclaimed: str = "") -> BoundRow:
+    """The row that sets a Monte Carlo tail point against its bound.
+
+    `params` gains `t_effective` and `resolvable`: whether the bound reaches
+    the floor binomial_ci99(0, n)[1] that the estimate's n replicas can
+    resolve.  A bound below that floor is noted on the row.  The verdict
+    comes from `classify_tail_row`, unless `unclaimed` gives a reason why
+    the bound is not claimed; the row is then informational with that note.
+    """
+    floor = binomial_ci99(0, est.n_samples)[1]
+    row = BoundRow(model, function, label,
+                   dict(params, t_effective=est.t_effective,
+                        resolvable=bool(bound >= floor)),
+                   bound, observed=est.estimate, observed_lo=est.lo,
+                   observed_hi=est.hi, observed_kind="mc")
+    if unclaimed:
+        row.verdict = "info"
+        row.note = unclaimed
+        return row
+    if bound < floor:
+        row.note = f"bound below the resolvable floor {floor!r}"
+    return classify_tail_row(row)
 
 
 def tails_to_csv(estimates: list[TailEstimate]) -> str:
@@ -405,12 +437,15 @@ def hightemp_experiment(config: HightempConfig) -> BoundReport:
     small volume with the same interaction.  When the condition fails, the
     tail rows are reported as informational: the data stays, the claim goes.
     """
+    if min(config.rows, config.cols, config.fit_rows, config.fit_cols) < 1:
+        raise ConfigError("rows, cols, fit_rows and fit_cols must be at least 1")
+    if not config.t_multipliers:
+        raise ConfigError("t_multipliers must not be empty")
     model = models.ising_rect(config.rows, config.cols, config.beta, config.boundary)
     g = fields.magnetization(model.sites, normalized=True)
     dv = fields.delta_vector(g, model.sites, model.alphabet)
 
     p_tv = models.dobrushin_matrix(model).p_sup_tv
-    p_raw = 2.0 * p_tv  # doubled convention; can exceed 1 nominally
     report = BoundReport(meta={
         "experiment": "high_temperature_tail",
         "config": config_dict(config),
@@ -421,7 +456,7 @@ def hightemp_experiment(config: HightempConfig) -> BoundReport:
         BoundRow(model.name, g.name, "percolation_condition", {}, SITE_PERCOLATION_PC_2D,
                  observed=p_tv, observed_kind="exact",
                  note=f"coupling disagreement probability; doubled convention "
-                      f"gives {min(p_raw, 1.0)!r} (clipped)"),
+                      f"gives {min(2.0 * p_tv, 1.0)!r} (clipped)"),
         tol=0.0)
     report.add(p_row)
     applicable = p_row.verdict == "pass"
@@ -444,24 +479,14 @@ def hightemp_experiment(config: HightempConfig) -> BoundReport:
     t_grid = [m * dv.l2 for m in config.t_multipliers]
     estimates = empirical_tail(model, g, t_grid, config.n_samples,
                                config.sweeps, config.seed, config.start)
-    floor = binomial_ci99(0, config.n_samples)[1]
-    report.meta["mc_floor"] = floor
+    report.meta["mc_floor"] = binomial_ci99(0, config.n_samples)[1]
     report.meta["mean_shift"] = estimates[0].t - estimates[0].t_effective
+    unclaimed = "" if applicable else "condition failed: exponential bound not claimed"
     for mult, est in zip(config.t_multipliers, estimates):
-        bound = bounds.exponential_bound(est.t, math.sqrt(prefactor), dv.l2)
-        row = BoundRow(model.name, g.name, "tail_exponential",
-                       {"t_multiplier": mult, "t_effective": est.t_effective,
-                        "resolvable": bool(bound >= floor)},
-                       bound, observed=est.estimate, observed_lo=est.lo,
-                       observed_hi=est.hi, observed_kind="mc")
-        if not applicable:
-            row.verdict = "info"
-            row.note = "condition failed: exponential bound not claimed"
-            report.add(row)
-            continue
-        if bound < floor:
-            row.note = f"bound below the resolvable floor {floor!r}"
-        report.add(classify_tail_row(row))
+        report.add(_mc_tail_row(
+            model.name, g.name, "tail_exponential", {"t_multiplier": mult},
+            bounds.exponential_bound(est.t, math.sqrt(prefactor), dv.l2), est,
+            unclaimed))
     return report
 
 
@@ -593,7 +618,26 @@ def lowtemp_experiment(config: LowtempConfig) -> tuple[TailProfile, BoundReport]
     statistic, and two equal tail splits (fit on A, verdict on B) plus a
     mean batch.  Fit degeneracies are reported as such; no verdict is forced
     from a degenerate fit.
+
+    A value out of its range is a ConfigError before the first sample.
     """
+    if min(config.rows, config.cols, config.n_pair, config.n_ell,
+           config.spearman_dmax, *config.p_list) < 1:
+        raise ConfigError("rows, cols, n_pair, n_ell, spearman_dmax and the "
+                          "p_list entries must be at least 1")
+    if config.sweeps < 0:
+        raise ConfigError("sweeps must be nonnegative")
+    if min(config.kappa, config.eps, *config.rho_grid) <= 0.0:
+        raise ConfigError("kappa, eps and the rho_grid entries must be positive")
+    if not 0 <= config.frozen < config.rows * config.cols:
+        raise ConfigError(f"frozen must index one of the {config.rows * config.cols} sites")
+    if not 0.0 < config.theta <= 1.0:
+        raise ConfigError("theta must lie in (0, 1]")
+    if not config.quantiles or not all(0.0 <= q <= 1.0 for q in config.quantiles):
+        raise ConfigError("quantiles must be a nonempty list of values in [0, 1]")
+    n_split = (config.n_tail - _mean_size(config.n_tail)) // 2
+    if n_split < 1000:
+        raise ConfigError("tail splits need at least 1000 replicas each")
     model = models.ising_rect(config.rows, config.cols, config.beta, config.boundary)
     g = fields.magnetization(model.sites, normalized=True)
     dv = fields.delta_vector(g, model.sites, model.alphabet)
@@ -680,10 +724,7 @@ def lowtemp_experiment(config: LowtempConfig) -> tuple[TailProfile, BoundReport]
 
     # --- held-out stretched-exponential tail bound -------------------------
     g_values = _g_sampler(model, g, config.sweeps, config.start)
-    n_mean, m_hat, se_mean = _mean_batch(g_values, config.n_tail, seed_mean)
-    n_split = (config.n_tail - n_mean) // 2
-    if n_split < 1000:
-        raise ConfigError("tail splits need at least 1000 replicas each")
+    m_hat, se_mean = _mean_batch(g_values, config.n_tail, seed_mean)
     dev_a = np.abs(g_values(n_split, seed_a) - m_hat)
     dev_b = np.abs(g_values(n_split, seed_b) - m_hat)
     t_grid = np.quantile(dev_a, config.quantiles)
@@ -715,18 +756,11 @@ def lowtemp_experiment(config: LowtempConfig) -> tuple[TailProfile, BoundReport]
                              "n_points": len(fit_pts)},
                             c_hat, verdict="info",
                             note="split-A constants; theoretical column holds c"))
-        floor_b = binomial_ci99(0, n_split)[1]
         for alpha, est in zip(config.quantiles, tails_b):
-            bound = bounds.stretched_bound(est.t, rho_hat, c_hat, dv.l2)
-            row = BoundRow(model.name, g.name, "tail_stretched_heldout",
-                           {"quantile": alpha, "t": est.t,
-                            "t_effective": est.t_effective,
-                            "resolvable": bool(bound >= floor_b)},
-                           bound, observed=est.estimate, observed_lo=est.lo,
-                           observed_hi=est.hi, observed_kind="mc")
-            if bound < floor_b:
-                row.note = f"bound below the resolvable floor {floor_b!r}"
-            report.add(classify_tail_row(row))
+            report.add(_mc_tail_row(
+                model.name, g.name, "tail_stretched_heldout",
+                {"quantile": alpha, "t": est.t},
+                bounds.stretched_bound(est.t, rho_hat, c_hat, dv.l2), est))
     else:
         report.add(BoundRow(model.name, g.name, "stretched_fit",
                             {"n_points": 0}, math.nan, verdict="info",
@@ -778,13 +812,22 @@ def load_config(path: str) -> dict:
 _FIELD_KINDS = {"float": (int, float), "bool": bool, "str": str, "dict": dict}
 
 
+def _integer(value) -> int:
+    """int(value), refusing a boolean and a number with a fractional part."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def _config_from_dict(cls, cfg: dict, kind: str):
     """Build the config dataclass `cls` from a JSON-style dict.
 
     The dataclass fields are the allowed keys and their defaults (or
     default factories) the defaults; a field without one, or a key set to
-    null, is missing.  `int` fields are coerced with int() and `tuple`
-    fields to tuples whose entries take the type of the default's entries.
+    null, is missing.  `int` fields are coerced with int(), refusing
+    booleans and fractional numbers, and `tuple` fields to tuples whose
+    entries take the type of the default's entries, integers by the same
+    rule.
     `float`, `bool`, `str` and `dict` fields must hold a JSON value of that
     kind and are kept as given, so the artifact digests see them unchanged.
     Any other value is a ConfigError naming its key.
@@ -805,9 +848,11 @@ def _config_from_dict(cls, cfg: dict, kind: str):
         value = merged[f.name]
         try:
             if f.type == "int":
-                merged[f.name] = int(value)
+                merged[f.name] = _integer(value)
             elif f.type == "tuple":
-                merged[f.name] = tuple(type(f.default[0])(x) for x in value)
+                entry = type(f.default[0])
+                merged[f.name] = tuple((_integer if entry is int else entry)(x)
+                                       for x in value)
             elif not isinstance(value, _FIELD_KINDS[f.type]):
                 raise TypeError(f"expected {f.type}, got {value!r}")
         except (TypeError, ValueError) as exc:

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from spinconc import coupling, models
 from spinconc.cli import _configure, _parser, run
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -87,8 +88,22 @@ def test_unknown_subcommand_is_exit_2(tmp_path, capsys):
     ("tail", {"seed": 1, "model": {"kind": "ising", "volume": [4, 4], "beta": "hot"}}),
     ("tail", {"seed": 1, "model": {"kind": "ising", "volume": [0, 4], "beta": 0.2}}),
     ("battery", 5),
+    # integer keys refuse fractions and booleans
+    ("hightemp", {"seed": 1, "rows": 8.7}),
+    ("hightemp", {"seed": 1, "rows": True}),
+    # ranges are checked by the experiment before its first sample
+    ("hightemp", {"seed": 1, "rows": 0}),
+    ("lowtemp", {"seed": 1, "quantiles": [1.5]}),
+    ("tail", {"seed": 1, "sweeps": -1}),
+    ("lowtemp", {"seed": 1, "n_tail": 1000}),  # what `--samples 1000` sets
 ])
-def test_malformed_config_is_exit_2(tmp_path, capsys, command, cfg):
+def test_malformed_config_is_exit_2(tmp_path, capsys, monkeypatch, command, cfg):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("a malformed config reached a sampler")
+
+    for module, name in ((models, "glauber_batch"), (models, "glauber_block_batch"),
+                         (coupling, "coupled_glauber_disagreement")):
+        monkeypatch.setattr(module, name, no_sampling)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     assert run([command, "--config", str(path), "--out", str(tmp_path)]) == 2

@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from spinconc.coupling import (
-    conditional_pair_sample,
-    conditional_pair_tree,
     coupled_glauber_disagreement,
     coupling_matrix_exact,
     coupling_rows_all,
@@ -181,21 +179,21 @@ def test_envelope_decays_with_distance():
 
 def test_tree_legs_are_exact():
     joint = exact_joint(ising_rect(2, 2, beta=0.5, boundary="plus"))
-    tree = conditional_pair_tree(joint, 1, 0)
     ja = joint.conditional_future((1,))
     jb = joint.conditional_future((0,))
+    tree = sequential_coupling_tree(ja, jb)
     ea, eb = tree.leg_errors(ja, jb)
     assert ea < 1e-12 and eb < 1e-12
-    assert tree.disagree[0] == 1.0
     assert np.all(tree.disagree >= -1e-15) and np.all(tree.disagree <= 1.0 + 1e-15)
 
 
 def test_tree_disagreement_dominates_marginal_tv():
     # any coupling disagrees at y at least as often as the marginals differ
     joint = exact_joint(ising_rect(2, 3, beta=0.45, boundary="free"))
-    tree = conditional_pair_tree(joint, 1, 0)
+    tree = sequential_coupling_tree(joint.conditional_future((1,)),
+                                    joint.conditional_future((0,)))
     band = coupling_rows_all(joint, 0)
-    assert np.all(tree.disagree >= band.lower[0] - 1e-12)
+    assert np.all(tree.disagree >= band.lower[0, 1:] - 1e-12)
 
 
 def test_two_laws_tree_identical_inputs():
@@ -206,20 +204,23 @@ def test_two_laws_tree_identical_inputs():
 
 def test_sampler_matches_tree():
     joint = exact_joint(ising_rect(2, 3, beta=0.3, boundary="plus"))
-    tree = conditional_pair_tree(joint, 1, 0)
-    stats = conditional_pair_sample(joint, 1, 0, n_samples=40000, seed=9)
-    for y in range(1, joint.n_sites):
+    ja = joint.conditional_future((1,))
+    jb = joint.conditional_future((0,))
+    tree = sequential_coupling_tree(ja, jb)
+    stats = sequential_coupling_sample(ja, jb, n_samples=40000, seed=9)
+    for y in range(ja.n_sites):
         gap = abs(stats.disagree[y] - tree.disagree[y])
         assert gap <= 3.0 * max(stats.disagree_se[y], 1e-4) + 5e-4
     # leg means must track the exact conditional means
-    ja = joint.conditional_future((1,))
     g0 = ja.function_table(single_spin(ja.sites[0]))
-    assert abs(stats.leg_a_mean[1] - ja.expectation(g0)) < 0.02
+    assert abs(stats.leg_a_mean[0] - ja.expectation(g0)) < 0.02
 
 
 def test_sampler_first_disagreement_histogram():
     joint = exact_joint(ising_segment(4, beta=0.5, boundary="free"))
-    stats = conditional_pair_sample(joint, 1, 0, n_samples=5000, seed=3)
+    stats = sequential_coupling_sample(joint.conditional_future((1,)),
+                                       joint.conditional_future((0,)),
+                                       n_samples=5000, seed=3)
     assert stats.first_disagreement.sum() == 5000
     assert stats.first_disagreement.shape == (4,)
 

@@ -4,15 +4,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from spinconc.lattice import (
-    Box,
     SpiralOrder,
-    box,
     l1_distance,
     rect_sites,
     segment_sites,
     sort_by_spiral,
     spiral_sites,
-    sup_distance,
 )
 
 
@@ -33,44 +30,34 @@ def test_shell_radii_nondecreasing():
 
 @given(st.integers(min_value=0, max_value=7))
 def test_box_is_bijective_prefix(n):
-    b = box(2, n)
-    assert len(b.sites) == (2 * n + 1) ** 2
-    assert len(set(b.sites)) == len(b.sites)
-    assert set(b.sites) == {
+    # the first (2n+1)^2 sites of the spiral are the centered box of radius n
+    sites = list(itertools.islice(spiral_sites(2), (2 * n + 1) ** 2))
+    assert len(set(sites)) == len(sites)
+    assert set(sites) == {
         (x, y) for x in range(-n, n + 1) for y in range(-n, n + 1)
     }
     order = SpiralOrder(2)
-    assert [order.index_of(s) for s in b.sites] == list(range((2 * n + 1) ** 2))
+    assert [order.index_of(s) for s in sites] == list(range((2 * n + 1) ** 2))
 
 
 def test_one_dimensional_order_is_identity():
     order = SpiralOrder(1)
-    for i in range(20):
-        assert order.index_of((i,)) == i
-        assert order.site_of(i) == (i,)
+    for i, site in zip(range(20), spiral_sites(1)):
+        assert site == (i,)
+        assert order.index_of(site) == i
     with pytest.raises(ValueError):
         order.index_of((-1,))
 
 
 def test_index_site_inverse_2d():
     order = SpiralOrder(2)
-    for k in range(200):
-        assert order.index_of(order.site_of(k)) == k
-
-
-def test_predecessors():
-    order = SpiralOrder(2)
-    assert order.predecessors((0, 0)) == ()
-    assert order.predecessors((1, 0)) == ((0, 0),)
-    assert order.predecessors((1, 0), strict=False) == ((0, 0), (1, 0))
-    preds = order.predecessors((1, 1))
-    assert preds == ((0, 0), (1, 0))
+    for k, site in zip(range(200), spiral_sites(2)):
+        assert order.index_of(site) == k
 
 
 def test_distances():
-    assert sup_distance((0, 0), (3, -2)) == 3
     assert l1_distance((0, 0), (3, -2)) == 5
-    assert sup_distance((5,), (2,)) == 3
+    assert l1_distance((5,), (2,)) == 3
 
 
 def test_sort_by_spiral_matches_index_order():
@@ -96,5 +83,4 @@ def test_rect_sites_shape_and_order():
 
 def test_segment_sites():
     assert segment_sites(3) == ((0,), (1,), (2,))
-    b = box(1, 2)
-    assert b.sites == ((0,), (1,), (2,), (3,), (4,))
+    assert tuple(itertools.islice(spiral_sites(1), 5)) == segment_sites(5)
