@@ -121,6 +121,8 @@ class CouplingMatrixConfig:
 
 
 def _run_coupling_matrix(config: CouplingMatrixConfig, digested: dict, args):
+    if min(config.p_orders, default=1) < 1:
+        raise ConfigError("p_orders entries must be at least 1")
     model = models.model_from_config(config.model)
     joint = models.exact_joint(model)
     data = coupling.envelope_and_moment_matrices(joint, p_orders=config.p_orders)

@@ -1,10 +1,11 @@
 """Finite-volume models: exact joints, conditionals, samplers, sensitivity data.
 
 Every model lives on a finite, enumeration-ordered site tuple and exposes
-unnormalized log weights over full configurations plus single-site
-conditionals given the rest of the volume.  Small volumes are handled exactly
-through `ExactJoint`; `glauber_batch` draws product and Markov models exactly
-and runs binary nearest-neighbor Gibbs models through one heat-bath kernel.
+unnormalized log weights over full configurations; Gibbs models also give
+single-site conditionals given the rest of the volume.  Small volumes are
+handled exactly through `ExactJoint`; `glauber_batch` draws product and
+Markov models exactly and runs binary nearest-neighbor Gibbs models through
+one heat-bath kernel.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from spinconc.errors import (
 from spinconc.fields import SPIN, Alphabet, LocalFunction
 from spinconc.lattice import (
     Site,
-    l1_distance,
     rect_sites,
     segment_sites,
     sort_by_spiral,
@@ -139,7 +139,7 @@ class ExactJoint:
 # ---------------------------------------------------------------------------
 
 class Model:
-    """Base class: unnormalized log weights plus single-site conditionals."""
+    """Base class: unnormalized log weights over full configurations."""
 
     alphabet: Alphabet
     sites: tuple[Site, ...]
@@ -150,15 +150,6 @@ class Model:
         return len(self.sites)
 
     def log_weight_table(self) -> np.ndarray:
-        raise NotImplementedError
-
-    def site_conditional(self, idx: int, config: Sequence) -> np.ndarray:
-        """Conditional law at position idx given the rest of the volume.
-
-        `config` holds symbol indices (the entry at idx is ignored); an
-        unassigned (None) entry that the conditional actually needs is an
-        error.
-        """
         raise NotImplementedError
 
 
@@ -207,6 +198,12 @@ class GibbsModel(Model):
         return out
 
     def site_conditional(self, idx: int, config: Sequence) -> np.ndarray:
+        """Conditional law at position idx given the rest of the volume.
+
+        `config` holds symbol indices (the entry at idx is ignored); an
+        unassigned (None) entry that the conditional actually needs is an
+        error.
+        """
         k = self.alphabet.size
         energy = np.zeros(k)
         for axes, table in self._by_site.get(idx, []):
@@ -252,9 +249,6 @@ class ProductModel(Model):
             out += logs[i].reshape(shape)
         return out
 
-    def site_conditional(self, idx: int, config: Sequence) -> np.ndarray:
-        return self.marginals[idx].copy()
-
 
 class MarkovChainModel(Model):
     """One-dimensional chain: initial law and a shared transition matrix."""
@@ -283,22 +277,6 @@ class MarkovChainModel(Model):
         for i in range(self.n_sites - 1):
             _axes_table_add(out, (i, i + 1), lt, k, 1.0)
         return out
-
-    def site_conditional(self, idx: int, config: Sequence) -> np.ndarray:
-        w = np.ones(self.alphabet.size)
-        if idx == 0:
-            w = self.initial.copy()
-        else:
-            prev = config[idx - 1]
-            if prev is None:
-                raise ValueError("left neighbor must be assigned")
-            w = self.transition[int(prev)].copy()
-        if idx + 1 < self.n_sites:
-            nxt = config[idx + 1]
-            if nxt is None:
-                raise ValueError("right neighbor must be assigned")
-            w = w * self.transition[:, int(nxt)]
-        return w / w.sum()
 
 
 # ---------------------------------------------------------------------------
@@ -331,15 +309,13 @@ def ising_model(sites: Sequence[Site], beta: float, boundary="plus",
     pos = {s: i for i, s in enumerate(ordered)}
     alphabet = SPIN
     vals = np.array(alphabet.values)
-    terms = []
-    bond_pairs = []
-    for i, x in enumerate(ordered):
-        for y in ordered[i + 1:]:
-            if l1_distance(x, y) == 1:
-                bond_pairs.append((pos[x], pos[y]))
+    nn_index = [np.array([pos[y] for y in _neighbors_in(pos, x)], dtype=int)
+                for x in ordered]
     pair_energy = -np.outer(vals, vals)
-    for i, j in bond_pairs:
-        terms.append(((i, j), pair_energy))
+    # each bond once as (i, j), i < j, sorted by i then j: the order in
+    # which every joint's log weights are summed
+    terms = [((i, int(j)), pair_energy)
+             for i, nb in enumerate(nn_index) for j in np.sort(nb[nb > i])]
 
     # collar: outside neighbors with fixed symbols contribute single-site terms
     bfield = np.zeros(len(ordered))
@@ -361,9 +337,7 @@ def ising_model(sites: Sequence[Site], beta: float, boundary="plus",
     model = GibbsModel(ordered, terms, beta, alphabet,
                        name=name or f"ising{_shape_label(ordered)}_b{beta:g}_{label}",
                        boundary_label=label)
-    model.nn_index = [
-        np.array([pos[y] for y in _neighbors_in(pos, x)], dtype=int) for x in ordered
-    ]
+    model.nn_index = nn_index
     model.boundary_field = bfield
     return model
 
@@ -741,7 +715,10 @@ def model_from_config(cfg: dict) -> Model:
     kind = cfg["kind"]
     try:
         if kind == "ising":
-            beta = float(cfg["beta"])
+            beta = cfg["beta"]
+            if isinstance(beta, bool):
+                raise TypeError(f"beta must be a number, got {beta!r}")
+            beta = float(beta)
             boundary = cfg.get("boundary", "plus")
             if isinstance(boundary, dict):
                 boundary = {tuple(k_ if isinstance(k_, tuple) else tuple(int(c) for c in k_.split(","))): v

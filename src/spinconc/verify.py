@@ -194,9 +194,9 @@ def _observable_rows(model: Model, joint: ExactJoint, g: LocalFunction,
     return rows
 
 
-def _battery_task(model: Model, functions: list[LocalFunction],
-                  t_points: int) -> list[BoundRow]:
-    """Every exact row of one model, observable by observable.
+def _battery_task(model: Model, t_points: int) -> list[BoundRow]:
+    """Every exact row of one model, observable by observable
+    (`battery_functions(model)`).
 
     Each coupling band is computed once: its envelope and moment rows are
     taken as it is produced, then only its `value` array is kept, for the
@@ -216,35 +216,34 @@ def _battery_task(model: Model, functions: list[LocalFunction],
                                                 bands=bands())
     env_norm = bounds.operator_norm_l2(env.envelope)
     moment_norm = {q: bounds.operator_norm_l2(env.moment[q]) for q in (2, 4, 6)}
-    return [row for g in functions
+    return [row for g in battery_functions(model)
             for row in _observable_rows(model, joint, g, values, env_norm,
                                         moment_norm, t_points)]
 
 
-def exact_battery(model_list=None, function_factory=None, threads: int = 0,
-                  t_points: int = 20, seed: int = 101) -> BoundReport:
+def exact_battery(model_list=None, threads: int = 0, t_points: int = 20,
+                  seed: int = 101) -> BoundReport:
     """Run every exact check over the battery; no verdict tolerates a violation.
 
-    `function_factory(model)` supplies the observables per model (the
-    defaults live in `battery_functions`).  One task per model builds the
-    joint and its coupling bands once and checks every observable on them.
-    Tasks are independent, so they run on a thread pool; `threads=0` picks
-    the machine's CPU count.  Rows come out in model order whatever the
-    thread count.
+    One task per model builds the joint and its coupling bands once and
+    checks every observable on them.  Tasks are independent, so they run on a thread
+    pool; `threads=0` picks the machine's CPU count.  Rows come out in model
+    order whatever the thread count.  `t_points` below 1 is a ConfigError,
+    raised before any joint is built: an empty tail grid checks nothing.
     """
+    if t_points < 1:
+        raise ConfigError("t_points must be at least 1")
     model_list = battery_models(seed) if model_list is None else model_list
-    factory = function_factory or battery_functions
-    tasks = [(m, factory(m)) for m in model_list]
     workers = threads if threads > 0 else (os.cpu_count() or 1)
     if workers == 1:
-        chunks = [_battery_task(m, fs, t_points) for m, fs in tasks]
+        chunks = [_battery_task(m, t_points) for m in model_list]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(lambda mf: _battery_task(*mf, t_points), tasks))
+            chunks = list(pool.map(lambda m: _battery_task(m, t_points), model_list))
     report = BoundReport(meta={
         "experiment": "exact_battery",
         "models": [m.name for m in model_list],
-        "functions_per_model": len(tasks[0][1]),
+        "functions_per_model": len(battery_functions(model_list[0])),
         "battery_seed": seed,
         "t_points": t_points,
         "tolerances": dict(_TOLERANCES),
@@ -494,83 +493,68 @@ def hightemp_experiment(config: HightempConfig) -> BoundReport:
 # path-magnetization statistic
 # ---------------------------------------------------------------------------
 
-def _max_chain_start_sum(points: np.ndarray) -> np.ndarray:
-    """For sorted lattice points, dp[j, k] = best (largest) coordinate sum of
-    the start of a componentwise nondecreasing chain of size k+1 ending at j."""
-    m = len(points)
-    dp = np.full((m, m), -np.inf)
-    sums = points.sum(axis=1).astype(float)
-    dp[:, 0] = sums
-    for j in range(m):
-        for i in range(j):
-            if points[i, 0] <= points[j, 0] and points[i, 1] <= points[j, 1]:
-                dp[j, 1:] = np.maximum(dp[j, 1:], dp[i, :-1])
-    return dp
+def ell_statistic(minus: np.ndarray, theta: float = 0.9) -> np.ndarray:
+    """Per grid of a batch, the smallest n such that every directed lattice
+    path with >= n sites has average spin >= theta; 0 for an all-plus grid.
 
-
-def _min_span_by_size(points: np.ndarray) -> np.ndarray:
-    """minspan[k-1] = smallest path span of a size-k nondecreasing chain."""
-    if len(points) == 0:
-        return np.array([])
-    order = np.lexsort((points[:, 1], points[:, 0]))
-    pts = points[order]
-    dp = _max_chain_start_sum(pts)
-    sums = pts.sum(axis=1).astype(float)
-    spans = (sums[:, None] - dp) + 1.0
-    return spans.min(axis=0)
-
-
-def ell_statistic(spins: np.ndarray, theta: float = 0.9) -> int:
-    """Smallest n such that every directed lattice path with >= n sites has
-    average spin >= theta.
-
-    Directed paths (each step increases one coordinate) are the computable
-    core of the path family: the minus sites on such a path always form a
-    chain in one of the two diagonal orderings, so the longest "bad" path
-    length reduces to chain statistics over the minus set.  A path of L
-    sites containing k minus spins has average below theta exactly when
-    L(1 - theta) < 2k; geometry caps L at rows + cols - 1.
+    `minus` is a boolean batch (n, rows, cols), true at the minus spins.  A
+    directed path steps down and right, or down and left.  K_L(cell), the
+    most minus sites on a path of L sites ending at `cell`, follows
+    K_L(cell) = minus(cell) + max(K_{L-1}(above), K_{L-1}(beside)), with
+    -inf outside the box; the down-left paths are the down-right paths of
+    the grid with its columns flipped.  A path of L sites with k minus spins
+    has average below theta exactly when L < q = 2k / (1 - theta), so a bad
+    path of L sites exists iff L <= budget[max over cells of K_L], where
+    budget[k] is the largest integer strictly below q; at theta = 1 it is
+    rows + cols - 1, the longest path, for every k >= 1, and -1 for k = 0.
+    The statistic is 1 + the largest such L, or 0 when there is none.
     """
     if not 0.0 < theta <= 1.0:
         raise ConfigError("theta must lie in (0, 1]")
-    rows, cols = spins.shape
+    n, rows, cols = minus.shape
     l_box = rows + cols - 1
-    pos = np.argwhere(spins < 0)
-    if len(pos) == 0:
-        return 0
-    flipped = pos.copy()
-    flipped[:, 1] = -flipped[:, 1]
-    best = 0
-    for pts in (pos, flipped):
-        minspan = _min_span_by_size(pts)
-        for k in range(1, len(minspan) + 1):
-            if not np.isfinite(minspan[k - 1]):
-                continue
-            if theta >= 1.0:
-                longest_bad = l_box  # any path through a minus is bad
-            else:
-                q = 2.0 * k / (1.0 - theta)
-                qr = round(q)
-                # largest integer strictly below q, robust to float noise
-                budget = qr - 1 if abs(q - qr) < 1e-9 else math.floor(q)
-                longest_bad = min(int(budget), l_box)
-            if minspan[k - 1] <= longest_bad:
-                best = max(best, longest_bad + 1)
-    return best
+    k = np.arange(l_box + 1)
+    if theta < 1.0:
+        q = 2.0 * k / (1.0 - theta)
+        qr = np.round(q)
+        # largest integer strictly below q, robust to float noise
+        budget = np.where(np.abs(q - qr) < 1e-9, qr - 1, np.floor(q)).astype(np.int64)
+    else:
+        budget = np.where(k > 0, l_box, -1)
+    # every count lies in [-l_box - 1, l_box]: -l_box - 1 stands for -inf,
+    # since a cell no path of length L reaches holds at most -l_box - 2 + L
+    dtype = np.min_scalar_type(-l_box - 1)
+    grids = np.concatenate([minus, minus[:, :, ::-1]]).astype(dtype)
+    counts, prev = grids.copy(), np.empty_like(grids)  # K_1 and a buffer
+    ell = np.zeros(2 * n, dtype=np.int64)
+    for length in range(1, l_box + 1):
+        if length > 1:
+            prev, counts = counts, prev
+            counts[:, 0, :] = -l_box - 1
+            counts[:, 1:, :] = prev[:, :-1, :]
+            np.maximum(counts[:, :, 1:], prev[:, :, :-1], out=counts[:, :, 1:])
+            counts += grids
+        # the far corner ends a path of every length, so the max is >= 0
+        top = counts.reshape(2 * n, rows * cols).max(axis=1)
+        ell[length <= budget[top]] = length + 1
+    return ell.reshape(2, n).max(axis=0)
 
 
 def ell_samples(model: GibbsModel, n_samples: int, sweeps: int, seed: int,
                 theta: float, start: str = "plus") -> np.ndarray:
-    """Path-magnetization statistic on independent equilibrium samples."""
+    """Path-magnetization statistic on independent equilibrium samples.
+
+    One `ell_statistic` call evaluates the replicas with a minus spin; the
+    others are 0.
+    """
     rows, cols, to_grid = models.grid_layout(model)
     vals = models.glauber_block_batch(model, n_samples, sweeps, seed, start)
-    grids = np.zeros((n_samples, rows * cols))
-    grids[:, to_grid] = vals
-    grids = grids.reshape(n_samples, rows, cols)
+    minus = np.zeros((n_samples, rows * cols), dtype=bool)
+    minus[:, to_grid] = vals < 0
+    minus = minus.reshape(n_samples, rows, cols)
+    has_minus = minus.any(axis=(1, 2))
     out = np.zeros(n_samples, dtype=np.int64)
-    has_minus = np.nonzero((grids < 0).any(axis=(1, 2)))[0]
-    for idx in has_minus:
-        out[idx] = ell_statistic(grids[idx], theta)
+    out[has_minus] = ell_statistic(minus[has_minus], theta)
     return out
 
 
@@ -819,6 +803,13 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _real(value) -> float:
+    """float(value), refusing a boolean."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _config_from_dict(cls, cfg: dict, kind: str):
     """Build the config dataclass `cls` from a JSON-style dict.
 
@@ -827,9 +818,10 @@ def _config_from_dict(cls, cfg: dict, kind: str):
     null, is missing.  `int` fields are coerced with int(), refusing
     booleans and fractional numbers, and `tuple` fields to tuples whose
     entries take the type of the default's entries, integers by the same
-    rule.
+    rule and floats refusing booleans.
     `float`, `bool`, `str` and `dict` fields must hold a JSON value of that
-    kind and are kept as given, so the artifact digests see them unchanged.
+    kind, a `float` field a number that is not a boolean, and are kept as
+    given, so the artifact digests see them unchanged.
     Any other value is a ConfigError naming its key.
     """
     specs = dataclasses.fields(cls)
@@ -850,10 +842,10 @@ def _config_from_dict(cls, cfg: dict, kind: str):
             if f.type == "int":
                 merged[f.name] = _integer(value)
             elif f.type == "tuple":
-                entry = type(f.default[0])
-                merged[f.name] = tuple((_integer if entry is int else entry)(x)
-                                       for x in value)
-            elif not isinstance(value, _FIELD_KINDS[f.type]):
+                entry = _integer if type(f.default[0]) is int else _real
+                merged[f.name] = tuple(entry(x) for x in value)
+            elif (not isinstance(value, _FIELD_KINDS[f.type])
+                  or f.type == "float" and isinstance(value, bool)):
                 raise TypeError(f"expected {f.type}, got {value!r}")
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{kind} config key {f.name!r}: {exc}") from None

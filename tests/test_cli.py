@@ -96,13 +96,21 @@ def test_unknown_subcommand_is_exit_2(tmp_path, capsys):
     ("lowtemp", {"seed": 1, "quantiles": [1.5]}),
     ("tail", {"seed": 1, "sweeps": -1}),
     ("lowtemp", {"seed": 1, "n_tail": 1000}),  # what `--samples 1000` sets
+    # an empty tail grid checks nothing
+    ("battery", {"t_points": 0}),
+    # a JSON boolean is not a number
+    ("hightemp", {"seed": 1, "beta": True}),
+    ("tail", {"seed": 1, "t_grid": [True, 0.1]}),
+    ("tail", {"seed": 1, "model": {"kind": "ising", "volume": [4, 4], "beta": True}}),
+    ("coupling-matrix", {"p_orders": [0]}),
 ])
 def test_malformed_config_is_exit_2(tmp_path, capsys, monkeypatch, command, cfg):
     def no_sampling(*args, **kwargs):
-        raise AssertionError("a malformed config reached a sampler")
+        raise AssertionError("a malformed config reached a sampler or a joint")
 
     for module, name in ((models, "glauber_batch"), (models, "glauber_block_batch"),
-                         (coupling, "coupled_glauber_disagreement")):
+                         (coupling, "coupled_glauber_disagreement"),
+                         (models, "exact_joint")):
         monkeypatch.setattr(module, name, no_sampling)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))

@@ -282,34 +282,38 @@ def _ell_oracle(spins: np.ndarray, theta: float) -> int:
 
 def test_ell_statistic_matches_search_oracle():
     rng = np.random.default_rng(2024)
-    for _ in range(150):
-        rows = int(rng.integers(1, 4))
-        cols = int(rng.integers(1, 4))
-        spins = rng.choice([-1.0, 1.0], size=(rows, cols), p=[0.3, 0.7])
-        theta = float(rng.choice([0.5, 0.8, 0.9]))
-        assert ell_statistic(spins, theta) == _ell_oracle(spins, theta)
-    for _ in range(40):
-        spins = rng.choice([-1.0, 1.0], size=(4, 4), p=[0.2, 0.8])
-        assert ell_statistic(spins, 0.9) == _ell_oracle(spins, 0.9)
+    for theta in (0.3, 0.5, 0.8, 0.9, 0.95, 1.0):
+        for rows in range(1, 7):
+            for cols in range(1, 7):
+                minus = rng.random((4, rows, cols)) < rng.uniform(0.1, 0.6)
+                want = [_ell_oracle(np.where(m, -1.0, 1.0), theta) for m in minus]
+                assert ell_statistic(minus, theta).tolist() == want
+    # sparse minus sites, as in the ordered phase; and paths longer than 127
+    # sites, whose counts need more than 8 bits
+    for shape, p in (((40, 4, 4), 0.2), ((3, 1, 140), 0.1), ((3, 140, 1), 0.1)):
+        minus = rng.random(shape) < p
+        want = [_ell_oracle(np.where(m, -1.0, 1.0), 0.9) for m in minus]
+        assert ell_statistic(minus, 0.9).tolist() == want
 
 
 def test_ell_statistic_known_values():
-    plus = np.ones((16, 16))
-    assert ell_statistic(plus, 0.9) == 0
+    plus = np.zeros((16, 16), dtype=bool)
     one = plus.copy()
-    one[8, 8] = -1.0
-    # one minus: longest path with mean < 0.9 has 19 sites
-    assert ell_statistic(one, 0.9) == 20
+    one[8, 8] = True
     two = plus.copy()
-    two[3, 3] = -1.0
-    two[5, 7] = -1.0
-    # two comparable minuses saturate the box diagonal
-    assert ell_statistic(two, 0.9) == 32
-    assert ell_statistic(one, 1.0) == 32  # any minus poisons every path
+    two[3, 3] = True
+    two[5, 7] = True
+    batch = np.stack([plus, one, two])
+    # one minus: longest path with mean < 0.9 has 19 sites; two comparable
+    # minuses saturate the box diagonal
+    assert ell_statistic(batch, 0.9).tolist() == [0, 20, 32]
+    # any minus poisons every path
+    assert ell_statistic(batch, 1.0).tolist() == [0, 32, 32]
+    assert ell_statistic(batch[:0], 0.9).shape == (0,)
     with pytest.raises(ConfigError):
-        ell_statistic(plus, 0.0)
+        ell_statistic(batch, 0.0)
     with pytest.raises(ConfigError):
-        ell_statistic(plus, 1.5)
+        ell_statistic(batch, 1.5)
 
 
 @settings(max_examples=60, deadline=None)
@@ -317,13 +321,13 @@ def test_ell_statistic_known_values():
        st.sampled_from([0.5, 0.9]))
 def test_ell_statistic_invariants(rows, cols, mask, theta):
     bits = [(mask >> i) & 1 for i in range(rows * cols)]
-    spins = (2.0 * np.array(bits, dtype=float) - 1.0).reshape(rows, cols)
-    ell = ell_statistic(spins, theta)
+    minus = np.array(bits, dtype=bool).reshape(1, rows, cols)
+    ell = int(ell_statistic(minus, theta)[0])
     l_box = rows + cols - 1
     assert 0 <= ell <= l_box + 1
-    assert (ell == 0) == bool((spins > 0).all())
+    assert (ell == 0) == (not minus.any())
     # raising theta can only lengthen the worst path
-    assert ell <= ell_statistic(spins, min(theta + 0.09, 1.0))
+    assert ell <= ell_statistic(minus, min(theta + 0.09, 1.0))[0]
 
 
 # ---------------------------------------------------------------------------
