@@ -1,4 +1,4 @@
-"""Error taxonomy shared across the package."""
+"""Error taxonomy and the number checks every config reader shares."""
 
 
 class CapacityError(RuntimeError):
@@ -15,3 +15,19 @@ class ConfigError(ValueError):
 
 class ConvergenceError(RuntimeError):
     """Raised when an iterative numerical routine fails to reach tolerance."""
+
+
+def _real(value) -> float:
+    """float(value) of a JSON number; a boolean or a string is a TypeError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _integer(value) -> int:
+    """int(value) of a JSON number with no fractional part; a boolean or a
+    string is a TypeError, as in `_real`."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or isinstance(value, float) and not value.is_integer()):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return int(value)

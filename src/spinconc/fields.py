@@ -1,9 +1,10 @@
 """Alphabets, local observables, and exact oscillation vectors.
 
-An observable is a real function of finitely many coordinates.  Its per-site
-oscillation (the largest change attainable by editing one coordinate) is
-computed exactly by enumeration of the dependency set, or term by term for
-sums whose terms depend on disjoint coordinate sets.
+An observable is a real function of finitely many coordinates, given once as
+a function vectorised over configurations.  Its per-site oscillation (the
+largest change attainable by editing one coordinate) is computed exactly by
+enumeration of the dependency set, or group by group for sums of functions
+of disjoint coordinate sets.
 """
 
 from __future__ import annotations
@@ -14,10 +15,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from spinconc.errors import CapacityError
+from spinconc.errors import CapacityError, _integer
 from spinconc.lattice import Site
 
 DEFAULT_ENUMERATION_CAP = 2**20
+
+#: most configurations per `LocalFunction.fn` call in `value_grid`
+_BLOCK = 2**12
 
 
 @dataclass(frozen=True)
@@ -47,26 +51,35 @@ SPIN = Alphabet(("-", "+"), (-1.0, 1.0))
 
 @dataclass(frozen=True)
 class LocalFunction:
-    """Observable depending on `sites` only, evaluated on alphabet values.
+    """Observable depending on `sites` only.
 
-    `fn` receives a tuple of numeric values aligned with `sites`.  When the
-    function is a sum of terms over pairwise disjoint site sets, `terms`
-    lists (site_subset, term_fn) pairs; per-site oscillations then reduce to
-    the oscillation of the unique term containing the site, which keeps the
-    enumeration exact and cheap for large volumes.
+    `fn` is the observable's one implementation: it maps an (n, len(sites))
+    array of alphabet values, columns aligned with `sites`, to the n values
+    of g.  Exact tables and oscillations evaluate it on `value_grid`'s
+    blocks, Monte Carlo runs on sampled rows.  `groups`, when given, is a
+    partition of `sites`, with no functions, that declares g a sum of
+    functions of one group each; the oscillation at x then enumerates only
+    x's group, the other sites held at one symbol, which keeps it cheap for
+    large volumes.
     """
 
     name: str
     sites: tuple[Site, ...]
-    fn: Callable[[tuple[float, ...]], float]
-    terms: tuple[tuple[tuple[Site, ...], Callable], ...] | None = None
-    batch_fn: Callable[[np.ndarray], np.ndarray] | None = None
+    fn: Callable[[np.ndarray], np.ndarray]
+    groups: tuple[tuple[Site, ...], ...] | None = None
 
-    def eval_batch(self, values_matrix: np.ndarray) -> np.ndarray:
-        """Evaluate on a (n_samples, len(sites)) matrix of numeric values."""
-        if self.batch_fn is not None:
-            return np.asarray(self.batch_fn(values_matrix), dtype=float)
-        return np.array([self.fn(tuple(row)) for row in values_matrix], dtype=float)
+    def oscillations(self, alphabet: Alphabet,
+                     cap: int = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
+        """Per site of `sites`, the largest |g(s) - g(s')| over configuration
+        pairs differing there only: max - min along that site's axis of the
+        grid of its group."""
+        column = {s: i for i, s in enumerate(self.sites)}
+        out = np.empty(len(self.sites))
+        for group in self.groups or (self.sites,):
+            cols = [column[s] for s in group]
+            grid = value_grid(self, alphabet, cols, cap)
+            out[cols] = [np.ptp(grid, axis=a).max() for a in range(len(cols))]
+        return out
 
     def variation(self, x: Site, alphabet: Alphabet,
                   cap: int = DEFAULT_ENUMERATION_CAP) -> float:
@@ -74,27 +87,34 @@ class LocalFunction:
         x = tuple(x)
         if x not in self.sites:
             return 0.0
-        if self.terms is not None:
-            for term_sites, term_fn in self.terms:
-                if x in term_sites:
-                    return _enumeration_variation(term_fn, term_sites, x, alphabet, cap)
-            return 0.0
-        return _enumeration_variation(self.fn, self.sites, x, alphabet, cap)
+        return float(self.oscillations(alphabet, cap)[self.sites.index(x)])
 
 
-def _enumeration_variation(fn, sites, x, alphabet, cap) -> float:
-    k = alphabet.size
-    if k ** len(sites) > cap:
-        raise CapacityError(
-            f"oscillation enumeration needs {k}^{len(sites)} evaluations, cap is {cap}"
-        )
-    axis = sites.index(x)
-    table = np.array(
-        [fn(values) for values in itertools.product(alphabet.values, repeat=len(sites))],
-        dtype=float,
-    ).reshape((k,) * len(sites))
-    moved = np.moveaxis(table, axis, -1)
-    return float((moved.max(axis=-1) - moved.min(axis=-1)).max())
+def value_grid(g: LocalFunction, alphabet: Alphabet, columns: Sequence[int] | None = None,
+               cap: int = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
+    """g on every configuration of the sites `g.sites[c]` for c in `columns`
+    (default: all of them), the other sites held at the alphabet's first
+    value; one axis per column, in the order given.
+
+    Configurations run row-major and reach `g.fn` in blocks of at most
+    `_BLOCK` rows, one block per setting of the leading coordinates.
+    """
+    columns = list(range(len(g.sites)) if columns is None else columns)
+    k, n = alphabet.size, len(columns)
+    if k ** n > cap:
+        raise CapacityError(f"{g.name} needs {k}^{n} evaluations, cap is {cap}")
+    values = np.asarray(alphabet.values, dtype=float)
+    tail = n
+    while tail > 0 and k ** tail > _BLOCK:
+        tail -= 1
+    lead = columns[:n - tail]
+    block = np.full((k ** tail, len(g.sites)), values[0])
+    block[:, columns[n - tail:]] = values[np.indices((k,) * tail).reshape(tail, k ** tail).T]
+    out = np.empty((k ** (n - tail), k ** tail))
+    for row, setting in zip(out, itertools.product(values, repeat=n - tail)):
+        block[:, lead] = setting
+        row[:] = g.fn(block)
+    return out.reshape((k,) * n)
 
 
 @dataclass(frozen=True)
@@ -115,10 +135,12 @@ def delta_vector(g: LocalFunction, volume_sites: Sequence[Site], alphabet: Alpha
                  cap: int = DEFAULT_ENUMERATION_CAP) -> DeltaVector:
     """Exact oscillation vector of g along an ordered volume."""
     volume = tuple(tuple(s) for s in volume_sites)
-    missing = [s for s in g.sites if s not in volume]
+    position = {s: i for i, s in enumerate(volume)}
+    missing = [s for s in g.sites if s not in position]
     if missing:
         raise ValueError(f"observable {g.name} depends on sites outside the volume: {missing}")
-    per_site = np.array([g.variation(s, alphabet, cap) for s in volume], dtype=float)
+    per_site = np.zeros(len(volume))
+    per_site[[position[s] for s in g.sites]] = g.oscillations(alphabet, cap)
     return DeltaVector(
         sites=volume,
         per_site=per_site,
@@ -135,14 +157,11 @@ def magnetization(sites: Sequence[Site], normalized: bool = True) -> LocalFuncti
     """Mean (or sum, if normalized=False) of the numeric values over `sites`."""
     sites = tuple(tuple(s) for s in sites)
     scale = 1.0 / len(sites) if normalized else 1.0
-    terms = tuple(((s,), (lambda v, _sc=scale: _sc * v[0])) for s in sites)
-    name = "magnetization" if normalized else "total_spin"
     return LocalFunction(
-        name=name,
+        name="magnetization" if normalized else "total_spin",
         sites=sites,
-        fn=lambda v, _sc=scale: _sc * sum(v),
-        terms=terms,
-        batch_fn=lambda m, _sc=scale: _sc * m.sum(axis=1),
+        fn=lambda m: scale * m.sum(axis=1),
+        groups=tuple((s,) for s in sites),
     )
 
 
@@ -152,35 +171,22 @@ def total_spin(sites: Sequence[Site]) -> LocalFunction:
 
 def single_spin(site: Site) -> LocalFunction:
     site = tuple(site)
-    return LocalFunction(
-        name=f"spin{site}",
-        sites=(site,),
-        fn=lambda v: v[0],
-        batch_fn=lambda m: m[:, 0],
-    )
+    return LocalFunction(name=f"spin{site}", sites=(site,), fn=lambda m: m[:, 0])
 
 
 def pair_product(x: Site, y: Site) -> LocalFunction:
     x, y = tuple(x), tuple(y)
     if x == y:
         raise ValueError("pair product needs two distinct sites")
-    return LocalFunction(
-        name=f"pair{x}*{y}",
-        sites=(x, y),
-        fn=lambda v: v[0] * v[1],
-        batch_fn=lambda m: m[:, 0] * m[:, 1],
-    )
+    return LocalFunction(name=f"pair{x}*{y}", sites=(x, y),
+                         fn=lambda m: m[:, 0] * m[:, 1])
 
 
 def majority(sites: Sequence[Site]) -> LocalFunction:
     """Sign of the value sum; use an odd number of spin sites to avoid ties."""
     sites = tuple(tuple(s) for s in sites)
-    return LocalFunction(
-        name=f"majority[{len(sites)}]",
-        sites=sites,
-        fn=lambda v: float(np.sign(sum(v))),
-        batch_fn=lambda m: np.sign(m.sum(axis=1)),
-    )
+    return LocalFunction(name=f"majority[{len(sites)}]", sites=sites,
+                         fn=lambda m: np.sign(m.sum(axis=1)))
 
 
 def pattern_indicator(sites: Sequence[Site], pattern: Sequence[str],
@@ -189,35 +195,42 @@ def pattern_indicator(sites: Sequence[Site], pattern: Sequence[str],
     sites = tuple(tuple(s) for s in sites)
     if len(pattern) != len(sites):
         raise ValueError("pattern length must match the site list")
-    target = tuple(alphabet.values[alphabet.index(sym)] for sym in pattern)
-    return LocalFunction(
-        name=f"pattern[{''.join(pattern)}]",
-        sites=sites,
-        fn=lambda v, _t=target: 1.0 if v == _t else 0.0,
-        batch_fn=lambda m, _t=target: (m == np.asarray(_t)).all(axis=1).astype(float),
-    )
+    target = np.array([alphabet.values[alphabet.index(sym)] for sym in pattern])
+    return LocalFunction(name=f"pattern[{''.join(pattern)}]", sites=sites,
+                         fn=lambda m: (m == target).all(axis=1).astype(float))
 
 
 def build_function(spec: dict, volume_sites: Sequence[Site],
                    alphabet: Alphabet = SPIN) -> LocalFunction:
-    """Instantiate a catalog observable from a config dictionary."""
+    """Instantiate a catalog observable from a config dictionary.
+
+    Site coordinates and `count` are read through `_integer` and
+    `normalized` must be a boolean; anything else is a TypeError.
+    """
     kind = spec.get("kind")
     volume = tuple(tuple(s) for s in volume_sites)
+
+    def site(coords) -> Site:
+        return tuple(_integer(c) for c in coords)
+
     if kind == "magnetization":
-        return magnetization(volume, normalized=spec.get("normalized", True))
+        normalized = spec.get("normalized", True)
+        if not isinstance(normalized, bool):
+            raise TypeError(f"normalized must be true or false, got {normalized!r}")
+        return magnetization(volume, normalized)
     if kind == "total_spin":
         return total_spin(volume)
     if kind == "single_spin":
-        site = tuple(spec.get("site", volume[0]))
-        return single_spin(site)
+        return single_spin(site(spec.get("site", volume[0])))
     if kind == "pair_product":
-        x = tuple(spec.get("x", volume[0]))
-        y = tuple(spec.get("y", volume[1]))
-        return pair_product(x, y)
+        return pair_product(site(spec.get("x", volume[0])), site(spec.get("y", volume[1])))
     if kind == "majority":
-        count = int(spec.get("count", min(3, len(volume))))
+        count = _integer(spec.get("count", min(3, len(volume))))
+        if not 1 <= count <= len(volume):
+            raise ValueError(f"majority count must lie in [1, {len(volume)}], got {count}")
         return majority(volume[:count])
     if kind == "pattern_indicator":
-        sites = [tuple(s) for s in spec["sites"]] if "sites" in spec else list(volume[: len(spec["pattern"])])
+        sites = ([site(s) for s in spec["sites"]] if "sites" in spec
+                 else volume[: len(spec["pattern"])])
         return pattern_indicator(sites, spec["pattern"], alphabet)
     raise ValueError(f"unknown observable kind: {kind!r}")

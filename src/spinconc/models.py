@@ -20,8 +20,10 @@ from spinconc.errors import (
     CapacityError,
     ConfigError,
     DegenerateConditioningError,
+    _integer,
+    _real,
 )
-from spinconc.fields import SPIN, Alphabet, LocalFunction
+from spinconc.fields import SPIN, Alphabet, LocalFunction, value_grid
 from spinconc.lattice import (
     Site,
     rect_sites,
@@ -33,9 +35,6 @@ from spinconc.lattice import (
 SITE_PERCOLATION_PC_2D = 0.5927
 
 DEFAULT_JOINT_CAP = 2**20
-
-#: most configurations per `LocalFunction.eval_batch` call in `function_table`
-_TABLE_BLOCK = 2**12
 
 
 # ---------------------------------------------------------------------------
@@ -96,34 +95,11 @@ class ExactJoint:
 
     def function_table(self, g: LocalFunction,
                        cap: int = DEFAULT_JOINT_CAP) -> np.ndarray:
-        """Values of g on every configuration, broadcast to the joint's shape.
-
-        g's own configurations are enumerated row-major and evaluated with
-        `g.eval_batch`, one block per setting of the leading coordinates; a
-        block enumerates the trailing ones and holds at most `_TABLE_BLOCK`
-        rows.
-        """
+        """Values of g on every configuration, broadcast to the joint's shape:
+        `value_grid` over g's own sites, moved onto their axes."""
         axes = [self.site_axis(s) for s in g.sites]
-        k, n = self.k, len(axes)
-        if k ** n > cap:
-            raise CapacityError(f"observable table needs {k}^{n} evaluations")
-        values = np.asarray(self.alphabet.values, dtype=float)
-        tail = n
-        while tail > 0 and k ** tail > _TABLE_BLOCK:
-            tail -= 1
-        block = np.empty((k ** tail, n))
-        block[:, n - tail:] = values[np.indices((k,) * tail).reshape(tail, k ** tail).T]
-        local = np.empty((k ** (n - tail), k ** tail))
-        for row, lead in zip(local, itertools.product(values, repeat=n - tail)):
-            block[:, :n - tail] = lead
-            row[:] = g.eval_batch(block)
-        local = local.reshape((k,) * n)
-        order = np.argsort(axes)
-        local = np.transpose(local, order)
-        shape = [1] * self.n_sites
-        for a in axes:
-            shape[a] = k
-        return np.broadcast_to(local.reshape(shape), self.probs.shape)
+        grid = value_grid(g, self.alphabet, cap=cap)
+        return np.broadcast_to(_on_axes(grid, axes, self.n_sites), self.probs.shape)
 
     def expectation(self, table: np.ndarray) -> float:
         return float((self.probs * table).sum())
@@ -153,14 +129,13 @@ class Model:
         raise NotImplementedError
 
 
-def _axes_table_add(target: np.ndarray, axes: tuple[int, ...], table: np.ndarray,
-                    k: int, scale: float) -> None:
-    order = np.argsort(axes)
-    local = np.transpose(table, order)
-    shape = [1] * target.ndim
-    for a in axes:
-        shape[a] = k
-    target += scale * local.reshape(shape)
+def _on_axes(table: np.ndarray, axes: Sequence[int], ndim: int) -> np.ndarray:
+    """`table`, one axis per entry of `axes`, reshaped to broadcast over
+    `ndim` axes with its own axes at `axes`."""
+    shape = [1] * ndim
+    for a, size in zip(axes, table.shape):
+        shape[a] = size
+    return np.transpose(table, np.argsort(axes)).reshape(shape)
 
 
 class GibbsModel(Model):
@@ -194,7 +169,7 @@ class GibbsModel(Model):
         k = self.alphabet.size
         out = np.zeros((k,) * self.n_sites)
         for axes, table in self.terms:
-            _axes_table_add(out, axes, table, k, -self.beta)
+            out += -self.beta * _on_axes(table, axes, self.n_sites)
         return out
 
     def site_conditional(self, idx: int, config: Sequence) -> np.ndarray:
@@ -244,9 +219,7 @@ class ProductModel(Model):
         with np.errstate(divide="ignore"):
             logs = np.log(self.marginals)
         for i in range(self.n_sites):
-            shape = [1] * self.n_sites
-            shape[i] = k
-            out += logs[i].reshape(shape)
+            out += _on_axes(logs[i], (i,), self.n_sites)
         return out
 
 
@@ -271,11 +244,9 @@ class MarkovChainModel(Model):
         out = np.zeros((k,) * self.n_sites)
         with np.errstate(divide="ignore"):
             li, lt = np.log(self.initial), np.log(self.transition)
-        shape = [1] * self.n_sites
-        shape[0] = k
-        out += li.reshape(shape)
+        out += _on_axes(li, (0,), self.n_sites)
         for i in range(self.n_sites - 1):
-            _axes_table_add(out, (i, i + 1), lt, k, 1.0)
+            out += _on_axes(lt, (i, i + 1), self.n_sites)
         return out
 
 
@@ -709,39 +680,38 @@ def dobrushin_matrix(model: GibbsModel) -> DobrushinData:
 # ---------------------------------------------------------------------------
 
 def model_from_config(cfg: dict) -> Model:
-    """Build a model from a JSON-style dictionary (see README for the schema)."""
+    """Build a model from a JSON-style dictionary (see README for the schema).
+
+    Every number is read through `_integer` or `_real`.
+    """
     if not isinstance(cfg, dict) or "kind" not in cfg:
         raise ConfigError("model config must be a dict with a 'kind' entry")
     kind = cfg["kind"]
     try:
         if kind == "ising":
-            beta = cfg["beta"]
-            if isinstance(beta, bool):
-                raise TypeError(f"beta must be a number, got {beta!r}")
-            beta = float(beta)
+            beta = _real(cfg["beta"])
+            h = _real(cfg.get("external_field", 0.0))
             boundary = cfg.get("boundary", "plus")
             if isinstance(boundary, dict):
                 boundary = {tuple(k_ if isinstance(k_, tuple) else tuple(int(c) for c in k_.split(","))): v
                             for k_, v in boundary.items()}
             vol = cfg["volume"]
             if isinstance(vol, dict) and "segment" in vol:
-                return ising_segment(int(vol["segment"]), beta, boundary,
-                                     float(cfg.get("external_field", 0.0)))
-            rows, cols = int(vol[0]), int(vol[1])
-            return ising_rect(rows, cols, beta, boundary,
-                              float(cfg.get("external_field", 0.0)))
+                return ising_segment(_integer(vol["segment"]), beta, boundary, h)
+            return ising_rect(_integer(vol[0]), _integer(vol[1]), beta, boundary, h)
         if kind in ("iid", "product"):
-            n = int(cfg["n_sites"])
+            n = _integer(cfg["n_sites"])
             p = cfg.get("p_plus", 0.5)
             if np.isscalar(p):
-                return iid_spins(n, float(p))
-            marg = np.column_stack([1.0 - np.asarray(p, float), np.asarray(p, float)])
-            return ProductModel(segment_sites(n), marg, SPIN, name=f"product[{n}]")
+                return iid_spins(n, _real(p))
+            p = np.array([_real(x) for x in p])
+            return ProductModel(segment_sites(n), np.column_stack([1.0 - p, p]), SPIN,
+                                name=f"product[{n}]")
         if kind == "markov":
             return MarkovChainModel(
-                int(cfg["n_sites"]),
-                np.asarray(cfg["initial"], float),
-                np.asarray(cfg["transition"], float),
+                _integer(cfg["n_sites"]),
+                np.array([_real(x) for x in cfg["initial"]]),
+                np.array([[_real(x) for x in row] for row in cfg["transition"]]),
             )
     except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise ConfigError(f"malformed model config for kind {kind!r}: {exc}") from exc

@@ -28,7 +28,7 @@ from scipy import stats as sstats
 from spinconc import bounds, coupling, fields, models
 from spinconc.bounds import BoundReport, BoundRow, classify_tail_row
 from spinconc.coupling import TailProfile
-from spinconc.errors import ConfigError
+from spinconc.errors import ConfigError, _integer, _real
 from spinconc.fields import LocalFunction
 from spinconc.lattice import l1_distance
 from spinconc.models import (ExactJoint, GibbsModel, Model, ProductModel,
@@ -301,8 +301,16 @@ def binomial_ci99(k: int, n: int) -> tuple[float, float]:
 def _g_sampler(model: Model, g: LocalFunction, sweeps: int, start: str):
     """`g_values(n, seed)`: g on n replicas from `models.glauber_batch`."""
     cols = [model.sites.index(tuple(s)) for s in g.sites]
-    return lambda n, seed: g.eval_batch(
-        models.glauber_batch(model, n, sweeps, seed, start)[:, cols])
+    return lambda n, seed: g.fn(models.glauber_batch(model, n, sweeps, seed, start)[:, cols])
+
+
+def _check_batch(n_samples: int, sweeps: int) -> None:
+    """The rules every tail batch keeps: at least 1000 replicas, and
+    `sweeps` nonnegative; a ConfigError otherwise."""
+    if n_samples < 1000:
+        raise ConfigError(f"a tail batch needs at least 1000 replicas, got {n_samples}")
+    if sweeps < 0:
+        raise ConfigError("sweeps must be nonnegative")
 
 
 def _mean_size(n: int) -> int:
@@ -339,10 +347,7 @@ def empirical_tail(model: Model, g: LocalFunction, t_grid, n_samples: int,
     batch (`_mean_batch`) and the main batch each get their own seed, both
     drawn from `seed`.
     """
-    if n_samples < 1000:
-        raise ConfigError("tail estimation needs at least 1000 replicas")
-    if sweeps < 0:
-        raise ConfigError("sweeps must be nonnegative")
+    _check_batch(n_samples, sweeps)
     rng = np.random.default_rng(seed)
     seed_mean, seed_main = (int(s) for s in rng.integers(2 ** 63, size=2))
     g_values = _g_sampler(model, g, sweeps, start)
@@ -440,6 +445,7 @@ def hightemp_experiment(config: HightempConfig) -> BoundReport:
         raise ConfigError("rows, cols, fit_rows and fit_cols must be at least 1")
     if not config.t_multipliers:
         raise ConfigError("t_multipliers must not be empty")
+    _check_batch(config.n_samples, config.sweeps)
     model = models.ising_rect(config.rows, config.cols, config.beta, config.boundary)
     g = fields.magnetization(model.sites, normalized=True)
     dv = fields.delta_vector(g, model.sites, model.alphabet)
@@ -609,8 +615,6 @@ def lowtemp_experiment(config: LowtempConfig) -> tuple[TailProfile, BoundReport]
            config.spearman_dmax, *config.p_list) < 1:
         raise ConfigError("rows, cols, n_pair, n_ell, spearman_dmax and the "
                           "p_list entries must be at least 1")
-    if config.sweeps < 0:
-        raise ConfigError("sweeps must be nonnegative")
     if min(config.kappa, config.eps, *config.rho_grid) <= 0.0:
         raise ConfigError("kappa, eps and the rho_grid entries must be positive")
     if not 0 <= config.frozen < config.rows * config.cols:
@@ -620,8 +624,7 @@ def lowtemp_experiment(config: LowtempConfig) -> tuple[TailProfile, BoundReport]
     if not config.quantiles or not all(0.0 <= q <= 1.0 for q in config.quantiles):
         raise ConfigError("quantiles must be a nonempty list of values in [0, 1]")
     n_split = (config.n_tail - _mean_size(config.n_tail)) // 2
-    if n_split < 1000:
-        raise ConfigError("tail splits need at least 1000 replicas each")
+    _check_batch(n_split, config.sweeps)  # each held-out split is a tail batch
     model = models.ising_rect(config.rows, config.cols, config.beta, config.boundary)
     g = fields.magnetization(model.sites, normalized=True)
     dv = fields.delta_vector(g, model.sites, model.alphabet)
@@ -792,22 +795,8 @@ def load_config(path: str) -> dict:
     return cfg
 
 
-# JSON kinds a config field of each annotated type may hold, kept as given
-_FIELD_KINDS = {"float": (int, float), "bool": bool, "str": str, "dict": dict}
-
-
-def _integer(value) -> int:
-    """int(value), refusing a boolean and a number with a fractional part."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise TypeError(f"expected an integer, got {value!r}")
-    return int(value)
-
-
-def _real(value) -> float:
-    """float(value), refusing a boolean."""
-    if isinstance(value, bool):
-        raise TypeError(f"expected a number, got {value!r}")
-    return float(value)
+# JSON kinds a bool, str or dict config field may hold, kept as given
+_FIELD_KINDS = {"bool": bool, "str": str, "dict": dict}
 
 
 def _config_from_dict(cls, cfg: dict, kind: str):
@@ -815,14 +804,12 @@ def _config_from_dict(cls, cfg: dict, kind: str):
 
     The dataclass fields are the allowed keys and their defaults (or
     default factories) the defaults; a field without one, or a key set to
-    null, is missing.  `int` fields are coerced with int(), refusing
-    booleans and fractional numbers, and `tuple` fields to tuples whose
-    entries take the type of the default's entries, integers by the same
-    rule and floats refusing booleans.
-    `float`, `bool`, `str` and `dict` fields must hold a JSON value of that
-    kind, a `float` field a number that is not a boolean, and are kept as
-    given, so the artifact digests see them unchanged.
-    Any other value is a ConfigError naming its key.
+    null, is missing.  `int` fields are read through `_integer`, and
+    `tuple` fields become tuples whose entries go through `_integer` or
+    `_real` by the type of the default's entries.  A `float` field must
+    pass `_real`, and `bool`, `str` and `dict` fields must hold a JSON value
+    of that kind; these are kept as given, so the artifact digests see them
+    unchanged.  Any other value is a ConfigError naming its key.
     """
     specs = dataclasses.fields(cls)
     unknown = set(cfg) - {f.name for f in specs}
@@ -844,8 +831,9 @@ def _config_from_dict(cls, cfg: dict, kind: str):
             elif f.type == "tuple":
                 entry = _integer if type(f.default[0]) is int else _real
                 merged[f.name] = tuple(entry(x) for x in value)
-            elif (not isinstance(value, _FIELD_KINDS[f.type])
-                  or f.type == "float" and isinstance(value, bool)):
+            elif f.type == "float":
+                _real(value)  # checked, and kept as given
+            elif not isinstance(value, _FIELD_KINDS[f.type]):
                 raise TypeError(f"expected {f.type}, got {value!r}")
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{kind} config key {f.name!r}: {exc}") from None

@@ -27,6 +27,22 @@ def naive_variation(fn, sites, x, values):
     return best
 
 
+def mean_value(v):
+    """Magnetization of one configuration: the mean of its values."""
+    return sum(v) / len(v)
+
+
+def sign_of_sum(v):
+    """Majority vote of one configuration: the sign of its value sum."""
+    total = sum(v)
+    return 1.0 if total > 0 else -1.0 if total < 0 else 0.0
+
+
+def pattern_match(target):
+    """Indicator that a configuration equals `target`, value by value."""
+    return lambda v: 1.0 if tuple(v) == tuple(target) else 0.0
+
+
 def naive_tv(p, q):
     return 0.5 * sum(abs(a - b) for a, b in zip(p, q))
 

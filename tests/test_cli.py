@@ -103,6 +103,21 @@ def test_unknown_subcommand_is_exit_2(tmp_path, capsys):
     ("tail", {"seed": 1, "t_grid": [True, 0.1]}),
     ("tail", {"seed": 1, "model": {"kind": "ising", "volume": [4, 4], "beta": True}}),
     ("coupling-matrix", {"p_orders": [0]}),
+    # numbers in model and function specs follow the same rules
+    ("tail", {"seed": 1, "model": {"kind": "ising", "volume": [2.7, 2], "beta": 0.2}}),
+    ("tail", {"seed": 1, "model": {"kind": "ising", "volume": [2, 2], "beta": 0.2,
+                                   "external_field": True}}),
+    ("tail", {"seed": 1, "model": {"kind": "iid", "n_sites": 4, "p_plus": True}}),
+    ("tail", {"seed": 1, "function": {"kind": "majority", "count": True}}),
+    ("tail", {"seed": 1, "t_grid": ["0.5"]}),
+    ("tail", {"seed": 1, "function": {"kind": "magnetization", "normalized": "no"}}),
+    # hightemp checks its tail batch before the fit joint
+    ("hightemp", {"seed": 1, "sweeps": -1}),
+    ("hightemp", {"seed": 1, "n_samples": 999}),
+    # a string is not a number, even one that parses as an integer
+    ("hightemp", {"seed": 1, "rows": "8"}),
+    # a majority needs between one site and the whole volume
+    ("tail", {"seed": 1, "function": {"kind": "majority", "count": 0}}),
 ])
 def test_malformed_config_is_exit_2(tmp_path, capsys, monkeypatch, command, cfg):
     def no_sampling(*args, **kwargs):

@@ -18,7 +18,7 @@ from spinconc.fields import (
 )
 from spinconc.lattice import segment_sites
 
-from .oracles import naive_variation
+from .oracles import mean_value, naive_variation, pattern_match, sign_of_sum
 
 
 def test_spin_alphabet():
@@ -53,7 +53,7 @@ def test_majority_variation_matches_bruteforce():
     sites = segment_sites(3)
     g = majority(sites)
     for x in sites:
-        want = naive_variation(g.fn, list(g.sites), x, SPIN.values)
+        want = naive_variation(sign_of_sum, list(g.sites), x, SPIN.values)
         assert g.variation(x, SPIN) == pytest.approx(want)
     # flipping one vote changes the sign by at most 2 and exactly 2 somewhere
     assert g.variation((0,), SPIN) == pytest.approx(2.0)
@@ -63,7 +63,7 @@ def test_pattern_indicator_variation():
     sites = segment_sites(3)
     g = pattern_indicator(sites, ["+", "-", "+"])
     for x in sites:
-        want = naive_variation(g.fn, list(g.sites), x, SPIN.values)
+        want = naive_variation(pattern_match((1.0, -1.0, 1.0)), list(g.sites), x, SPIN.values)
         assert g.variation(x, SPIN) == pytest.approx(want) == 1.0
 
 
@@ -77,7 +77,7 @@ def test_pair_product_variation():
 def test_rescaling_scales_variation(c):
     sites = segment_sites(3)
     base = majority(sites)
-    scaled = LocalFunction("scaled", base.sites, lambda v: c * base.fn(v))
+    scaled = LocalFunction("scaled", base.sites, lambda m: c * base.fn(m))
     for x in sites:
         assert scaled.variation(x, SPIN) == pytest.approx(abs(c) * base.variation(x, SPIN))
 
@@ -86,14 +86,14 @@ def test_triangle_inequality_for_sums():
     sites = segment_sites(3)
     g = majority(sites)
     h = pattern_indicator(sites, ["+", "+", "+"])
-    s = LocalFunction("sum", sites, lambda v: g.fn(v) + h.fn(v))
+    s = LocalFunction("sum", sites, lambda m: g.fn(m) + h.fn(m))
     for x in sites:
         assert s.variation(x, SPIN) <= g.variation(x, SPIN) + h.variation(x, SPIN) + 1e-12
 
 
 def test_enumeration_cap():
     sites = segment_sites(30)
-    g = LocalFunction("wide", sites, lambda v: sum(v))
+    g = LocalFunction("wide", sites, lambda m: m.sum(axis=1))
     with pytest.raises(CapacityError):
         g.variation((0,), SPIN, cap=2**10)
 
@@ -113,12 +113,13 @@ def test_delta_vector_requires_volume_support():
 
 def test_eval_batch_consistency():
     sites = segment_sites(3)
-    fns = [magnetization(sites), majority(sites), pattern_indicator(sites, ["-", "-", "+"])]
+    fns = [(magnetization(sites), mean_value), (majority(sites), sign_of_sum),
+           (pattern_indicator(sites, ["-", "-", "+"]), pattern_match((-1.0, -1.0, 1.0)))]
     rng = np.random.default_rng(0)
     mat = rng.choice([-1.0, 1.0], size=(40, 3))
-    for g in fns:
-        slow = np.array([g.fn(tuple(r)) for r in mat])
-        assert np.allclose(g.eval_batch(mat), slow)
+    for g, scalar in fns:
+        slow = np.array([scalar(tuple(r)) for r in mat])
+        assert np.allclose(g.fn(mat), slow)
 
 
 def test_build_function_from_spec():
@@ -135,6 +136,6 @@ def test_build_function_from_spec():
 
 def test_ternary_alphabet_variation():
     abc = Alphabet(("a", "b", "c"), (0.0, 1.0, 3.0))
-    g = LocalFunction("first", ((0,), (1,)), lambda v: v[0])
+    g = LocalFunction("first", ((0,), (1,)), lambda m: m[:, 0])
     assert g.variation((0,), abc) == pytest.approx(3.0)
     assert g.variation((1,), abc) == 0.0

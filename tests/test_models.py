@@ -14,8 +14,11 @@ from spinconc.fields import (
     SPIN,
     Alphabet,
     LocalFunction,
+    delta_vector,
     magnetization,
+    majority,
     pair_product,
+    pattern_indicator,
     single_spin,
     total_spin,
 )
@@ -136,15 +139,36 @@ def test_function_table_matches_per_configuration_values(alphabet, n):
     k = alphabet.size
     joint = exact_joint(ProductModel(sites, np.full((n, k), 1.0 / k), alphabet))
     picked = (sites[5], sites[1], sites[3])  # out of enumeration order
-    loop_only = LocalFunction("mixed", picked, lambda v: v[0] - 2.0 * v[1] + v[2] ** 2)
-    for g in (total_spin(sites), loop_only):
+    mixed = LocalFunction("mixed", picked, lambda m: m[:, 0] - 2.0 * m[:, 1] + m[:, 2] ** 2)
+    cases = ((total_spin(sites), sum), (mixed, lambda v: v[0] - 2.0 * v[1] + v[2] ** 2))
+    for g, scalar in cases:
         table = joint.function_table(g)
         axes = [sites.index(s) for s in g.sites]
         for config in itertools.product(range(k), repeat=n):
             if sum(config) % 7:  # a spread-out subset keeps the loop short
                 continue
-            want = g.fn(tuple(alphabet.values[config[a]] for a in axes))
+            want = scalar(tuple(alphabet.values[config[a]] for a in axes))
             assert table[config] == want
+
+
+@pytest.mark.parametrize("model", [
+    ising_rect(3, 3, 0.4, "plus"),
+    ProductModel(segment_sites(6), np.full((6, 3), 1.0 / 3.0),
+                 Alphabet(("a", "b", "c"), (0.0, 0.5, 2.0))),
+], ids=["ising-3x3", "three-symbol-6"])
+def test_delta_vector_matches_function_table(model):
+    # the oscillation at x is the largest max - min along x's axis of g's table
+    joint = exact_joint(model)
+    sites, alphabet = joint.sites, joint.alphabet
+    catalog = [magnetization(sites), total_spin(sites), single_spin(sites[4]),
+               pair_product(sites[1], sites[3]), majority(sites[:3]),
+               pattern_indicator(sites[2:5], alphabet.symbols[:2] + alphabet.symbols[:1],
+                                 alphabet)]
+    for g in catalog:
+        table = joint.function_table(g)
+        per_site = delta_vector(g, sites, alphabet).per_site
+        for x in range(len(sites)):
+            assert per_site[x] == pytest.approx(np.ptp(table, axis=x).max(), abs=1e-12)
 
 
 def test_heat_bath_detailed_balance():
@@ -171,7 +195,7 @@ def test_glauber_matches_exact_mean_3x3():
     g = magnetization(model.sites)
     exact_mean = joint.expectation(joint.function_table(g))
     samples = glauber_batch(model, 4000, 60, seed=11)
-    vals = g.eval_batch(samples)
+    vals = g.fn(samples)
     se = vals.std(ddof=1) / np.sqrt(len(vals))
     assert abs(vals.mean() - exact_mean) < 3 * se + 1e-3
 
@@ -196,7 +220,7 @@ def test_glauber_matches_exact_mean_off_rectangle(model):
     joint = exact_joint(model)
     g = magnetization(model.sites)
     exact_mean = joint.expectation(joint.function_table(g))
-    vals = g.eval_batch(glauber_batch(model, 4000, 60, seed=11))
+    vals = g.fn(glauber_batch(model, 4000, 60, seed=11))
     se = vals.std(ddof=1) / np.sqrt(len(vals))
     assert abs(vals.mean() - exact_mean) < 3 * se
 
@@ -212,7 +236,7 @@ def test_glauber_batch_is_exact_on_product_and_markov(model):
     observables = [single_spin(s) for s in sites]
     observables += [pair_product(x, y) for x, y in zip(sites, sites[1:])]
     for g in observables:
-        vals = g.eval_batch(samples[:, [sites.index(s) for s in g.sites]])
+        vals = g.fn(samples[:, [sites.index(s) for s in g.sites]])
         se = vals.std(ddof=1) / np.sqrt(len(vals))
         assert abs(vals.mean() - joint.expectation(joint.function_table(g))) < 4 * se
 
