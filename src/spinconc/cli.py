@@ -151,6 +151,10 @@ class TransportConfig:
 
 
 def _run_transport(config: TransportConfig, digested: dict, args):
+    if config.n_instances < 1:
+        raise ConfigError("n_instances must be at least 1")
+    if config.support_cap < 4:
+        raise ConfigError("support_cap must be at least 4, the smallest 2x2 instance")
     rng = np.random.default_rng(config.seed)
     report = BoundReport(meta={"experiment": "transport_suite",
                                "config": digested, "seed": config.seed})

@@ -247,8 +247,7 @@ class SequentialCouplingTree:
         )
 
 
-def sequential_coupling_tree(ja: ExactJoint, jb: ExactJoint,
-                             cap: int = 2 ** 22) -> SequentialCouplingTree:
+def sequential_coupling_tree(ja: ExactJoint, jb: ExactJoint) -> SequentialCouplingTree:
     """Propagate the exact pair-state mass matrix through every coordinate.
 
     Both coordinates draw from their true conditional law given their own
@@ -257,7 +256,7 @@ def sequential_coupling_tree(ja: ExactJoint, jb: ExactJoint,
     """
     _require_binary_pair(ja, jb)
     m = ja.n_sites
-    if 4 ** m > cap:
+    if 4 ** m > 2 ** 22:
         raise CapacityError(f"pair-state recursion needs 4^{m} states")
     disagree = np.zeros(m)
     s = np.array([[1.0]])

@@ -18,7 +18,8 @@ import numpy as np
 from spinconc.errors import CapacityError, _integer
 from spinconc.lattice import Site
 
-DEFAULT_ENUMERATION_CAP = 2**20
+#: most configurations any exact enumeration or joint may hold
+ENUMERATION_CAP = 2**20
 
 #: most configurations per `LocalFunction.fn` call in `value_grid`
 _BLOCK = 2**12
@@ -68,8 +69,7 @@ class LocalFunction:
     fn: Callable[[np.ndarray], np.ndarray]
     groups: tuple[tuple[Site, ...], ...] | None = None
 
-    def oscillations(self, alphabet: Alphabet,
-                     cap: int = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
+    def oscillations(self, alphabet: Alphabet) -> np.ndarray:
         """Per site of `sites`, the largest |g(s) - g(s')| over configuration
         pairs differing there only: max - min along that site's axis of the
         grid of its group."""
@@ -77,21 +77,20 @@ class LocalFunction:
         out = np.empty(len(self.sites))
         for group in self.groups or (self.sites,):
             cols = [column[s] for s in group]
-            grid = value_grid(self, alphabet, cols, cap)
+            grid = value_grid(self, alphabet, cols)
             out[cols] = [np.ptp(grid, axis=a).max() for a in range(len(cols))]
         return out
 
-    def variation(self, x: Site, alphabet: Alphabet,
-                  cap: int = DEFAULT_ENUMERATION_CAP) -> float:
+    def variation(self, x: Site, alphabet: Alphabet) -> float:
         """Largest |g(s) - g(s')| over configuration pairs differing at x only."""
         x = tuple(x)
         if x not in self.sites:
             return 0.0
-        return float(self.oscillations(alphabet, cap)[self.sites.index(x)])
+        return float(self.oscillations(alphabet)[self.sites.index(x)])
 
 
-def value_grid(g: LocalFunction, alphabet: Alphabet, columns: Sequence[int] | None = None,
-               cap: int = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
+def value_grid(g: LocalFunction, alphabet: Alphabet,
+               columns: Sequence[int] | None = None) -> np.ndarray:
     """g on every configuration of the sites `g.sites[c]` for c in `columns`
     (default: all of them), the other sites held at the alphabet's first
     value; one axis per column, in the order given.
@@ -101,8 +100,8 @@ def value_grid(g: LocalFunction, alphabet: Alphabet, columns: Sequence[int] | No
     """
     columns = list(range(len(g.sites)) if columns is None else columns)
     k, n = alphabet.size, len(columns)
-    if k ** n > cap:
-        raise CapacityError(f"{g.name} needs {k}^{n} evaluations, cap is {cap}")
+    if k ** n > ENUMERATION_CAP:
+        raise CapacityError(f"{g.name} needs {k}^{n} evaluations, cap is {ENUMERATION_CAP}")
     values = np.asarray(alphabet.values, dtype=float)
     tail = n
     while tail > 0 and k ** tail > _BLOCK:
@@ -131,8 +130,8 @@ class DeltaVector:
         return self.l2 ** 2
 
 
-def delta_vector(g: LocalFunction, volume_sites: Sequence[Site], alphabet: Alphabet,
-                 cap: int = DEFAULT_ENUMERATION_CAP) -> DeltaVector:
+def delta_vector(g: LocalFunction, volume_sites: Sequence[Site],
+                 alphabet: Alphabet) -> DeltaVector:
     """Exact oscillation vector of g along an ordered volume."""
     volume = tuple(tuple(s) for s in volume_sites)
     position = {s: i for i, s in enumerate(volume)}
@@ -140,7 +139,7 @@ def delta_vector(g: LocalFunction, volume_sites: Sequence[Site], alphabet: Alpha
     if missing:
         raise ValueError(f"observable {g.name} depends on sites outside the volume: {missing}")
     per_site = np.zeros(len(volume))
-    per_site[[position[s] for s in g.sites]] = g.oscillations(alphabet, cap)
+    per_site[[position[s] for s in g.sites]] = g.oscillations(alphabet)
     return DeltaVector(
         sites=volume,
         per_site=per_site,

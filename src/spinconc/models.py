@@ -1,8 +1,9 @@
 """Finite-volume models: exact joints, conditionals, samplers, sensitivity data.
 
 Every model lives on a finite, enumeration-ordered site tuple and exposes
-unnormalized log weights over full configurations; Gibbs models also give
-single-site conditionals given the rest of the volume.  Small volumes are
+unnormalized log weights over full configurations; Gibbs models also give,
+through `GibbsModel.local_conditionals`, one table of a site's conditional
+laws over every context of the sites it shares a term with.  Small volumes are
 handled exactly through `ExactJoint`; `glauber_batch` draws product and
 Markov models exactly and runs binary nearest-neighbor Gibbs models through
 one heat-bath kernel.
@@ -10,7 +11,6 @@ one heat-bath kernel.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -23,7 +23,7 @@ from spinconc.errors import (
     _integer,
     _real,
 )
-from spinconc.fields import SPIN, Alphabet, LocalFunction, value_grid
+from spinconc.fields import ENUMERATION_CAP, SPIN, Alphabet, LocalFunction, value_grid
 from spinconc.lattice import (
     Site,
     rect_sites,
@@ -33,8 +33,6 @@ from spinconc.lattice import (
 
 #: literature value for the critical density of 2D site percolation
 SITE_PERCOLATION_PC_2D = 0.5927
-
-DEFAULT_JOINT_CAP = 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -93,12 +91,11 @@ class ExactJoint:
             log_z=self.log_z + float(np.log(mass)),
         )
 
-    def function_table(self, g: LocalFunction,
-                       cap: int = DEFAULT_JOINT_CAP) -> np.ndarray:
+    def function_table(self, g: LocalFunction) -> np.ndarray:
         """Values of g on every configuration, broadcast to the joint's shape:
         `value_grid` over g's own sites, moved onto their axes."""
         axes = [self.site_axis(s) for s in g.sites]
-        grid = value_grid(g, self.alphabet, cap=cap)
+        grid = value_grid(g, self.alphabet)
         return np.broadcast_to(_on_axes(grid, axes, self.n_sites), self.probs.shape)
 
     def expectation(self, table: np.ndarray) -> float:
@@ -149,18 +146,12 @@ class GibbsModel(Model):
     """
 
     def __init__(self, sites: Sequence[Site], terms, beta: float,
-                 alphabet: Alphabet = SPIN, name: str = "gibbs",
-                 boundary_label: str = ""):
+                 alphabet: Alphabet = SPIN, name: str = "gibbs"):
         self.sites = tuple(tuple(s) for s in sites)
         self.alphabet = alphabet
         self.beta = float(beta)
         self.terms = [(tuple(axes), np.asarray(table, dtype=float)) for axes, table in terms]
         self.name = name
-        self.boundary_label = boundary_label
-        self._by_site: dict[int, list] = {}
-        for axes, table in self.terms:
-            for a in axes:
-                self._by_site.setdefault(a, []).append((axes, table))
         # set by the nearest-neighbor constructors; enables vectorized sampling
         self.nn_index: list[np.ndarray] | None = None
         self.boundary_field: np.ndarray | None = None
@@ -172,31 +163,26 @@ class GibbsModel(Model):
             out += -self.beta * _on_axes(table, axes, self.n_sites)
         return out
 
-    def site_conditional(self, idx: int, config: Sequence) -> np.ndarray:
-        """Conditional law at position idx given the rest of the volume.
+    def local_conditionals(self, idx: int) -> tuple[list[int], np.ndarray]:
+        """The conditional laws at position idx over every context.
 
-        `config` holds symbol indices (the entry at idx is ignored); an
-        unassigned (None) entry that the conditional actually needs is an
-        error.
+        `dep` lists, sorted, the positions that share a term with idx, and
+        `table[c..., a]` is the probability of symbol a at idx given symbols
+        c at `dep`: shape (k,) * len(dep) + (k,).  Every term that holds idx
+        is added, in term order, onto the (dep..., idx) axes.  More than
+        2^16 contexts is a CapacityError.
         """
         k = self.alphabet.size
-        energy = np.zeros(k)
-        for axes, table in self._by_site.get(idx, []):
-            pos = axes.index(idx)
-            index: list = []
-            for j, a in enumerate(axes):
-                if j == pos:
-                    index.append(slice(None))
-                else:
-                    c = config[a]
-                    if c is None:
-                        raise ValueError(
-                            f"site {self.sites[a]} must be assigned to condition at {self.sites[idx]}"
-                        )
-                    index.append(int(c))
-            energy += table[tuple(index)]
-        w = np.exp(-self.beta * (energy - energy.min()))
-        return w / w.sum()
+        held = [(axes, table) for axes, table in self.terms if idx in axes]
+        dep = sorted({a for axes, _ in held for a in axes} - {idx})
+        if k ** len(dep) > 2**16:
+            raise CapacityError("dependency enumeration too large")
+        local = {a: i for i, a in enumerate(dep + [idx])}
+        energy = np.zeros((k,) * (len(dep) + 1))
+        for axes, table in held:
+            energy += _on_axes(table, [local[a] for a in axes], energy.ndim)
+        w = np.exp(-self.beta * (energy - energy.min(axis=-1, keepdims=True)))
+        return dep, w / w.sum(axis=-1, keepdims=True)
 
 
 class ProductModel(Model):
@@ -306,8 +292,7 @@ def ising_model(sites: Sequence[Site], beta: float, boundary="plus",
 
     label = boundary if isinstance(boundary, str) else "explicit"
     model = GibbsModel(ordered, terms, beta, alphabet,
-                       name=name or f"ising{_shape_label(ordered)}_b{beta:g}_{label}",
-                       boundary_label=label)
+                       name=name or f"ising{_shape_label(ordered)}_b{beta:g}_{label}")
     model.nn_index = nn_index
     model.boundary_field = bfield
     return model
@@ -360,11 +345,11 @@ def iid_spins(n_sites: int | Sequence[Site], p_plus: float = 0.5,
 # exact joint construction
 # ---------------------------------------------------------------------------
 
-def exact_joint(model: Model, cap: int = DEFAULT_JOINT_CAP) -> ExactJoint:
+def exact_joint(model: Model) -> ExactJoint:
     k = model.alphabet.size
-    if k ** model.n_sites > cap:
+    if k ** model.n_sites > ENUMERATION_CAP:
         raise CapacityError(
-            f"exact joint needs {k}^{model.n_sites} states, cap is {cap}"
+            f"exact joint needs {k}^{model.n_sites} states, cap is {ENUMERATION_CAP}"
         )
     logw = model.log_weight_table()
     peak = logw.max()
@@ -611,58 +596,24 @@ class DobrushinData:
         return float(self.p_tv.max())
 
 
-def _dependency_sets(model: GibbsModel) -> list[set[int]]:
-    deps: list[set[int]] = [set() for _ in range(model.n_sites)]
-    for axes, _ in model.terms:
-        for a in axes:
-            deps[a].update(b for b in axes if b != a)
-    return deps
-
-
-def _conditionals_over_contexts(model: GibbsModel, idx: int, dep: list[int],
-                                cap: int = 2**16) -> np.ndarray:
-    """Conditional laws at idx for every assignment of its dependency set."""
-    k = model.alphabet.size
-    if k ** len(dep) > cap:
-        raise CapacityError("dependency enumeration too large")
-    config: list = [0] * model.n_sites
-    out = np.empty((k ** len(dep), k))
-    for row, assign in enumerate(itertools.product(range(k), repeat=len(dep))):
-        for a, c in zip(dep, assign):
-            config[a] = c
-        out[row] = model.site_conditional(idx, config)
-    return out
+def _max_tv(laws: np.ndarray) -> float:
+    """Largest total-variation distance between `laws[a][i]` and `laws[b][i]`
+    over a, b and every index i of the middle axes (laws run along the last)."""
+    return 0.5 * np.abs(laws[:, None] - laws[None, :]).sum(axis=-1).max()
 
 
 def dobrushin_matrix(model: GibbsModel) -> DobrushinData:
-    """Exact influence matrix by enumeration of dependency neighborhoods."""
+    """Exact influence matrix from each site's `local_conditionals` table."""
     m = model.n_sites
     k = model.alphabet.size
-    deps = _dependency_sets(model)
     influence_tv = np.zeros((m, m))
     p_tv = np.zeros(m)
     for x in range(m):
-        dep = sorted(deps[x])
-        conds = _conditionals_over_contexts(model, x, dep)
-        if len(dep) == 0:
-            continue
-        shape = (k,) * len(dep)
-        conds = conds.reshape(shape + (k,))
+        dep, table = model.local_conditionals(x)
         # sup over all context pairs, for the site-level quantity
-        flat = conds.reshape(-1, k)
-        p_tv[x] = max(
-            0.5 * np.abs(flat[:, None, :] - flat[None, :, :]).sum(axis=2).max(),
-            0.0,
-        )
+        p_tv[x] = _max_tv(table.reshape(-1, k))
         for j, y in enumerate(dep):
-            moved = np.moveaxis(conds, j, 0)
-            rest = moved.reshape(k, -1, k)
-            best = 0.0
-            for a in range(k):
-                for b in range(a + 1, k):
-                    tv = 0.5 * np.abs(rest[a] - rest[b]).sum(axis=1).max()
-                    best = max(best, tv)
-            influence_tv[x, y] = best
+            influence_tv[x, y] = _max_tv(np.moveaxis(table, j, 0).reshape(k, -1, k))
     influence = 2.0 * influence_tv
     row_max = float(influence.sum(axis=1).max())
     return DobrushinData(

@@ -118,6 +118,10 @@ def test_unknown_subcommand_is_exit_2(tmp_path, capsys):
     ("hightemp", {"seed": 1, "rows": "8"}),
     # a majority needs between one site and the whole volume
     ("tail", {"seed": 1, "function": {"kind": "majority", "count": 0}}),
+    # transport checks its ranges before the first LP
+    ("transport", {"seed": 1, "n_instances": -3, "gibbs_pair": False}),
+    ("transport", {"seed": 1, "support_cap": -4}),
+    ("transport", {"seed": 1, "support_cap": 3}),
 ])
 def test_malformed_config_is_exit_2(tmp_path, capsys, monkeypatch, command, cfg):
     def no_sampling(*args, **kwargs):
@@ -125,7 +129,7 @@ def test_malformed_config_is_exit_2(tmp_path, capsys, monkeypatch, command, cfg)
 
     for module, name in ((models, "glauber_batch"), (models, "glauber_block_batch"),
                          (coupling, "coupled_glauber_disagreement"),
-                         (models, "exact_joint")):
+                         (coupling, "kr_optimal_coupling"), (models, "exact_joint")):
         monkeypatch.setattr(module, name, no_sampling)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))

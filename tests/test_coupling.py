@@ -228,7 +228,7 @@ def test_sampler_first_disagreement_histogram():
 def test_tree_capacity_guard():
     joint = exact_joint(iid_spins(14))
     with pytest.raises(CapacityError):
-        sequential_coupling_tree(joint, joint, cap=2 ** 20)
+        sequential_coupling_tree(joint, joint)
 
 
 # ---------------------------------------------------------------------------

@@ -95,14 +95,14 @@ def test_enumeration_cap():
     sites = segment_sites(30)
     g = LocalFunction("wide", sites, lambda m: m.sum(axis=1))
     with pytest.raises(CapacityError):
-        g.variation((0,), SPIN, cap=2**10)
+        g.variation((0,), SPIN)
 
 
 def test_separable_terms_bypass_cap():
     # same function declared as a sum over disjoint single sites: exact and cheap
     sites = segment_sites(30)
     g = total_spin(sites)
-    assert g.variation((17,), SPIN, cap=2**10) == pytest.approx(2.0)
+    assert g.variation((17,), SPIN) == pytest.approx(2.0)
 
 
 def test_delta_vector_requires_volume_support():

@@ -103,7 +103,8 @@ def test_single_site_conditional_four_plus_neighbors():
     model = ising_rect(3, 3, beta, "plus")
     center = model.sites.index((0, 0))
     config = [SPIN.index("+")] * model.n_sites
-    p = model.site_conditional(center, config)
+    dep, table = model.local_conditionals(center)
+    p = table[tuple(config[a] for a in dep)]
     want = exp(4 * beta) / (exp(4 * beta) + exp(-4 * beta))
     assert p[SPIN.index("+")] == pytest.approx(want, rel=1e-12)
 
@@ -128,7 +129,7 @@ def test_degenerate_conditioning_raises():
 
 def test_capacity_guard():
     with pytest.raises(CapacityError):
-        exact_joint(iid_spins(25), cap=2**20)
+        exact_joint(iid_spins(25))
 
 
 @pytest.mark.parametrize("alphabet, n", [(SPIN, 13),
@@ -178,7 +179,8 @@ def test_heat_bath_detailed_balance():
     for _ in range(20):
         cfg = list(rng.integers(0, 2, size=4))
         i = int(rng.integers(4))
-        p = model.site_conditional(i, cfg)
+        dep, table = model.local_conditionals(i)
+        p = table[tuple(cfg[a] for a in dep)]
         for a in range(2):
             for b in range(2):
                 ca, cb = list(cfg), list(cfg)
@@ -186,6 +188,31 @@ def test_heat_bath_detailed_balance():
                 lhs = exp(logw[tuple(ca)]) * p[b]
                 rhs = exp(logw[tuple(cb)]) * p[a]
                 assert lhs == pytest.approx(rhs, rel=1e-10)
+
+
+def test_local_conditionals_match_the_joint():
+    # 7 ternary sites: random pair tables on a ring and a chord, a field at
+    # every site and one three-site term with its axes out of order
+    rng = np.random.default_rng(11)
+    alphabet = Alphabet(("a", "b", "c"), (0.0, 0.5, 2.0))
+    n, k = 7, 3
+    pairs = [(i, (i + 1) % n) for i in range(n)] + [(2, 5)]
+    terms = [(pair, rng.normal(size=(k, k))) for pair in pairs]
+    terms += [((i,), rng.normal(size=k)) for i in range(n)]
+    terms.append(((6, 1, 3), rng.normal(size=(k, k, k))))
+    model = GibbsModel(segment_sites(n), terms, 0.8, alphabet)
+    probs = exact_joint(model).probs
+    configs = np.indices((k,) * n).reshape(n, -1)
+    data = dobrushin_matrix(model)
+    for x in range(n):
+        dep, table = model.local_conditionals(x)
+        cond = probs / probs.sum(axis=x, keepdims=True)
+        got = table[tuple(configs[dep]) + (configs[x],)]
+        assert np.abs(got - cond[tuple(configs)]).max() <= 1e-12
+        # brute force: every pair of contexts of the other six sites
+        laws = np.moveaxis(cond, x, -1).reshape(-1, k)
+        tv = 0.5 * np.abs(laws[:, None] - laws[None, :]).sum(axis=-1)
+        assert data.p_tv[x] == pytest.approx(tv.max(), abs=1e-12)
 
 
 def test_glauber_matches_exact_mean_3x3():
@@ -369,7 +396,7 @@ def test_site_influence_p_values():
 def test_model_from_config_roundtrip():
     m1 = model_from_config({"kind": "ising", "volume": [2, 3], "beta": 0.5,
                             "boundary": "minus"})
-    assert m1.n_sites == 6 and m1.boundary_label == "minus"
+    assert m1.n_sites == 6 and m1.name == "ising[2x3]_b0.5_minus"
     m2 = model_from_config({"kind": "ising", "volume": {"segment": 5}, "beta": 0.2})
     assert m2.n_sites == 5
     m3 = model_from_config({"kind": "iid", "n_sites": 4, "p_plus": 0.3})

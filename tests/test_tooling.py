@@ -1,11 +1,14 @@
-"""The benchmark's span tracer patches attributes that exist."""
+"""Static checks on the package: the benchmark's span tracer patches
+attributes that exist, and no module imports a name it never uses."""
 
+import ast
 import importlib
 import importlib.util
 import sys
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
 
 
 def test_span_targets_resolve_in_the_package(monkeypatch):
@@ -21,3 +24,24 @@ def test_span_targets_resolve_in_the_package(monkeypatch):
         for part in attr.split("."):
             assert hasattr(obj, part), f"spinconc.{module}.{attr} does not exist"
             obj = getattr(obj, part)
+
+
+def test_package_modules_use_every_import():
+    for path in sorted((ROOT / "src" / "spinconc").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):  # names re-exported through __all__
+            if (isinstance(node, ast.Assign)
+                    and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+                used.update(ast.literal_eval(node.value))
+        unused = sorted(f"{name} (line {line})" for name, line in imported.items()
+                        if name not in used)
+        assert not unused, f"{path.name} imports names it never uses: {unused}"
