@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import special
 
 from spinconc.errors import ConvergenceError
 from spinconc.fields import LocalFunction
@@ -38,7 +39,6 @@ class MartingaleDecomposition:
     """
 
     joint: ExactJoint
-    g: LocalFunction
     g_table: np.ndarray
     mean: float
     increments: np.ndarray
@@ -100,7 +100,7 @@ def martingale_decomposition(joint: ExactJoint, g: LocalFunction) -> MartingaleD
         cond = np.broadcast_to(cond, p.shape)
         increments[i] = np.where(support, cond - prev, 0.0)
         prev = np.where(den > 0, cond, prev)
-    return MartingaleDecomposition(joint, g, g_table, mean, increments, support)
+    return MartingaleDecomposition(joint, g_table, mean, increments, support)
 
 
 # ---------------------------------------------------------------------------
@@ -118,29 +118,14 @@ def operator_norm_l2(matrix: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# zeta via Euler-Maclaurin
+# zeta
 # ---------------------------------------------------------------------------
 
-_BERNOULLI = ((1 / 6, 2), (-1 / 30, 4), (1 / 42, 6), (-1 / 30, 8),
-              (5 / 66, 10), (-691 / 2730, 12), (7 / 6, 14), (-3617 / 510, 16))
-
-
-def riemann_zeta(s: float, n_direct: int = 50) -> float:
-    """zeta(s) for real s > 1: direct sum plus Euler-Maclaurin tail.
-
-    With 50 direct terms and Bernoulli corrections through order 16 the
-    absolute error is far below 1e-12 for every s > 1.
-    """
+def riemann_zeta(s: float) -> float:
+    """zeta(s) for real s > 1, from `scipy.special.zeta`."""
     if s <= 1.0:
         raise ValueError("zeta(s) diverges for s <= 1")
-    n = n_direct
-    acc = sum(k ** (-s) for k in range(1, n))
-    acc += n ** (1.0 - s) / (s - 1.0) + 0.5 * n ** (-s)
-    rising = s
-    for b, two_j in _BERNOULLI:
-        acc += b / math.factorial(two_j) * rising * n ** (-(s + two_j - 1.0))
-        rising *= (s + two_j - 1.0) * (s + two_j)
-    return acc
+    return float(special.zeta(s))
 
 
 # ---------------------------------------------------------------------------
@@ -178,40 +163,36 @@ class OrliczSpec:
         return np.exp(expo) - math.exp(min(h ** self.rho, _EXP_CAP))
 
 
-def luxembourg_norm(values, probs=None, rho: float = 1.0,
-                    rtol: float = 1e-9, max_expand: int = 600) -> float:
-    """Smallest lambda with E[phi(|Z|/lambda)] <= 1, by bracketed bisection.
+def luxembourg_norm(values, rho: float = 1.0) -> float:
+    """Smallest lambda with E[phi(|Z|/lambda)] <= 1 over equally weighted
+    samples `values`, by bracketed bisection to a relative width of 1e-9.
 
-    `values`/`probs` describe a finite distribution; omit `probs` for equally
-    weighted samples.  Returns the feasible (upper) end of the bracket, so the
-    moment condition holds at the result.
+    Returns the feasible (upper) end of the bracket, so the moment condition
+    holds at the result.  More than 600 doublings of the upper end is a
+    ConvergenceError.
     """
     z = np.abs(np.asarray(values, dtype=float))
-    if probs is None:
-        probs = np.full(z.shape, 1.0 / z.size)
-    else:
-        probs = np.asarray(probs, dtype=float)
-        probs = probs / probs.sum()
-    if z[probs > 0].size == 0 or float(z[probs > 0].max()) == 0.0:
+    probs = np.full(z.shape, 1.0 / z.size)
+    hi = float(z.max())
+    if hi == 0.0:
         return 0.0
     spec = OrliczSpec(rho)
 
     def moment(lam: float) -> float:
         return float((probs * spec.phi(z / lam)).sum())
 
-    hi = float(z[probs > 0].max())
     expansions = 0
     while moment(hi) > 1.0:
         hi *= 2.0
         expansions += 1
-        if expansions > max_expand:
+        if expansions > 600:
             raise ConvergenceError("no finite Luxembourg norm below the expansion cap")
     lo = hi / 2.0
     while moment(lo) <= 1.0:
         lo /= 2.0
         if lo < 1e-300:
             return hi if moment(hi) <= 1.0 else 0.0
-    while hi - lo > rtol * hi:
+    while hi - lo > 1e-9 * hi:
         mid = 0.5 * (lo + hi)
         if moment(mid) <= 1.0:
             hi = mid
@@ -248,23 +229,19 @@ def moment_bound(p: int, moment_norm_2p: float, delta_l2: float) -> float:
     return (20.0 * p) ** (2 * p) * moment_norm_2p ** (2 * p) * delta_l2 ** (2 * p)
 
 
-def profile_norm_bound(p: int, ell0_tail, psi, ell0_tail_rest: float = 0.0,
-                     psi_rest: float = 0.0) -> float:
+def profile_norm_bound(p: int, ell0_tail, psi) -> float:
     """Norm bound sum_j P(ell0 >= j)^(1/2p) + ||psi||_1 for tail-profiled rows.
 
-    `ell0_tail[j-1]` holds P(ell0 >= j); the `_rest` arguments carry certified
-    bounds on the truncated remainders (they are added, never dropped).
+    `ell0_tail[j-1]` holds P(ell0 >= j); both arrays must reach every j where
+    they can be nonzero, since nothing is added for a truncated remainder.
     """
     if p < 1:
         raise ValueError("p must be a positive integer")
-    if ell0_tail_rest < 0 or psi_rest < 0:
-        raise ValueError("remainder bounds must be nonnegative")
     tail = np.asarray(ell0_tail, dtype=float)
     psi = np.asarray(psi, dtype=float)
     if np.any(tail < 0) or np.any(psi < 0):
         raise ValueError("tail and psi entries must be nonnegative")
-    return float((tail ** (1.0 / (2 * p))).sum() + ell0_tail_rest
-                 + psi.sum() + psi_rest)
+    return float((tail ** (1.0 / (2 * p))).sum() + psi.sum())
 
 
 def profile_moment_bound(p: int, eps: float, ell0_moment: float, psi_l1: float,

@@ -86,7 +86,6 @@ class CouplingRowBand:
     All three take the worst case over symbol pairs at coordinate i.
     """
 
-    i: int
     value: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
@@ -106,7 +105,7 @@ def coupling_rows_all(joint: ExactJoint, i: int) -> CouplingRowBand:
     lower = np.zeros((n_past, m))
     upper = np.zeros((n_past, m))
     value[:, i] = lower[:, i] = upper[:, i] = 1.0
-    band = CouplingRowBand(i, value, lower, upper, _past_mass(joint, i))
+    band = CouplingRowBand(value, lower, upper, _past_mass(joint, i))
     if i == m - 1:
         return band
     t = joint.probs.reshape(n_past, k, -1)
@@ -152,7 +151,6 @@ def past_index(sigma, i: int, k: int) -> int:
 class CouplingMatrices:
     """Canonical coupling matrix of one configuration, with its two envelopes."""
 
-    sigma: tuple[int, ...]
     value: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
@@ -170,7 +168,7 @@ def coupling_matrix_exact(joint: ExactJoint, sigma) -> CouplingMatrices:
         value[i] = band.value[w]
         lower[i] = band.lower[w]
         upper[i] = band.upper[w]
-    return CouplingMatrices(sigma, value, lower, upper)
+    return CouplingMatrices(value, lower, upper)
 
 
 @dataclass
@@ -327,7 +325,6 @@ def sequential_coupling_sample(ja: ExactJoint, jb: ExactJoint, n_samples: int,
 @dataclass
 class PairGlauberResult:
     sites: tuple[Site, ...]
-    frozen_index: int
     n_samples: int
     sweeps: int
     disagree: np.ndarray
@@ -358,7 +355,7 @@ def coupled_glauber_disagreement(model: GibbsModel, n_samples: int, sweeps: int,
         dn_sum += dn.sum(axis=1)
     p_hat = (up_sum - dn_sum) / n_samples
     se = np.sqrt(np.clip(p_hat * (1.0 - p_hat), 0.0, None) / n_samples)
-    return PairGlauberResult(model.sites, frozen, n_samples, sweeps, p_hat, se,
+    return PairGlauberResult(model.sites, n_samples, sweeps, p_hat, se,
                              2.0 * up_sum / n_samples - 1.0,
                              2.0 * dn_sum / n_samples - 1.0, violations)
 
@@ -413,21 +410,20 @@ def kr_optimal_coupling(p, q, cost, lp_cap: int = 2 ** 22) -> TransportPlan:
                          marg_err)
 
 
-def joint_atoms(joint: ExactJoint, tol: float = 0.0):
+def joint_atoms(joint: ExactJoint):
     """Positive-probability configurations as (value matrix, probabilities)."""
     flat = joint.probs.reshape(-1)
-    keep = np.nonzero(flat > tol)[0]
+    keep = np.nonzero(flat > 0.0)[0]
     digits = np.array(np.unravel_index(keep, joint.probs.shape)).T
     vals = np.asarray(joint.alphabet.values)[digits]
     return vals, flat[keep]
 
 
-def kr_distance(joint_p: ExactJoint, joint_q: ExactJoint, phi,
-                lp_cap: int = 2 ** 22) -> TransportPlan:
+def kr_distance(joint_p: ExactJoint, joint_q: ExactJoint, phi) -> TransportPlan:
     phi = np.asarray(phi, dtype=float)
     vp, pp = joint_atoms(joint_p)
     vq, qq = joint_atoms(joint_q)
-    return kr_optimal_coupling(pp, qq, transport_cost(vp, vq, phi), lp_cap=lp_cap)
+    return kr_optimal_coupling(pp, qq, transport_cost(vp, vq, phi))
 
 
 # ---------------------------------------------------------------------------
@@ -438,8 +434,6 @@ def kr_distance(joint_p: ExactJoint, joint_q: ExactJoint, phi,
 class TransportChainRow:
     function: str
     premise_ok: bool
-    mean_gap: float
-    disagreement_budget: float
     ok: bool
 
 
@@ -447,7 +441,6 @@ class TransportChainRow:
 class TransportChainReport:
     rho: np.ndarray
     phi: np.ndarray
-    transport_cost: float
     dual_gap: float
     plan_weighted_disagreement: float
     tree_weighted_disagreement: float
@@ -460,8 +453,7 @@ class TransportChainReport:
 
 
 def verify_transport_chain(joint_p: ExactJoint, joint_q: ExactJoint,
-                   functions: list[LocalFunction], phi,
-                   tol: float = 1e-9) -> TransportChainReport:
+                   functions: list[LocalFunction], phi) -> TransportChainReport:
     """Check the mean-difference / disagreement chain on an exact pair.
 
     rho comes from the sequential coupling of the two laws, so every claim
@@ -470,6 +462,7 @@ def verify_transport_chain(joint_p: ExactJoint, joint_q: ExactJoint,
     never exceeds the sequential coupling's cost; and the optimal plan's
     phi-weighted disagreement never exceeds the sequential coupling's.
     """
+    tol = 1e-9
     phi = np.asarray(phi, dtype=float)
     tree = sequential_coupling_tree(joint_p, joint_q)
     rho = tree.disagree
@@ -490,14 +483,14 @@ def verify_transport_chain(joint_p: ExactJoint, joint_q: ExactJoint,
         gq = joint_q.expectation(joint_q.function_table(g))
         gap = abs(gp - gq)
         budget = float((dv.per_site * rho).sum())
-        rows.append(TransportChainRow(g.name, premise_ok, gap, budget,
+        rows.append(TransportChainRow(g.name, premise_ok,
                                premise_ok and gap <= budget + tol))
     vals = np.asarray(joint_p.alphabet.values)
     span = float(vals.max() - vals.min())
     transport_ok = (plan.dual_gap <= tol
                     and plan_dis <= tree_dis + tol
                     and plan.cost <= span * tree_dis + tol)
-    return TransportChainReport(rho, phi, plan.cost, plan.dual_gap, plan_dis,
+    return TransportChainReport(rho, phi, plan.dual_gap, plan_dis,
                          tree_dis, transport_ok, rows)
 
 
@@ -509,19 +502,15 @@ def verify_transport_chain(joint_p: ExactJoint, joint_q: ExactJoint,
 class TailProfile:
     """Row-tail data: P(ell0 >= j) and the long-range profile psi(j).
 
-    Truncation remainders are certified upper bounds on what the arrays drop;
-    `norm_bound` adds them, so growing the arrays can only tighten the result.
+    The arrays must reach every j where either can be nonzero: `norm_bound`
+    sums them and adds nothing for what lies beyond.
     """
 
     ell0_tail: np.ndarray
     psi: np.ndarray
-    ell0_rest: float = 0.0
-    psi_rest: float = 0.0
 
     def norm_bound(self, p: int) -> float:
-        return profile_norm_bound(p, self.ell0_tail, self.psi,
-                                ell0_tail_rest=self.ell0_rest,
-                                psi_rest=self.psi_rest)
+        return profile_norm_bound(p, self.ell0_tail, self.psi)
 
 
 def tail_from_samples(ell0_samples: np.ndarray, j_max: int) -> np.ndarray:

@@ -1,12 +1,14 @@
 """Finite-volume models: exact joints, conditionals, samplers, sensitivity data.
 
-Every model lives on a finite, enumeration-ordered site tuple and exposes
-unnormalized log weights over full configurations; Gibbs models also give,
-through `GibbsModel.local_conditionals`, one table of a site's conditional
-laws over every context of the sites it shares a term with.  Small volumes are
-handled exactly through `ExactJoint`; `glauber_batch` draws product and
-Markov models exactly and runs binary nearest-neighbor Gibbs models through
-one heat-bath kernel.
+Every model is a `GibbsModel` on a finite, enumeration-ordered site tuple: a
+sum of local energy terms, which `log_weight_table` turns into unnormalized
+log weights over full configurations and `local_conditionals` into one table
+of a site's conditional laws over every context of the sites it shares a term
+with.  Product models and Markov chains are Gibbs models at beta = 1 whose
+terms are negated log marginals, or a negated log initial law and log
+transitions.  Small volumes are handled exactly through `ExactJoint`;
+`glauber_batch` draws product and Markov models exactly and runs binary
+nearest-neighbor Gibbs models through one heat-bath kernel.
 """
 
 from __future__ import annotations
@@ -44,13 +46,12 @@ class ExactJoint:
     """Normalized law over all configurations of a finite ordered volume.
 
     `probs` has one axis per site, in enumeration order, each of length
-    `alphabet.size`; `log_z` is the log normalizer of the defining weights.
+    `alphabet.size`.
     """
 
     sites: tuple[Site, ...]
     alphabet: Alphabet
     probs: np.ndarray
-    log_z: float
     _prefix_cache: list = field(default_factory=list, repr=False)
 
     @property
@@ -88,7 +89,6 @@ class ExactJoint:
             sites=self.sites[len(prefix):],
             alphabet=self.alphabet,
             probs=sub / mass,
-            log_z=self.log_z + float(np.log(mass)),
         )
 
     def function_table(self, g: LocalFunction) -> np.ndarray:
@@ -111,21 +111,6 @@ class ExactJoint:
 # model classes
 # ---------------------------------------------------------------------------
 
-class Model:
-    """Base class: unnormalized log weights over full configurations."""
-
-    alphabet: Alphabet
-    sites: tuple[Site, ...]
-    name: str
-
-    @property
-    def n_sites(self) -> int:
-        return len(self.sites)
-
-    def log_weight_table(self) -> np.ndarray:
-        raise NotImplementedError
-
-
 def _on_axes(table: np.ndarray, axes: Sequence[int], ndim: int) -> np.ndarray:
     """`table`, one axis per entry of `axes`, reshaped to broadcast over
     `ndim` axes with its own axes at `axes`."""
@@ -135,7 +120,7 @@ def _on_axes(table: np.ndarray, axes: Sequence[int], ndim: int) -> np.ndarray:
     return np.transpose(table, np.argsort(axes)).reshape(shape)
 
 
-class GibbsModel(Model):
+class GibbsModel:
     """Finite-volume Gibbs law: weight(sigma) = exp(-beta * H(sigma)).
 
     The energy H is a sum of local terms.  Terms are stored already folded
@@ -155,6 +140,10 @@ class GibbsModel(Model):
         # set by the nearest-neighbor constructors; enables vectorized sampling
         self.nn_index: list[np.ndarray] | None = None
         self.boundary_field: np.ndarray | None = None
+
+    @property
+    def n_sites(self) -> int:
+        return len(self.sites)
 
     def log_weight_table(self) -> np.ndarray:
         k = self.alphabet.size
@@ -185,55 +174,44 @@ class GibbsModel(Model):
         return dep, w / w.sum(axis=-1, keepdims=True)
 
 
-class ProductModel(Model):
-    """Independent coordinates with prescribed per-site marginals."""
+def _neg_log(p: np.ndarray) -> np.ndarray:
+    """-log p, +inf where p is 0: an energy at beta = 1."""
+    with np.errstate(divide="ignore"):
+        return -np.log(p)
+
+
+class ProductModel(GibbsModel):
+    """Independent coordinates with prescribed per-site marginals: the Gibbs
+    law at beta = 1 whose term at site i is -log marginals[i]."""
 
     def __init__(self, sites: Sequence[Site], marginals: np.ndarray,
                  alphabet: Alphabet = SPIN, name: str = "product"):
-        self.sites = tuple(tuple(s) for s in sites)
-        self.alphabet = alphabet
         self.marginals = np.asarray(marginals, dtype=float)
-        if self.marginals.shape != (len(self.sites), alphabet.size):
+        if self.marginals.shape != (len(sites), alphabet.size):
             raise ValueError("marginals must have shape (n_sites, alphabet size)")
         if not np.allclose(self.marginals.sum(axis=1), 1.0, atol=1e-12):
             raise ValueError("each marginal must sum to one")
-        self.name = name
-
-    def log_weight_table(self) -> np.ndarray:
-        k = self.alphabet.size
-        out = np.zeros((k,) * self.n_sites)
-        with np.errstate(divide="ignore"):
-            logs = np.log(self.marginals)
-        for i in range(self.n_sites):
-            out += _on_axes(logs[i], (i,), self.n_sites)
-        return out
+        energy = _neg_log(self.marginals)
+        super().__init__(sites, [((i,), e) for i, e in enumerate(energy)], 1.0,
+                         alphabet, name)
 
 
-class MarkovChainModel(Model):
-    """One-dimensional chain: initial law and a shared transition matrix."""
+class MarkovChainModel(GibbsModel):
+    """Spin chain with an initial law and a shared transition matrix: the
+    Gibbs law at beta = 1 with -log initial at site 0 and -log transition on
+    each (i, i + 1)."""
 
     def __init__(self, n: int, initial: np.ndarray, transition: np.ndarray,
-                 alphabet: Alphabet = SPIN, name: str = "markov"):
-        self.sites = segment_sites(n)
-        self.alphabet = alphabet
+                 name: str = "markov"):
         self.initial = np.asarray(initial, dtype=float)
         self.transition = np.asarray(transition, dtype=float)
-        k = alphabet.size
-        if self.initial.shape != (k,) or self.transition.shape != (k, k):
-            raise ValueError("initial/transition shape mismatch with the alphabet")
+        if self.initial.shape != (2,) or self.transition.shape != (2, 2):
+            raise ValueError("a spin chain needs initial of shape (2,) and transition (2, 2)")
         if not np.allclose(self.transition.sum(axis=1), 1.0, atol=1e-12):
             raise ValueError("transition rows must sum to one")
-        self.name = name
-
-    def log_weight_table(self) -> np.ndarray:
-        k = self.alphabet.size
-        out = np.zeros((k,) * self.n_sites)
-        with np.errstate(divide="ignore"):
-            li, lt = np.log(self.initial), np.log(self.transition)
-        out += _on_axes(li, (0,), self.n_sites)
-        for i in range(self.n_sites - 1):
-            out += _on_axes(lt, (i, i + 1), self.n_sites)
-        return out
+        step = _neg_log(self.transition)
+        terms = [((0,), _neg_log(self.initial))] + [((i, i + 1), step) for i in range(n - 1)]
+        super().__init__(segment_sites(n), terms, 1.0, SPIN, name)
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +234,7 @@ def _boundary_value(boundary, site: Site, alphabet: Alphabet):
 
 
 def ising_model(sites: Sequence[Site], beta: float, boundary="plus",
-                external_field: float = 0.0, name: str | None = None) -> GibbsModel:
+                external_field: float = 0.0) -> GibbsModel:
     """Ferromagnetic pair model on an arbitrary finite site set.
 
     Energy of a bond is -s_x s_y, so weights are exp(beta * sum of products)
@@ -292,7 +270,7 @@ def ising_model(sites: Sequence[Site], beta: float, boundary="plus",
 
     label = boundary if isinstance(boundary, str) else "explicit"
     model = GibbsModel(ordered, terms, beta, alphabet,
-                       name=name or f"ising{_shape_label(ordered)}_b{beta:g}_{label}")
+                       name=f"ising{_shape_label(ordered)}_b{beta:g}_{label}")
     model.nn_index = nn_index
     model.boundary_field = bfield
     return model
@@ -334,33 +312,25 @@ def ising_segment(n: int, beta: float, boundary="plus",
     return ising_model(segment_sites(n), beta, boundary, external_field)
 
 
-def iid_spins(n_sites: int | Sequence[Site], p_plus: float = 0.5,
-              name: str | None = None) -> ProductModel:
+def iid_spins(n_sites: int | Sequence[Site], p_plus: float = 0.5) -> ProductModel:
     sites = segment_sites(n_sites) if isinstance(n_sites, int) else sort_by_spiral(n_sites)
     marg = np.tile([1.0 - p_plus, p_plus], (len(sites), 1))
-    return ProductModel(sites, marg, SPIN, name=name or f"iid[{len(sites)}]_p{p_plus:g}")
+    return ProductModel(sites, marg, SPIN, name=f"iid[{len(sites)}]_p{p_plus:g}")
 
 
 # ---------------------------------------------------------------------------
 # exact joint construction
 # ---------------------------------------------------------------------------
 
-def exact_joint(model: Model) -> ExactJoint:
+def exact_joint(model: GibbsModel) -> ExactJoint:
     k = model.alphabet.size
     if k ** model.n_sites > ENUMERATION_CAP:
         raise CapacityError(
             f"exact joint needs {k}^{model.n_sites} states, cap is {ENUMERATION_CAP}"
         )
     logw = model.log_weight_table()
-    peak = logw.max()
-    w = np.exp(logw - peak)
-    z = w.sum()
-    return ExactJoint(
-        sites=model.sites,
-        alphabet=model.alphabet,
-        probs=w / z,
-        log_z=float(peak + np.log(z)),
-    )
+    w = np.exp(logw - logw.max())
+    return ExactJoint(sites=model.sites, alphabet=model.alphabet, probs=w / w.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +372,7 @@ def _uniforms24(bit_generator, n: int, carry: np.ndarray):
     return np.right_shift(words, 8, out=words), halves[need:].copy()
 
 
-def _heat_bath(model: Model, n_samples: int, sweeps: int, seed: int,
+def _heat_bath(model: GibbsModel, n_samples: int, sweeps: int, seed: int,
                start: str = "plus", frozen: tuple[int, tuple[int, ...]] | None = None):
     """The heat-bath kernel for binary nearest-neighbor Gibbs models.
 
@@ -435,8 +405,7 @@ def _heat_bath(model: Model, n_samples: int, sweeps: int, seed: int,
     comparisons.  Each leg then only counts its plus neighbors and compares.
     Working memory is one chunk, whatever n_samples is.
     """
-    if not (isinstance(model, GibbsModel) and model.alphabet.size == 2
-            and model.nn_index is not None):
+    if model.alphabet.size != 2 or model.nn_index is None:
         raise ConfigError("heat-bath sampling needs a binary nearest-neighbor Gibbs model")
     if start not in _STARTS:
         raise ConfigError(f"unknown start configuration {start!r}")
@@ -497,7 +466,7 @@ def _inverse_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     return (u[..., None] >= cdf[..., :-1]).sum(axis=-1)
 
 
-def _exact_draws(model: Model, n_samples: int, seed: int):
+def _exact_draws(model: ProductModel | MarkovChainModel, n_samples: int, seed: int):
     """(lo, hi, [ids]) chunks of exact draws; ids is site-major like a leg."""
     m = model.n_sites
     for lo, hi, rng in _chunks(n_samples, seed):
@@ -513,7 +482,7 @@ def _exact_draws(model: Model, n_samples: int, seed: int):
         yield lo, hi, [ids.T]
 
 
-def _collect(model: Model, n_samples: int, chunks) -> np.ndarray:
+def _collect(model: GibbsModel, n_samples: int, chunks) -> np.ndarray:
     values = np.asarray(model.alphabet.values)
     out = np.empty((n_samples, model.n_sites))
     for lo, hi, legs in chunks:
@@ -521,23 +490,21 @@ def _collect(model: Model, n_samples: int, chunks) -> np.ndarray:
     return out
 
 
-def glauber_batch(model: Model, n_samples: int, sweeps: int, seed: int,
+def glauber_batch(model: GibbsModel, n_samples: int, sweeps: int, seed: int,
                   start: str = "plus") -> np.ndarray:
     """Independent draws from the model's law; values (n_samples, n_sites).
 
     Product models are drawn exactly site by site and Markov chains exactly
-    by ancestral sampling (`sweeps` and `start` do not enter); a binary
-    nearest-neighbor Gibbs model runs the heat-bath kernel `_heat_bath`.  Any
-    other model raises ConfigError.
+    by ancestral sampling (`sweeps` and `start` do not enter); every other
+    model goes to the heat-bath kernel `_heat_bath`, which refuses one that
+    is not binary nearest-neighbor with a ConfigError.
     """
     if start not in _STARTS:
         raise ConfigError(f"unknown start configuration {start!r}")
-    if isinstance(model, GibbsModel):
-        chunks = _heat_bath(model, n_samples, sweeps, seed, start)
-    elif isinstance(model, (ProductModel, MarkovChainModel)):
+    if isinstance(model, (ProductModel, MarkovChainModel)):
         chunks = _exact_draws(model, n_samples, seed)
     else:
-        raise ConfigError(f"no sampler for {type(model).__name__}")
+        chunks = _heat_bath(model, n_samples, sweeps, seed, start)
     return _collect(model, n_samples, chunks)
 
 
@@ -598,8 +565,15 @@ class DobrushinData:
 
 def _max_tv(laws: np.ndarray) -> float:
     """Largest total-variation distance between `laws[a][i]` and `laws[b][i]`
-    over a, b and every index i of the middle axes (laws run along the last)."""
-    return 0.5 * np.abs(laws[:, None] - laws[None, :]).sum(axis=-1).max()
+    over a, b and every index i of the middle axes (laws run along the last).
+
+    TV(P, Q) is the largest P(A) - Q(A) over symbol sets A, so this is the
+    largest range over a of laws[a][i](A), over i and the 2^k - 2 proper
+    nonempty sets A: memory linear in the laws, with no axis of pairs.
+    """
+    k = laws.shape[-1]
+    sets = (np.arange(1, 2**k - 1)[:, None] >> np.arange(k)) & 1
+    return float(np.ptp(laws @ sets.T.astype(float), axis=0).max())
 
 
 def dobrushin_matrix(model: GibbsModel) -> DobrushinData:
@@ -630,7 +604,7 @@ def dobrushin_matrix(model: GibbsModel) -> DobrushinData:
 # configuration parsing
 # ---------------------------------------------------------------------------
 
-def model_from_config(cfg: dict) -> Model:
+def model_from_config(cfg: dict) -> GibbsModel:
     """Build a model from a JSON-style dictionary (see README for the schema).
 
     Every number is read through `_integer` or `_real`.

@@ -31,7 +31,7 @@ from spinconc.coupling import TailProfile
 from spinconc.errors import ConfigError, _integer, _real
 from spinconc.fields import LocalFunction
 from spinconc.lattice import l1_distance
-from spinconc.models import (ExactJoint, GibbsModel, Model, ProductModel,
+from spinconc.models import (ExactJoint, GibbsModel, ProductModel,
                              SITE_PERCOLATION_PC_2D)
 
 # two-sided 99% normal quantile
@@ -49,14 +49,14 @@ _TOLERANCES = {
 # battery registry
 # ---------------------------------------------------------------------------
 
-def battery_models(seed: int = 101) -> list[Model]:
+def battery_models(seed: int = 101) -> list[GibbsModel]:
     """Eleven exactly enumerable models spanning the implemented families.
 
     The three chain transition matrices are random but fixed by `seed`, so
     the battery is reproducible and still exercises asymmetric kernels.
     """
     rng = np.random.default_rng(seed)
-    out: list[Model] = [
+    out: list[GibbsModel] = [
         models.iid_spins(6, 0.5),
         models.iid_spins(6, 0.7),
         models.iid_spins(10, 0.5),
@@ -78,7 +78,7 @@ def battery_models(seed: int = 101) -> list[Model]:
     return out
 
 
-def battery_functions(model: Model) -> list[LocalFunction]:
+def battery_functions(model: GibbsModel) -> list[LocalFunction]:
     """Four observables per model: global, single-site, nonlinear, pair."""
     s = model.sites
     return [
@@ -131,7 +131,7 @@ def backbone_check(joint: ExactJoint, g: LocalFunction,
 # exact battery
 # ---------------------------------------------------------------------------
 
-def _observable_rows(model: Model, joint: ExactJoint, g: LocalFunction,
+def _observable_rows(model: GibbsModel, joint: ExactJoint, g: LocalFunction,
                      values: list[np.ndarray], env_norm: float,
                      moment_norm: dict[int, float], t_points: int) -> list[BoundRow]:
     """The exact rows of one observable, on its model's shared bands and norms."""
@@ -194,7 +194,7 @@ def _observable_rows(model: Model, joint: ExactJoint, g: LocalFunction,
     return rows
 
 
-def _battery_task(model: Model, t_points: int) -> list[BoundRow]:
+def _battery_task(model: GibbsModel, t_points: int) -> list[BoundRow]:
     """Every exact row of one model, observable by observable
     (`battery_functions(model)`).
 
@@ -298,7 +298,7 @@ def binomial_ci99(k: int, n: int) -> tuple[float, float]:
     return lo, hi
 
 
-def _g_sampler(model: Model, g: LocalFunction, sweeps: int, start: str):
+def _g_sampler(model: GibbsModel, g: LocalFunction, sweeps: int, start: str):
     """`g_values(n, seed)`: g on n replicas from `models.glauber_batch`."""
     cols = [model.sites.index(tuple(s)) for s in g.sites]
     return lambda n, seed: g.fn(models.glauber_batch(model, n, sweeps, seed, start)[:, cols])
@@ -338,7 +338,7 @@ def _tail_estimates(dev: np.ndarray, t_grid, se_mean: float) -> list[TailEstimat
     return out
 
 
-def empirical_tail(model: Model, g: LocalFunction, t_grid, n_samples: int,
+def empirical_tail(model: GibbsModel, g: LocalFunction, t_grid, n_samples: int,
                    sweeps: int, seed: int, start: str = "plus") -> list[TailEstimate]:
     """Replicated tail estimates at each t in `t_grid`.
 
@@ -393,11 +393,10 @@ def tails_to_csv(estimates: list[TailEstimate]) -> str:
 # high-temperature experiment
 # ---------------------------------------------------------------------------
 
-def fit_decay_constant(beta: float, boundary, fit_rows: int, fit_cols: int,
-                       floor: float = 1e-14):
+def fit_decay_constant(beta: float, boundary, fit_rows: int, fit_cols: int):
     """Largest C with envelope(x, y) <= exp(-C |x-y|) on an enumerated volume.
 
-    Entries at or below `floor` carry no information at double precision and
+    Entries at or below 1e-14 carry no information at double precision and
     are excluded.  Returns (C, number of entries used); C is +inf when no
     entry resolves (the independent-spin limit).
     """
@@ -409,7 +408,7 @@ def fit_decay_constant(beta: float, boundary, fit_rows: int, fit_cols: int,
     used = 0
     for i in range(len(sites)):
         for j in range(len(sites)):
-            if i == j or env[i, j] <= floor:
+            if i == j or env[i, j] <= 1e-14:
                 continue
             used += 1
             best = min(best, -math.log(env[i, j]) / l1_distance(sites[i], sites[j]))
@@ -706,8 +705,8 @@ def lowtemp_experiment(config: LowtempConfig) -> tuple[TailProfile, BoundReport]
                              "theta": config.theta},
                             math.nan, verdict="info",
                             note="degenerate: too few resolvable tail levels"))
-    profile = TailProfile(ell0_tail=ell_tail, psi=psi_hat,
-                          ell0_rest=0.0, psi_rest=0.0)
+    # ell <= j_cap and psi_hat holds every distance, so nothing is truncated
+    profile = TailProfile(ell0_tail=ell_tail, psi=psi_hat)
 
     # --- held-out stretched-exponential tail bound -------------------------
     g_values = _g_sampler(model, g, config.sweeps, config.start)

@@ -36,8 +36,7 @@ def _random_joint(m, seed, zero_slab=False):
     if zero_slab:
         probs[0] = 0.0  # first coordinate forced to symbol 1
     probs /= probs.sum()
-    return ExactJoint(sites=segment_sites(m), alphabet=SPIN, probs=probs,
-                      log_z=0.0)
+    return ExactJoint(sites=segment_sites(m), alphabet=SPIN, probs=probs)
 
 
 # ---------------------------------------------------------------------------
@@ -194,9 +193,6 @@ def test_luxembourg_homogeneity(scale):
 
 def test_luxembourg_zero_variable():
     assert luxembourg_norm([0.0, 0.0]) == 0.0
-    # zero values carried on zero-probability atoms do not matter
-    assert luxembourg_norm([5.0, 123.0], probs=[1.0, 0.0], rho=1.0) == pytest.approx(
-        5.0 / math.log(2.0), rel=1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -225,13 +221,12 @@ def test_variance_and_moment_bounds():
 
 
 def test_profile_norm_bound_geometric_closed_form():
-    # P(ell0 >= j) = e^-j: for p = 1 the tail series sums to 1/(sqrt(e)-1)
-    j = np.arange(1, 61)
+    # P(ell0 >= j) = e^-j: for p = 1 the tail series sums to 1/(sqrt(e)-1);
+    # what j > 120 would add is about 1e-26
+    j = np.arange(1, 121)
     tail = np.exp(-j)
-    rest = math.exp(-61 / 2.0) / (1.0 - math.exp(-0.5))
     psi = np.exp(-j)
-    psi_rest = math.exp(-61.0) / (1.0 - math.exp(-1.0))
-    got = profile_norm_bound(1, tail, psi, ell0_tail_rest=rest, psi_rest=psi_rest)
+    got = profile_norm_bound(1, tail, psi)
     expect = 1.0 / (math.exp(0.5) - 1.0) + 1.0 / (math.e - 1.0)
     assert abs(got - expect) < 1e-12
 
@@ -239,8 +234,6 @@ def test_profile_norm_bound_geometric_closed_form():
 def test_prop2_rejects_negative_inputs():
     with pytest.raises(ValueError):
         profile_norm_bound(1, [-0.1], [0.0])
-    with pytest.raises(ValueError):
-        profile_norm_bound(1, [0.1], [0.0], ell0_tail_rest=-1.0)
 
 
 def test_profile_moment_bound_formula():

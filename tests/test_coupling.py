@@ -310,7 +310,7 @@ def test_transport_product_measures_single_site_difference():
         shape[ax] = 2
         grids = grids * m_.reshape(shape)
     other = base.__class__(sites=base.sites, alphabet=base.alphabet,
-                           probs=grids, log_z=0.0)
+                           probs=grids)
     phi = np.array([0.5, 1.25, 0.8])
     plan = kr_distance(base, other, phi)
     assert abs(plan.cost - 2.0 * phi[s] * abs(p_plus - r_plus)) < 1e-9
@@ -366,7 +366,6 @@ def test_joint_atoms_roundtrip():
 
 
 def test_tail_profile_norm_bound():
-    prof = TailProfile(ell0_tail=np.array([0.5, 0.25]), psi=np.array([0.1]),
-                       ell0_rest=0.05, psi_rest=0.01)
-    expect = 0.5 ** 0.5 + 0.25 ** 0.5 + 0.05 + 0.1 + 0.01
+    prof = TailProfile(ell0_tail=np.array([0.5, 0.25]), psi=np.array([0.1]))
+    expect = 0.5 ** 0.5 + 0.25 ** 0.5 + 0.1
     assert abs(prof.norm_bound(1) - expect) < 1e-12

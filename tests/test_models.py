@@ -40,6 +40,7 @@ from spinconc.models import (
     _heat_bath,
     _uniforms24,
 )
+from spinconc.verify import battery_models
 
 from .oracles import ising_weight, reference_heat_bath
 
@@ -200,19 +201,44 @@ def test_local_conditionals_match_the_joint():
     terms = [(pair, rng.normal(size=(k, k))) for pair in pairs]
     terms += [((i,), rng.normal(size=k)) for i in range(n)]
     terms.append(((6, 1, 3), rng.normal(size=(k, k, k))))
-    model = GibbsModel(segment_sites(n), terms, 0.8, alphabet)
-    probs = exact_joint(model).probs
-    configs = np.indices((k,) * n).reshape(n, -1)
-    data = dobrushin_matrix(model)
-    for x in range(n):
-        dep, table = model.local_conditionals(x)
-        cond = probs / probs.sum(axis=x, keepdims=True)
-        got = table[tuple(configs[dep]) + (configs[x],)]
-        assert np.abs(got - cond[tuple(configs)]).max() <= 1e-12
-        # brute force: every pair of contexts of the other six sites
-        laws = np.moveaxis(cond, x, -1).reshape(-1, k)
-        tv = 0.5 * np.abs(laws[:, None] - laws[None, :]).sum(axis=-1)
-        assert data.p_tv[x] == pytest.approx(tv.max(), abs=1e-12)
+    chains = [m for m in battery_models(101) if isinstance(m, MarkovChainModel)]
+    assert len(chains) == 3
+    product = ProductModel(segment_sites(5), rng.dirichlet(np.ones(k), size=5), alphabet)
+    for model in [GibbsModel(segment_sites(n), terms, 0.8, alphabet), *chains, product]:
+        m, k = model.n_sites, model.alphabet.size
+        probs = exact_joint(model).probs
+        configs = np.indices((k,) * m).reshape(m, -1)
+        data = dobrushin_matrix(model)
+        for x in range(m):
+            dep, table = model.local_conditionals(x)
+            cond = probs / probs.sum(axis=x, keepdims=True)
+            got = table[tuple(configs[dep]) + (configs[x],)]
+            assert np.abs(got - cond[tuple(configs)]).max() <= 1e-12
+            # brute force: every pair of contexts of the other sites
+            laws = np.moveaxis(cond, x, -1).reshape(-1, k)
+            tv = 0.5 * np.abs(laws[:, None] - laws[None, :]).sum(axis=-1)
+            assert data.p_tv[x] == pytest.approx(tv.max(), abs=1e-12)
+    # independent sites never influence one another; a chain's neighbors do
+    assert not dobrushin_matrix(product).p_tv.any()
+    for chain in chains:
+        sites = np.arange(chain.n_sites)
+        nearest = np.abs(sites[:, None] - sites[None, :]) == 1
+        assert np.array_equal(dobrushin_matrix(chain).influence_tv != 0, nearest)
+
+
+def test_dobrushin_memory_is_linear_in_the_contexts():
+    # one site sharing a pair term with each of 10 others: 2^10 contexts,
+    # whose pairs alone would take 32 MB as float64 differences
+    rng = np.random.default_rng(0)
+    terms = [((0, i), rng.normal(size=(2, 2))) for i in range(1, 11)]
+    model = GibbsModel(segment_sites(11), terms, 0.7)
+    tracemalloc.start()
+    try:
+        dobrushin_matrix(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_glauber_matches_exact_mean_3x3():

@@ -45,3 +45,56 @@ def test_package_modules_use_every_import():
         unused = sorted(f"{name} (line {line})" for name, line in imported.items()
                         if name not in used)
         assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def _defaults(path: Path):
+    """(callable name, parameter, positional index or None) for every
+    parameter with a default of a module-level function, a method, or a class
+    `__init__` (called through the class name); the index skips `self`."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    defs = [(node, node.name, 0) for node in tree.body if isinstance(node, ast.FunctionDef)]
+    for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+        for node in cls.body:
+            if isinstance(node, ast.FunctionDef):
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in node.decorator_list)
+                defs.append((node, cls.name if node.name == "__init__" else node.name,
+                             0 if static else 1))
+    for node, name, skip in defs:
+        args = node.args
+        positional = args.posonlyargs + args.args
+        for j, arg in enumerate(positional[len(positional) - len(args.defaults):],
+                                len(positional) - len(args.defaults)):
+            yield name, arg.arg, j - skip
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield name, arg.arg, None
+
+
+def test_every_default_parameter_is_passed_by_some_call():
+    # a default that no call overrides is a constant dressed as an option
+    passed = {}  # callable name -> (most positional arguments, keywords); None: all
+    for top in ("src", "perfbench", "tests"):
+        for path in (ROOT / top).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name is None or passed.get(name, ()) is None:
+                    continue
+                if (any(isinstance(a, ast.Starred) for a in node.args)
+                        or any(kw.arg is None for kw in node.keywords)):
+                    passed[name] = None
+                    continue
+                n_pos, keywords = passed.get(name, (0, set()))
+                passed[name] = (max(n_pos, len(node.args)),
+                                keywords | {kw.arg for kw in node.keywords})
+    never = []
+    for path in sorted((ROOT / "src" / "spinconc").glob("*.py")):
+        for name, param, index in _defaults(path):
+            seen = passed.get(name, (0, set()))
+            if seen is None or param in seen[1] or (index is not None and index < seen[0]):
+                continue
+            never.append(f"{path.name}: {name}({param})")
+    assert not never, f"default parameters no call passes: {never}"
