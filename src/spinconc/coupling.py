@@ -139,38 +139,6 @@ def coupling_rows_all(joint: ExactJoint, i: int) -> CouplingRowBand:
     return band
 
 
-def past_index(sigma, i: int, k: int) -> int:
-    """Row-major flat index of the first i coordinates of sigma."""
-    w = 0
-    for t in range(i):
-        w = w * k + int(sigma[t])
-    return w
-
-
-@dataclass
-class CouplingMatrices:
-    """Canonical coupling matrix of one configuration, with its two envelopes."""
-
-    value: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
-
-
-def coupling_matrix_exact(joint: ExactJoint, sigma) -> CouplingMatrices:
-    sigma = tuple(int(c) for c in sigma)
-    m, k = joint.n_sites, joint.k
-    value = np.zeros((m, m))
-    lower = np.zeros((m, m))
-    upper = np.zeros((m, m))
-    for i in range(m):
-        band = coupling_rows_all(joint, i)
-        w = past_index(sigma, i, k)
-        value[i] = band.value[w]
-        lower[i] = band.lower[w]
-        upper[i] = band.upper[w]
-    return CouplingMatrices(value, lower, upper)
-
-
 @dataclass
 class EnvelopeData:
     """Worst-case and probability-weighted power means of the coupling rows."""

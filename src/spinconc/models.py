@@ -8,7 +8,9 @@ with.  Product models and Markov chains are Gibbs models at beta = 1 whose
 terms are negated log marginals, or a negated log initial law and log
 transitions.  Small volumes are handled exactly through `ExactJoint`;
 `glauber_batch` draws product and Markov models exactly and runs binary
-nearest-neighbor Gibbs models through one heat-bath kernel.
+nearest-neighbor Gibbs models through one heat-bath kernel, and returns an
+observable g on each replica: working memory is one chunk of replicas plus
+8 bytes per replica.
 """
 
 from __future__ import annotations
@@ -158,8 +160,9 @@ class GibbsModel:
         `dep` lists, sorted, the positions that share a term with idx, and
         `table[c..., a]` is the probability of symbol a at idx given symbols
         c at `dep`: shape (k,) * len(dep) + (k,).  Every term that holds idx
-        is added, in term order, onto the (dep..., idx) axes.  More than
-        2^16 contexts is a CapacityError.
+        is added, in term order, onto the (dep..., idx) axes.  A context in
+        which every symbol has weight 0 has no conditional law; its row is
+        NaN.  More than 2^16 contexts is a CapacityError.
         """
         k = self.alphabet.size
         held = [(axes, table) for axes, table in self.terms if idx in axes]
@@ -170,8 +173,9 @@ class GibbsModel:
         energy = np.zeros((k,) * (len(dep) + 1))
         for axes, table in held:
             energy += _on_axes(table, [local[a] for a in axes], energy.ndim)
-        w = np.exp(-self.beta * (energy - energy.min(axis=-1, keepdims=True)))
-        return dep, w / w.sum(axis=-1, keepdims=True)
+        with np.errstate(invalid="ignore"):  # inf - inf on a null context
+            w = np.exp(-self.beta * (energy - energy.min(axis=-1, keepdims=True)))
+            return dep, w / w.sum(axis=-1, keepdims=True)
 
 
 def _neg_log(p: np.ndarray) -> np.ndarray:
@@ -482,22 +486,16 @@ def _exact_draws(model: ProductModel | MarkovChainModel, n_samples: int, seed: i
         yield lo, hi, [ids.T]
 
 
-def _collect(model: GibbsModel, n_samples: int, chunks) -> np.ndarray:
-    values = np.asarray(model.alphabet.values)
-    out = np.empty((n_samples, model.n_sites))
-    for lo, hi, legs in chunks:
-        out[lo:hi] = values[legs[0].T]
-    return out
-
-
-def glauber_batch(model: GibbsModel, n_samples: int, sweeps: int, seed: int,
-                  start: str = "plus") -> np.ndarray:
-    """Independent draws from the model's law; values (n_samples, n_sites).
+def glauber_batch(model: GibbsModel, g: LocalFunction, n_samples: int, sweeps: int,
+                  seed: int, start: str = "plus") -> np.ndarray:
+    """g on independent draws from the model's law: float64 (n_samples,).
 
     Product models are drawn exactly site by site and Markov chains exactly
     by ancestral sampling (`sweeps` and `start` do not enter); every other
     model goes to the heat-bath kernel `_heat_bath`, which refuses one that
-    is not binary nearest-neighbor with a ConfigError.
+    is not binary nearest-neighbor with a ConfigError.  `g.fn` sees one
+    chunk at a time, as C-contiguous rows of the values at `g.sites`, so
+    working memory is one chunk plus the n_samples values returned.
     """
     if start not in _STARTS:
         raise ConfigError(f"unknown start configuration {start!r}")
@@ -505,17 +503,26 @@ def glauber_batch(model: GibbsModel, n_samples: int, sweeps: int, seed: int,
         chunks = _exact_draws(model, n_samples, seed)
     else:
         chunks = _heat_bath(model, n_samples, sweeps, seed, start)
-    return _collect(model, n_samples, chunks)
+    values = np.asarray(model.alphabet.values)
+    cols = [model.sites.index(tuple(s)) for s in g.sites]
+    out = np.empty(n_samples)
+    for lo, hi, legs in chunks:
+        out[lo:hi] = g.fn(np.ascontiguousarray(values[legs[0][cols].T]))
+    return out
 
 
 def glauber_block_batch(model: GibbsModel, n_samples: int, sweeps: int,
                         seed: int, start: str = "plus") -> np.ndarray:
     """Heat-bath replicas of a binary nearest-neighbor Gibbs model.
 
-    Returns values (n_samples, n_sites) aligned with the model's site order;
-    see `_heat_bath` for the update and its precision.
+    Returns the kernel's site-major int8 symbol indices (n_sites, n_samples)
+    in the model's site order, 0 for minus; see `_heat_bath` for the update
+    and its precision.
     """
-    return _collect(model, n_samples, _heat_bath(model, n_samples, sweeps, seed, start))
+    out = np.empty((model.n_sites, n_samples), dtype=np.int8)
+    for lo, hi, legs in _heat_bath(model, n_samples, sweeps, seed, start):
+        out[:, lo:hi] = legs[0]
+    return out
 
 
 def grid_layout(model: GibbsModel):
@@ -544,18 +551,18 @@ def grid_layout(model: GibbsModel):
 class DobrushinData:
     """Pairwise influence matrix and single-site sensitivities of a finite model.
 
-    `influence[x, y]` is twice the largest total-variation change of the
-    conditional law at x caused by editing y alone (the factor 2 is kept so
-    reported values match the defining convention used across the package;
-    `influence_tv` drops it).  `p_tv[x]` is the largest total-variation
-    distance between the conditional laws at x over all pairs of contexts.
+    `influence_tv[x, y]` is the largest total-variation change of the
+    conditional law at x caused by editing y alone, and `row_sum_max` is
+    Dobrushin's coefficient max_x sum_y influence_tv[x, y], which his
+    uniqueness condition bounds by 1.  `p_tv[x]` is the largest
+    total-variation distance between the conditional laws at x over all
+    pairs of contexts.  Contexts with no conditional law (every symbol of
+    weight 0) take part in none of these.
     """
 
     sites: tuple[Site, ...]
-    influence: np.ndarray
     influence_tv: np.ndarray
     row_sum_max: float
-    condition_ok: bool
     p_tv: np.ndarray
 
     @property
@@ -569,11 +576,14 @@ def _max_tv(laws: np.ndarray) -> float:
 
     TV(P, Q) is the largest P(A) - Q(A) over symbol sets A, so this is the
     largest range over a of laws[a][i](A), over i and the 2^k - 2 proper
-    nonempty sets A: memory linear in the laws, with no axis of pairs.
+    nonempty sets A: memory linear in the laws, with no axis of pairs.  NaN
+    laws (null contexts) are skipped; with no two laws to compare it is 0.
     """
     k = laws.shape[-1]
     sets = (np.arange(1, 2**k - 1)[:, None] >> np.arange(k)) & 1
-    return float(np.ptp(laws @ sets.T.astype(float), axis=0).max())
+    mass = laws @ sets.T.astype(float)
+    spread = np.fmax.reduce(mass, axis=0) - np.fmin.reduce(mass, axis=0)
+    return float(np.fmax.reduce(spread, axis=None, initial=0.0))
 
 
 def dobrushin_matrix(model: GibbsModel) -> DobrushinData:
@@ -588,16 +598,8 @@ def dobrushin_matrix(model: GibbsModel) -> DobrushinData:
         p_tv[x] = _max_tv(table.reshape(-1, k))
         for j, y in enumerate(dep):
             influence_tv[x, y] = _max_tv(np.moveaxis(table, j, 0).reshape(k, -1, k))
-    influence = 2.0 * influence_tv
-    row_max = float(influence.sum(axis=1).max())
-    return DobrushinData(
-        sites=model.sites,
-        influence=influence,
-        influence_tv=influence_tv,
-        row_sum_max=row_max,
-        condition_ok=row_max < 1.0,
-        p_tv=p_tv,
-    )
+    return DobrushinData(model.sites, influence_tv,
+                         float(influence_tv.sum(axis=1).max()), p_tv)
 
 
 # ---------------------------------------------------------------------------

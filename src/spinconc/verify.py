@@ -298,12 +298,6 @@ def binomial_ci99(k: int, n: int) -> tuple[float, float]:
     return lo, hi
 
 
-def _g_sampler(model: GibbsModel, g: LocalFunction, sweeps: int, start: str):
-    """`g_values(n, seed)`: g on n replicas from `models.glauber_batch`."""
-    cols = [model.sites.index(tuple(s)) for s in g.sites]
-    return lambda n, seed: g.fn(models.glauber_batch(model, n, sweeps, seed, start)[:, cols])
-
-
 def _check_batch(n_samples: int, sweeps: int) -> None:
     """The rules every tail batch keeps: at least 1000 replicas, and
     `sweeps` nonnegative; a ConfigError otherwise."""
@@ -318,12 +312,9 @@ def _mean_size(n: int) -> int:
     return max(1000, n // 5)
 
 
-def _mean_batch(g_values, n: int, seed: int) -> tuple[float, float]:
-    """Mean and standard error of the `_mean_size(n)` replicas of g drawn to
-    center a batch of n."""
-    size = _mean_size(n)
-    vals = g_values(size, seed)
-    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(size))
+def _mean_batch(vals: np.ndarray) -> tuple[float, float]:
+    """Mean and standard error of the replicas of g drawn to center a batch."""
+    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(len(vals)))
 
 
 def _tail_estimates(dev: np.ndarray, t_grid, se_mean: float) -> list[TailEstimate]:
@@ -343,17 +334,19 @@ def empirical_tail(model: GibbsModel, g: LocalFunction, t_grid, n_samples: int,
     """Replicated tail estimates at each t in `t_grid`.
 
     Replicas come from `models.glauber_batch`: exact draws for product and
-    Markov models, independent heat-bath chains for Gibbs models.  The mean
-    batch (`_mean_batch`) and the main batch each get their own seed, both
-    drawn from `seed`.
+    Markov models, independent heat-bath chains for Gibbs models, reduced to
+    g chunk by chunk, so working memory is one chunk plus 8 bytes per
+    replica.  The mean batch (`_mean_size(n_samples)` replicas) and the main
+    batch each get their own seed, both drawn from `seed`.
     """
     _check_batch(n_samples, sweeps)
     rng = np.random.default_rng(seed)
     seed_mean, seed_main = (int(s) for s in rng.integers(2 ** 63, size=2))
-    g_values = _g_sampler(model, g, sweeps, start)
-    m_hat, se_mean = _mean_batch(g_values, n_samples, seed_mean)
-    return _tail_estimates(np.abs(g_values(n_samples, seed_main) - m_hat),
-                           t_grid, se_mean)
+    m_hat, se_mean = _mean_batch(models.glauber_batch(
+        model, g, _mean_size(n_samples), sweeps, seed_mean, start))
+    dev = models.glauber_batch(model, g, n_samples, sweeps, seed_main, start)
+    dev -= m_hat
+    return _tail_estimates(np.abs(dev, out=dev), t_grid, se_mean)
 
 
 def _mc_tail_row(model: str, function: str, label: str, params: dict,
@@ -553,9 +546,9 @@ def ell_samples(model: GibbsModel, n_samples: int, sweeps: int, seed: int,
     others are 0.
     """
     rows, cols, to_grid = models.grid_layout(model)
-    vals = models.glauber_block_batch(model, n_samples, sweeps, seed, start)
+    ids = models.glauber_block_batch(model, n_samples, sweeps, seed, start)
     minus = np.zeros((n_samples, rows * cols), dtype=bool)
-    minus[:, to_grid] = vals < 0
+    minus[:, to_grid] = ids.T == 0
     minus = minus.reshape(n_samples, rows, cols)
     has_minus = minus.any(axis=(1, 2))
     out = np.zeros(n_samples, dtype=np.int64)
@@ -709,10 +702,10 @@ def lowtemp_experiment(config: LowtempConfig) -> tuple[TailProfile, BoundReport]
     profile = TailProfile(ell0_tail=ell_tail, psi=psi_hat)
 
     # --- held-out stretched-exponential tail bound -------------------------
-    g_values = _g_sampler(model, g, config.sweeps, config.start)
-    m_hat, se_mean = _mean_batch(g_values, config.n_tail, seed_mean)
-    dev_a = np.abs(g_values(n_split, seed_a) - m_hat)
-    dev_b = np.abs(g_values(n_split, seed_b) - m_hat)
+    m_hat, se_mean = _mean_batch(models.glauber_batch(
+        model, g, _mean_size(config.n_tail), config.sweeps, seed_mean, config.start))
+    dev_a, dev_b = (np.abs(models.glauber_batch(
+        model, g, n_split, config.sweeps, s, config.start) - m_hat) for s in (seed_a, seed_b))
     t_grid = np.quantile(dev_a, config.quantiles)
     report.meta["t_grid"] = [float(t) for t in t_grid]
     report.meta["mean_se"] = se_mean

@@ -5,14 +5,12 @@ import pytest
 
 from spinconc.coupling import (
     coupled_glauber_disagreement,
-    coupling_matrix_exact,
     coupling_rows_all,
     envelope_and_moment_matrices,
     joint_atoms,
     kr_distance,
     kr_optimal_coupling,
     maximal_coupling,
-    past_index,
     sequential_coupling_sample,
     sequential_coupling_tree,
     TailProfile,
@@ -94,7 +92,7 @@ def test_rows_match_dictionary_oracle():
     for i in range(3):
         band = coupling_rows_all(joint, i)
         for prefix in itertools.product((0, 1), repeat=i):
-            w = past_index(prefix, i, 2)
+            w = np.ravel_multi_index(prefix, (2,) * i)
             naive = _naive_row(joint, i, prefix, 0, 1)
             for j, v in naive.items():
                 assert abs(band.value[w, j] - v) < 1e-12
@@ -104,7 +102,7 @@ def test_rows_match_oracle_2d():
     joint = exact_joint(ising_rect(2, 2, beta=0.45, boundary="free"))
     band = coupling_rows_all(joint, 1)
     for prefix in ((0,), (1,)):
-        w = past_index(prefix, 1, 2)
+        w = np.ravel_multi_index(prefix, (2,))
         naive = _naive_row(joint, 1, prefix, 0, 1)
         for j, v in naive.items():
             assert abs(band.value[w, j] - v) < 1e-12
@@ -115,20 +113,26 @@ def test_markov_first_superdiagonal_is_two_q_minus_one():
         t = np.array([[q, 1 - q], [1 - q, q]])
         model = MarkovChainModel(5, np.array([0.5, 0.5]), t)
         joint = exact_joint(model)
-        mats = coupling_matrix_exact(joint, (0, 1, 0, 0, 1))
+        sigma = (0, 1, 0, 0, 1)
         for i in range(4):
-            assert abs(mats.value[i, i + 1] - abs(2 * q - 1)) < 1e-12
+            row = coupling_rows_all(joint, i).value[np.ravel_multi_index(sigma[:i], (2,) * i)]
+            assert abs(row[i + 1] - abs(2 * q - 1)) < 1e-12
 
 
 def test_matrix_shape_and_bands():
+    # row i of each matrix is band i at the past sigma[:i]
     joint = exact_joint(ising_rect(2, 3, beta=0.5, boundary="plus"))
-    mats = coupling_matrix_exact(joint, (1, 0, 1, 1, 0, 1))
+    sigma = (1, 0, 1, 1, 0, 1)
     m = joint.n_sites
-    assert np.allclose(np.diag(mats.value), 1.0)
-    assert np.allclose(np.tril(mats.value, -1), 0.0)
-    assert np.all(mats.lower <= mats.value + 1e-12)
-    assert np.all(mats.value <= mats.upper + 1e-12)
-    assert mats.value.shape == (m, m)
+    bands = [coupling_rows_all(joint, i) for i in range(m)]
+    rows = [np.ravel_multi_index(sigma[:i], (2,) * i) for i in range(m)]
+    value, lower, upper = (np.array([getattr(b, name)[w] for b, w in zip(bands, rows)])
+                           for name in ("value", "lower", "upper"))
+    assert np.allclose(np.diag(value), 1.0)
+    assert np.allclose(np.tril(value, -1), 0.0)
+    assert np.all(lower <= value + 1e-12)
+    assert np.all(value <= upper + 1e-12)
+    assert value.shape == (m, m)
 
 
 def test_iid_rows_are_identity():
@@ -147,10 +151,12 @@ def test_envelope_dominates_and_moments_are_monotone():
     assert np.all(data.lower_envelope <= data.envelope + 1e-12)
     assert np.all(data.envelope <= data.upper_envelope + 1e-12)
     rng = np.random.default_rng(2)
+    bands = [coupling_rows_all(joint, i) for i in range(joint.n_sites)]
     for _ in range(5):
         sigma = tuple(rng.integers(0, 2, size=joint.n_sites))
-        mats = coupling_matrix_exact(joint, sigma)
-        assert np.all(mats.value <= data.envelope + 1e-12)
+        for i, band in enumerate(bands):
+            row = band.value[np.ravel_multi_index(sigma[:i], (2,) * i)]
+            assert np.all(row <= data.envelope[i] + 1e-12)
 
 
 def test_envelope_from_shared_bands_matches_default():

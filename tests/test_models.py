@@ -40,7 +40,7 @@ from spinconc.models import (
     _heat_bath,
     _uniforms24,
 )
-from spinconc.verify import battery_models
+from spinconc.verify import battery_models, empirical_tail
 
 from .oracles import ising_weight, reference_heat_bath
 
@@ -204,20 +204,27 @@ def test_local_conditionals_match_the_joint():
     chains = [m for m in battery_models(101) if isinstance(m, MarkovChainModel)]
     assert len(chains) == 3
     product = ProductModel(segment_sites(5), rng.dirichlet(np.ones(k), size=5), alphabet)
-    for model in [GibbsModel(segment_sites(n), terms, 0.8, alphabet), *chains, product]:
+    # once minus, always minus: some contexts have no conditional law
+    absorbing = MarkovChainModel(4, [0.5, 0.5], [[1.0, 0.0], [0.5, 0.5]])
+    for model in [GibbsModel(segment_sites(n), terms, 0.8, alphabet), *chains, product,
+                  absorbing]:
         m, k = model.n_sites, model.alphabet.size
         probs = exact_joint(model).probs
         configs = np.indices((k,) * m).reshape(m, -1)
         data = dobrushin_matrix(model)
         for x in range(m):
             dep, table = model.local_conditionals(x)
-            cond = probs / probs.sum(axis=x, keepdims=True)
+            # compare on contexts of the other sites with positive mass only
+            mass = probs.sum(axis=x, keepdims=True)
+            cond = probs / np.where(mass > 0, mass, 1.0)
+            live = np.broadcast_to(mass > 0, probs.shape)[tuple(configs)]
             got = table[tuple(configs[dep]) + (configs[x],)]
-            assert np.abs(got - cond[tuple(configs)]).max() <= 1e-12
-            # brute force: every pair of contexts of the other sites
-            laws = np.moveaxis(cond, x, -1).reshape(-1, k)
+            assert np.abs(got - cond[tuple(configs)])[live].max() <= 1e-12
+            # brute force: every pair of those contexts
+            laws = np.moveaxis(cond, x, -1).reshape(-1, k)[mass.reshape(-1) > 0]
             tv = 0.5 * np.abs(laws[:, None] - laws[None, :]).sum(axis=-1)
             assert data.p_tv[x] == pytest.approx(tv.max(), abs=1e-12)
+    assert dobrushin_matrix(absorbing).p_tv == pytest.approx([2 / 3, 1, 1, 1 / 2], abs=1e-12)
     # independent sites never influence one another; a chain's neighbors do
     assert not dobrushin_matrix(product).p_tv.any()
     for chain in chains:
@@ -247,18 +254,26 @@ def test_glauber_matches_exact_mean_3x3():
     joint = exact_joint(model)
     g = magnetization(model.sites)
     exact_mean = joint.expectation(joint.function_table(g))
-    samples = glauber_batch(model, 4000, 60, seed=11)
-    vals = g.fn(samples)
+    vals = glauber_batch(model, g, 4000, 60, seed=11)
+    assert vals.shape == (4000,)
     se = vals.std(ddof=1) / np.sqrt(len(vals))
     assert abs(vals.mean() - exact_mean) < 3 * se + 1e-3
 
 
+def _configuration_code(sites) -> LocalFunction:
+    """A spin configuration on `sites` read as a binary number: equal values
+    mean equal configurations."""
+    return LocalFunction("code", tuple(sites),
+                         lambda m: (m > 0) @ 2.0 ** np.arange(len(sites)))
+
+
 def test_glauber_batch_deterministic():
     model = ising_rect(3, 3, 0.4, "plus")
-    a = glauber_batch(model, 50, 10, seed=5)
-    b = glauber_batch(model, 50, 10, seed=5)
+    g = _configuration_code(model.sites)
+    a = glauber_batch(model, g, 50, 10, seed=5)
+    b = glauber_batch(model, g, 50, 10, seed=5)
     assert np.array_equal(a, b)
-    c = glauber_batch(model, 50, 10, seed=6)
+    c = glauber_batch(model, g, 50, 10, seed=6)
     assert not np.array_equal(a, c)
 
 
@@ -273,7 +288,7 @@ def test_glauber_matches_exact_mean_off_rectangle(model):
     joint = exact_joint(model)
     g = magnetization(model.sites)
     exact_mean = joint.expectation(joint.function_table(g))
-    vals = g.fn(glauber_batch(model, 4000, 60, seed=11))
+    vals = glauber_batch(model, g, 4000, 60, seed=11)
     se = vals.std(ddof=1) / np.sqrt(len(vals))
     assert abs(vals.mean() - exact_mean) < 3 * se
 
@@ -283,13 +298,13 @@ def test_glauber_matches_exact_mean_off_rectangle(model):
     ProductModel(segment_sites(4), np.array([[0.1, 0.9], [0.5, 0.5], [0.7, 0.3], [0.98, 0.02]])),
 ], ids=["markov", "product"])
 def test_glauber_batch_is_exact_on_product_and_markov(model):
+    # every observable reads the same 20000 draws: same seed, same stream
     joint = exact_joint(model)
-    samples = glauber_batch(model, 20000, sweeps=0, seed=3)
     sites = model.sites
     observables = [single_spin(s) for s in sites]
     observables += [pair_product(x, y) for x, y in zip(sites, sites[1:])]
     for g in observables:
-        vals = g.fn(samples[:, [sites.index(s) for s in g.sites]])
+        vals = glauber_batch(model, g, 20000, sweeps=0, seed=3)
         se = vals.std(ddof=1) / np.sqrt(len(vals))
         assert abs(vals.mean() - joint.expectation(joint.function_table(g))) < 4 * se
 
@@ -297,9 +312,10 @@ def test_glauber_batch_is_exact_on_product_and_markov(model):
 @pytest.mark.parametrize("model", [ising_model(L_SHAPE, 0.4, "plus"), iid_spins(5, 0.3)],
                          ids=["gibbs", "product"])
 def test_glauber_batch_prefix_does_not_depend_on_n(model):
-    short = glauber_batch(model, 1500, 5, seed=9)
-    long = glauber_batch(model, 3000, 5, seed=9)
-    assert short.shape == (1500, model.n_sites)
+    g = _configuration_code(model.sites)
+    short = glauber_batch(model, g, 1500, 5, seed=9)
+    long = glauber_batch(model, g, 3000, 5, seed=9)
+    assert short.shape == (1500,)
     assert np.array_equal(short[:CHUNK], long[:CHUNK])
 
 
@@ -337,25 +353,29 @@ def test_heat_bath_matches_float32_reference_bit_for_bit(model_of, beta):
 
 
 def test_sampler_working_memory_is_one_chunk():
+    # a tail batch keeps one chunk of replicas and 8 bytes per replica: the
+    # peak may grow by at most 16 bytes for each replica added
     model = ising_rect(16, 16, 1.0)
-    extra = []
-    for n in (2 * CHUNK, 20 * CHUNK):
+    g = magnetization(model.sites)
+    sizes, peaks = (20_000, 80_000), []
+    for n in sizes:
         tracemalloc.start()
         try:
-            out = glauber_batch(model, n, 1, seed=1)
-            extra.append(tracemalloc.get_traced_memory()[1] - out.nbytes)
+            empirical_tail(model, g, [0.1, 0.5], n, 1, seed=1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert extra[1] < extra[0] + 2**18
+    assert peaks[1] - peaks[0] <= 16 * (sizes[1] - sizes[0])
 
 
 def test_glauber_batch_rejects_what_it_cannot_sample():
     # a Gibbs model given by its terms alone has no neighbor tables
     generic = GibbsModel(segment_sites(2), [((0, 1), np.eye(2))], beta=0.5)
     with pytest.raises(ConfigError):
-        glauber_batch(generic, 10, 5, seed=1)
+        glauber_batch(generic, magnetization(generic.sites), 10, 5, seed=1)
+    product = iid_spins(3)
     with pytest.raises(ConfigError):
-        glauber_batch(iid_spins(3), 10, 5, seed=1, start="sideways")
+        glauber_batch(product, magnetization(product.sites), 10, 5, seed=1, start="sideways")
 
 
 def test_magnetization_increasing_in_beta():
@@ -392,15 +412,17 @@ def test_dobrushin_influence_ising():
 
     # interior site: the y-flip moves the neighbor sum by 2; remaining three
     # neighbors range over all patterns, the best is the steepest one
-    want = 2.0 * max(abs(f(s + 1) - f(s - 1)) for s in (-3, -1, 1, 3))
+    want = max(abs(f(s + 1) - f(s - 1)) for s in (-3, -1, 1, 3))
     center = model.sites.index((0, 0))
     nbr = model.sites.index((1, 0))
-    assert data.influence[center, nbr] == pytest.approx(want, rel=1e-10)
-    assert data.influence[center, model.sites.index((1, 1))] == 0.0
-    assert data.influence_tv[center, nbr] == pytest.approx(want / 2, rel=1e-10)
+    assert data.influence_tv[center, nbr] == pytest.approx(want, rel=1e-10)
+    # Dobrushin's coefficient: the center's four neighbors, each at `want`
+    assert data.row_sum_max == pytest.approx(4 * want, rel=1e-10)
+    assert data.row_sum_max == pytest.approx(0.760, abs=5e-4)
+    assert data.influence_tv[center, model.sites.index((1, 1))] == 0.0
     # at beta = 0.15 on a 2x2 volume every row sum stays below 1
     small = dobrushin_matrix(ising_rect(2, 2, 0.15, "plus"))
-    assert small.condition_ok and small.row_sum_max < 1
+    assert small.row_sum_max < 1
 
 
 def test_site_influence_p_values():

@@ -1,29 +1,68 @@
-"""Static checks on the package: the benchmark's span tracer patches
-attributes that exist, and no module imports a name it never uses."""
+"""Checks on the package against its tooling: the benchmark's span tracer
+patches attributes that exist and every benchmark workload passes its own
+gate, traced and untraced; no module imports a name it never uses, and every
+default parameter is passed by some call."""
 
 import ast
 import importlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
+import pytest
+
+import spinconc
+
 ROOT = Path(__file__).resolve().parents[1]
-SPANS = ROOT / "perfbench" / "spans.py"
+PERFBENCH = ROOT / "perfbench"
+
+
+def _perfbench_module(monkeypatch, name: str):
+    """perfbench/<name>.py, imported read-only under a private module name."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_span_targets_resolve_in_the_package(monkeypatch):
     # `perfbench/run.py --trace 1` patches each TARGETS entry; a renamed
     # function would break tracing, so it should fail here first
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, spans)  # dataclasses look it up
-    spec.loader.exec_module(spans)
+    spans = _perfbench_module(monkeypatch, "spans")
     assert spans.TARGETS
     for module, attr in spans.TARGETS:
         obj = importlib.import_module(f"spinconc.{module}")
         for part in attr.split("."):
             assert hasattr(obj, part), f"spinconc.{module}.{attr} does not exist"
             obj = getattr(obj, part)
+
+
+BENCHMARK_WORKLOADS = [w["name"] for w in
+                       json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["workloads"]]
+
+
+@pytest.mark.parametrize("name", BENCHMARK_WORKLOADS)
+def test_benchmark_workload_passes_its_gate(name, tmp_path, monkeypatch):
+    # a renamed sampler parameter breaks the traced call's counters, and a
+    # dropped gate row fails the workload's own check
+    workloads = _perfbench_module(monkeypatch, "workloads")
+    spans = _perfbench_module(monkeypatch, "spans")
+    workload = workloads.WORKLOADS[name](1, str(tmp_path), True, str(ROOT))
+    for traced in (False, True):
+        out_dir = str(tmp_path / f"traced{int(traced)}")
+        tracer = spans.Tracer()
+        if traced:
+            tracer.install(spinconc)
+        try:
+            code = workload.call(out_dir)
+        finally:
+            tracer.uninstall()
+        assert code == 0
+        attempted, failed = workload.check(out_dir)
+        assert attempted >= 1 and failed == 0
+        assert not traced or tracer.spans
 
 
 def test_package_modules_use_every_import():

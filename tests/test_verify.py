@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from spinconc import coupling
 from spinconc.bounds import martingale_decomposition
-from spinconc.coupling import coupling_matrix_exact
 from spinconc.errors import ConfigError
 from spinconc.fields import delta_vector, magnetization, total_spin
 from spinconc.models import exact_joint, iid_spins, ising_rect, ising_segment
@@ -118,7 +117,7 @@ def test_backbone_witness_reproduces_the_gap():
     dv = delta_vector(g, joint.sites, joint.alphabet)
     k, m = joint.k, joint.n_sites
     digits = [(conf // k ** (m - 1 - j)) % k for j in range(m)]
-    row = coupling_matrix_exact(joint, digits).value[i]
+    row = coupling.coupling_rows_all(joint, i).value[np.ravel_multi_index(digits[:i], (k,) * i)]
     gap = abs(dec.increments[i].reshape(-1)[conf]) - float(row @ dv.per_site)
     assert gap == pytest.approx(worst, abs=1e-12)
 
