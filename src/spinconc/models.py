@@ -9,14 +9,20 @@ terms are negated log marginals, or a negated log initial law and log
 transitions.  Small volumes are handled exactly through `ExactJoint`;
 `glauber_batch` draws product and Markov models exactly and runs binary
 nearest-neighbor Gibbs models through one heat-bath kernel, and returns an
-observable g on each replica: working memory is one chunk of replicas plus
-8 bytes per replica.
+observable g on each replica.  The kernel's chunks of replicas run in
+parallel on `os.cpu_count()` threads (`ordered_map`) and come back in order,
+so the output does not depend on the thread count; working memory is up to
+one chunk per worker plus 8 bytes per replica.
 """
 
 from __future__ import annotations
 
+import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Sequence
+from itertools import islice
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -353,6 +359,33 @@ _STARTS = {
 }
 
 
+def ordered_map(fn: Callable, items: Iterable, threads: int = 0):
+    """fn(item) for each item, yielded in item order, computed on a pool.
+
+    `threads` is the worker count: 0 uses every core (`os.cpu_count()`), 1
+    runs serially in the calling thread.  At most `workers` calls are in
+    flight beyond the result last yielded, so a slow consumer bounds the
+    memory, and items are read only as slots free up.  Closing the generator
+    early cancels the calls not yet started, waits for the running ones and
+    joins every worker thread.  An exception from fn is raised when its
+    result's turn comes.
+    """
+    workers = threads if threads > 0 else (os.cpu_count() or 1)
+    if workers == 1:
+        yield from map(fn, items)
+        return
+    items = iter(items)
+    pool = ThreadPoolExecutor(max_workers=workers)
+    try:
+        pending = deque(pool.submit(fn, item) for item in islice(items, workers))
+        while pending:
+            result = pending.popleft().result()
+            pending.extend(pool.submit(fn, item) for item in islice(items, 1))
+            yield result
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def _chunks(n_samples: int, seed: int):
     """(lo, hi, generator) for each chunk of replicas lo..hi-1."""
     children = np.random.SeedSequence(seed).spawn(-(-n_samples // CHUNK))
@@ -407,7 +440,14 @@ def _heat_bath(model: GibbsModel, n_samples: int, sweeps: int, seed: int,
     T = #{c : U < q[s, c]} = deg + 1 - #{c : U >= q[s, c]} and the spin is
     plus iff c < T.  One ufunc, `compare`, serves both counts and both
     comparisons.  Each leg then only counts its plus neighbors and compares.
-    Working memory is one chunk, whatever n_samples is.
+
+    Chunks run in parallel on `ordered_map`'s pool of `os.cpu_count()`
+    threads; numpy releases the interpreter lock in `random_raw` and the
+    ufuncs, where the time goes.  Each chunk keeps its own generator, start
+    draw, carry and buffers, and chunks are yielded in order, so the output
+    does not depend on the thread count.  Working memory is up to one chunk
+    per worker thread, whatever n_samples is.  The model and `start` are
+    checked here, at call time, before any thread starts.
     """
     if model.alphabet.size != 2 or model.nn_index is None:
         raise ConfigError("heat-bath sampling needs a binary nearest-neighbor Gibbs model")
@@ -435,7 +475,9 @@ def _heat_bath(model: GibbsModel, n_samples: int, sweeps: int, seed: int,
     n0 = int((free & (parity == 0)).sum())
     classes = [(0, n0), (n0, int(free.sum()))]
 
-    def run(size: int, rng) -> list[np.ndarray]:
+    def run(chunk) -> tuple[int, int, list[np.ndarray]]:
+        lo, hi, rng = chunk
+        size = hi - lo
         start_cfg = _STARTS[start](m, size, rng)
         legs = []
         for sym in symbols:
@@ -460,9 +502,9 @@ def _heat_bath(model: GibbsModel, n_samples: int, sweeps: int, seed: int,
                     for j in range(1, deg):
                         count += spins[nbr[a:b, j]]
                     compare(count, t, out=spins[a:b].view(bool))
-        return [spins[row] for spins in legs]
+        return lo, hi, [spins[row] for spins in legs]
 
-    return ((lo, hi, run(hi - lo, rng)) for lo, hi, rng in _chunks(n_samples, seed))
+    return ordered_map(run, _chunks(n_samples, seed))
 
 
 def _inverse_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -494,8 +536,9 @@ def glauber_batch(model: GibbsModel, g: LocalFunction, n_samples: int, sweeps: i
     by ancestral sampling (`sweeps` and `start` do not enter); every other
     model goes to the heat-bath kernel `_heat_bath`, which refuses one that
     is not binary nearest-neighbor with a ConfigError.  `g.fn` sees one
-    chunk at a time, as C-contiguous rows of the values at `g.sites`, so
-    working memory is one chunk plus the n_samples values returned.
+    chunk at a time, in the calling thread, as C-contiguous rows of the
+    values at `g.sites`, so working memory is up to one heat-bath chunk per
+    worker thread plus the n_samples values returned.
     """
     if start not in _STARTS:
         raise ConfigError(f"unknown start configuration {start!r}")

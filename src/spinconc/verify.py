@@ -19,7 +19,6 @@ import hashlib
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -226,20 +225,17 @@ def exact_battery(model_list=None, threads: int = 0, t_points: int = 20,
     """Run every exact check over the battery; no verdict tolerates a violation.
 
     One task per model builds the joint and its coupling bands once and
-    checks every observable on them.  Tasks are independent, so they run on a thread
-    pool; `threads=0` picks the machine's CPU count.  Rows come out in model
+    checks every observable on them.  Tasks are independent, so they run on
+    `models.ordered_map`'s thread pool; `threads=0` picks the machine's CPU
+    count and `threads=1` runs serially.  Rows come out in model
     order whatever the thread count.  `t_points` below 1 is a ConfigError,
     raised before any joint is built: an empty tail grid checks nothing.
     """
     if t_points < 1:
         raise ConfigError("t_points must be at least 1")
     model_list = battery_models(seed) if model_list is None else model_list
-    workers = threads if threads > 0 else (os.cpu_count() or 1)
-    if workers == 1:
-        chunks = [_battery_task(m, t_points) for m in model_list]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(lambda m: _battery_task(m, t_points), model_list))
+    chunks = list(models.ordered_map(lambda m: _battery_task(m, t_points),
+                                     model_list, threads))
     report = BoundReport(meta={
         "experiment": "exact_battery",
         "models": [m.name for m in model_list],
@@ -335,9 +331,10 @@ def empirical_tail(model: GibbsModel, g: LocalFunction, t_grid, n_samples: int,
 
     Replicas come from `models.glauber_batch`: exact draws for product and
     Markov models, independent heat-bath chains for Gibbs models, reduced to
-    g chunk by chunk, so working memory is one chunk plus 8 bytes per
-    replica.  The mean batch (`_mean_size(n_samples)` replicas) and the main
-    batch each get their own seed, both drawn from `seed`.
+    g chunk by chunk, so working memory is up to one chunk per worker thread
+    plus 8 bytes per replica.  The mean batch (`_mean_size(n_samples)`
+    replicas) and the main batch each get their own seed, both drawn from
+    `seed`.
     """
     _check_batch(n_samples, sweeps)
     rng = np.random.default_rng(seed)

@@ -1,4 +1,5 @@
 import itertools
+import threading
 import tracemalloc
 from math import exp
 
@@ -344,20 +345,39 @@ def _kernel_legs(model, n, sweeps, seed, start, frozen):
                          ids=["rectangle", "L-shape", "segment"])
 def test_heat_bath_matches_float32_reference_bit_for_bit(model_of, beta):
     model = model_of(beta)
+    # four chunks cross the pool's window of in-flight chunks on a 2-core
+    # machine, so a chunk yielded out of order or dropped shows
+    window = (3 * CHUNK + 5,) if model.name == "ising[5x3]_b1_plus" else ()
     for start in ("plus", "minus", "random"):
         for frozen in (None, (model.n_sites // 2, (0, 1))):
-            for n in (1, 7, CHUNK + 1):
+            for n in (1, 7, CHUNK + 1) + window:
                 got = _kernel_legs(model, n, 3, 100 + n, start, frozen)
                 want = reference_heat_bath(model, n, 3, 100 + n, start, frozen)
                 assert np.array_equal(got, want), (start, frozen, n)
 
 
-def test_sampler_working_memory_is_one_chunk():
-    # a tail batch keeps one chunk of replicas and 8 bytes per replica: the
-    # peak may grow by at most 16 bytes for each replica added
-    model = ising_rect(16, 16, 1.0)
+def test_heat_bath_closed_early_joins_its_threads():
+    before = threading.active_count()
+    chunks = _heat_bath(ising_rect(5, 3, 1.0, "plus"), 6 * CHUNK, 3, seed=1)
+    lo, hi, _ = next(chunks)
+    assert (lo, hi) == (0, CHUNK)
+    closer = threading.Thread(target=chunks.close)
+    closer.start()
+    closer.join(timeout=30)
+    assert not closer.is_alive()
+    assert threading.active_count() == before
+
+
+def test_sampler_working_memory_is_one_chunk_per_worker():
+    # a tail batch keeps up to one chunk of replicas per worker thread and 8
+    # bytes per replica: the peak may grow by at most 16 bytes for each
+    # replica added.  The chunks' fixed memory grows with the volume and,
+    # on 16x16, still sets the peak at 3.2e5 replicas; on 4x4 the
+    # per-replica arrays set it from 8e4 up, so a regression of 16 bytes
+    # per replica shows.
+    model = ising_rect(4, 4, 1.0)
     g = magnetization(model.sites)
-    sizes, peaks = (20_000, 80_000), []
+    sizes, peaks = (80_000, 320_000), []
     for n in sizes:
         tracemalloc.start()
         try:
@@ -376,6 +396,13 @@ def test_glauber_batch_rejects_what_it_cannot_sample():
     product = iid_spins(3)
     with pytest.raises(ConfigError):
         glauber_batch(product, magnetization(product.sites), 10, 5, seed=1, start="sideways")
+    # the kernel refuses when called, before its pool starts a thread
+    before = threading.active_count()
+    with pytest.raises(ConfigError):
+        _heat_bath(generic, 10, 5, seed=1)
+    with pytest.raises(ConfigError):
+        _heat_bath(ising_rect(3, 3, 0.5), 10, 5, seed=1, start="sideways")
+    assert threading.active_count() == before
 
 
 def test_magnetization_increasing_in_beta():
