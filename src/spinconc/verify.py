@@ -392,7 +392,7 @@ def fit_decay_constant(beta: float, boundary, fit_rows: int, fit_cols: int):
     """
     fit_model = models.ising_rect(fit_rows, fit_cols, beta, boundary)
     env = coupling.envelope_and_moment_matrices(
-        models.exact_joint(fit_model), p_orders=(2,)).envelope
+        models.exact_joint(fit_model), p_orders=()).envelope
     sites = fit_model.sites
     best = math.inf
     used = 0

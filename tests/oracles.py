@@ -4,7 +4,10 @@ These deliberately avoid the package's own numerics: plain dict/loop code so
 that agreement is meaningful.
 """
 
+import ctypes
+import glob
 import itertools
+import os
 from math import exp
 
 import numpy as np
@@ -220,3 +223,16 @@ def reference_heat_bath(model, n_samples, sweeps, seed, start="plus", frozen=Non
         for k, spins in enumerate(legs):
             out[k, :, lo:hi] = spins[row]
     return out
+
+
+def numpy_openblas(name):
+    """`openblas_<name>` (e.g. "get_num_threads") of the OpenBLAS bundled with
+    numpy in `numpy.libs`, or None when numpy bundles none."""
+    libs = glob.glob(os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
+                                  "numpy.libs", "*openblas*"))
+    for lib in libs:
+        handle = ctypes.CDLL(lib)
+        for sym in (f"scipy_openblas_{name}64_", f"openblas_{name}64_", f"openblas_{name}"):
+            if hasattr(handle, sym):
+                return getattr(handle, sym)
+    return None

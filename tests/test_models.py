@@ -1,4 +1,7 @@
 import itertools
+import os
+import subprocess
+import sys
 import threading
 import tracemalloc
 from math import exp
@@ -43,7 +46,7 @@ from spinconc.models import (
 )
 from spinconc.verify import battery_models, empirical_tail
 
-from .oracles import ising_weight, reference_heat_bath
+from .oracles import ising_weight, numpy_openblas, reference_heat_bath
 
 
 def test_uniform_at_infinite_temperature():
@@ -366,6 +369,26 @@ def test_heat_bath_closed_early_joins_its_threads():
     closer.join(timeout=30)
     assert not closer.is_alive()
     assert threading.active_count() == before
+
+
+def test_importing_spinconc_leaves_openblas_on_one_thread():
+    # spinconc's pools take the cores; a threaded OpenBLAS beside them wakes a
+    # helper thread that competes with the pool.  A fresh interpreter, with no
+    # thread setting in its environment, sees the import alone.
+    if "openblas" not in np.__config__.CONFIG["Build Dependencies"]["blas"]["name"]:
+        pytest.skip("numpy is not built against OpenBLAS")
+    assert numpy_openblas("get_num_threads") is not None
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join([os.path.join(root, "src"), root]
+                                        + env.get("PYTHONPATH", "").split(os.pathsep))
+    code = ("import spinconc.models\n"
+            "from tests.oracles import numpy_openblas\n"
+            "print(numpy_openblas('get_num_threads')())")
+    out = subprocess.run([sys.executable, "-c", code], env=env, cwd=root, check=True,
+                         capture_output=True, text=True).stdout
+    assert int(out) == 1
 
 
 def test_sampler_working_memory_is_one_chunk_per_worker():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -30,6 +31,8 @@ from spinconc.verify import (
     tails_to_csv,
     write_artifacts,
 )
+
+from .oracles import numpy_openblas
 
 
 # ---------------------------------------------------------------------------
@@ -68,6 +71,27 @@ def test_battery_thread_count_does_not_change_output():
     serial = exact_battery(model_list=small, threads=1)
     pooled = exact_battery(model_list=small, threads=4)
     assert serial.to_json() == pooled.to_json()
+
+
+def test_exact_rows_do_not_depend_on_blas_threads():
+    # the moment and backbone gemvs of a joint on 11 or more sites cross
+    # OpenBLAS's threading threshold (9216 entries); 4x4 is the exact
+    # workload's volume
+    set_threads = numpy_openblas("set_num_threads")
+    if set_threads is None:
+        pytest.skip("numpy bundles no OpenBLAS")
+    model_list = [ising_rect(4, 4, 0.1, "plus")]
+    try:
+        set_threads(2)
+        threaded = exact_battery(model_list=model_list, threads=1)
+        set_threads(1)
+        single = exact_battery(model_list=model_list, threads=1)
+    finally:
+        set_threads(1)
+    assert len(threaded.rows) == len(single.rows) > 0
+    for a, b in zip(threaded.rows, single.rows):
+        for f in dataclasses.fields(a):
+            assert repr(getattr(a, f.name)) == repr(getattr(b, f.name)), (a, f.name)
 
 
 def test_battery_computes_each_band_once(monkeypatch):
