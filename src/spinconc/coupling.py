@@ -310,9 +310,9 @@ def coupled_glauber_disagreement(model: GibbsModel, n_samples: int, sweeps: int,
     the shared-uniform update then preserves the pointwise order of the two
     legs, so per-site disagreement is upper minus lower in symbol indices.
     """
-    chunks = _heat_bath(model, n_samples, sweeps, seed, frozen=(frozen, (1, 0)))
     if model.beta < 0:
         raise ConfigError("monotone coupling needs a ferromagnetic interaction")
+    chunks = _heat_bath(model, n_samples, sweeps, seed, frozen=(frozen, (1, 0)))
     m = model.n_sites
     up_sum = np.zeros(m, dtype=np.int64)
     dn_sum = np.zeros(m, dtype=np.int64)

@@ -1,8 +1,10 @@
 import itertools
+import threading
 
 import numpy as np
 import pytest
 
+from spinconc import coupling
 from spinconc.coupling import (
     coupled_glauber_disagreement,
     coupling_rows_all,
@@ -17,7 +19,7 @@ from spinconc.coupling import (
     transport_cost,
     verify_transport_chain,
 )
-from spinconc.errors import CapacityError
+from spinconc.errors import CapacityError, ConfigError
 from spinconc.fields import SPIN, magnetization, single_spin
 from spinconc.lattice import rect_sites
 from spinconc.models import (
@@ -272,6 +274,18 @@ def test_pair_glauber_runs_off_rectangle():
     assert res.disagree[0] == 1.0
     assert np.all((res.disagree >= 0.0) & (res.disagree <= 1.0))
     assert np.all(res.upper_leg_mean >= res.lower_leg_mean)
+
+
+def test_pair_chain_refuses_antiferromagnets_before_building_the_kernel(monkeypatch):
+    # the shared-uniform pair is monotone only for beta >= 0; the check comes
+    # first, so no kernel generator is built and no thread starts
+    built = []
+    monkeypatch.setattr(coupling, "_heat_bath", lambda *args, **kwargs: built.append(args))
+    before = threading.active_count()
+    with pytest.raises(ConfigError):
+        coupled_glauber_disagreement(ising_rect(3, 3, beta=-0.3), n_samples=10, sweeps=2, seed=1)
+    assert built == []
+    assert threading.active_count() == before
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,7 @@ from spinconc.models import (
     ising_segment,
     model_from_config,
     _heat_bath,
-    _uniforms24,
+    _halves,
 )
 from spinconc.verify import battery_models, empirical_tail
 
@@ -331,8 +331,9 @@ def test_uniforms24_continue_the_float32_stream():
     carry = np.array([state["uinteger"]] * state["has_uint32"], dtype=np.uint32)
     assert carry.size == 1
     for n in (3, 5, 0, 8, 1, 1025):
-        u, carry = _uniforms24(raw.bit_generator, n, carry)
-        assert np.array_equal(u, ref.random(n, dtype=np.float32) * 2.0**24)
+        halves, carry = _halves(raw.bit_generator, n, carry)
+        assert halves.dtype == np.uint32
+        assert np.array_equal(halves >> 8, ref.random(n, dtype=np.float32) * 2.0**24)
 
 
 def _kernel_legs(model, n, sweeps, seed, start, frozen):
@@ -341,11 +342,22 @@ def _kernel_legs(model, n, sweeps, seed, start, frozen):
                      for k in range(len(chunks[0][2]))])
 
 
-@pytest.mark.parametrize("beta", [0.0, 0.1, 1.0, -0.4])
+# a mixed boundary: minus on the left, plus on part of the top and bottom,
+# minus on part of the right, free elsewhere.  With the external field it
+# breaks the 6x5 rectangle's parity classes into 7 and 5 runs of equal
+# threshold rows, and sites of one degree into rows of different thresholds.
+MIXED_BOUNDARY = {**{(-3, y): "-" for y in range(-2, 4)},
+                  **{(x, 4): "+" for x in (-2, -1, 0)},
+                  (3, 0): "-", (3, 1): "-", (1, -3): "+"}
+
+
+# at beta = +-9 thresholds reach 0 and 2^24, the constant terms of the count
+@pytest.mark.parametrize("beta", [0.0, 0.1, 1.0, -0.4, 9.0, -9.0])
 @pytest.mark.parametrize("model_of", [lambda b: ising_rect(5, 3, b, "plus"),
                                       lambda b: ising_model(L_SHAPE, b, "free"),
-                                      lambda b: ising_segment(9, b, "minus")],
-                         ids=["rectangle", "L-shape", "segment"])
+                                      lambda b: ising_segment(9, b, "minus"),
+                                      lambda b: ising_rect(6, 5, b, MIXED_BOUNDARY, 0.5)],
+                         ids=["rectangle", "L-shape", "segment", "mixed-rectangle"])
 def test_heat_bath_matches_float32_reference_bit_for_bit(model_of, beta):
     model = model_of(beta)
     # four chunks cross the pool's window of in-flight chunks on a 2-core
