@@ -10,9 +10,11 @@ transitions.  Small volumes are handled exactly through `ExactJoint`;
 `glauber_batch` draws product and Markov models exactly and runs binary
 nearest-neighbor Gibbs models through one heat-bath kernel, and returns an
 observable g on each replica.  The kernel's chunks of replicas run in
-parallel on `os.cpu_count()` threads (`ordered_map`) and come back in order,
-so the output does not depend on the thread count; working memory is up to
-one chunk per worker plus 8 bytes per replica.
+parallel on `os.cpu_count()` threads (`ordered_map`) when the larger parity
+class has at least `POOL_MIN_ROWS` rows, and serially below that, where the
+pool does not pay; they come back in order, so the output does not depend
+on the thread count.  Working memory is up to one chunk per worker plus 8
+bytes per replica.
 
 Importing this module sets numpy's bundled OpenBLAS to one thread: spinconc's
 own pools take the cores, and its BLAS calls, all small, run inside them.  A
@@ -381,6 +383,15 @@ def exact_joint(model: GibbsModel) -> ExactJoint:
 #: so replica r depends only on the seed and r // CHUNK, never on n_samples
 CHUNK = 1024
 
+#: `_heat_bath` runs its chunks serially when its larger parity class has
+#: fewer rows: each numpy call is then too short to pay for the pool, whose
+#: workers mostly trade the interpreter lock.  Medians of 10 interleaved
+#: calls, 2 threads against 1, in two sessions on a shared 2-core x86-64
+#: box (numpy 2.4): 8x8 (32 rows), 10^4 replicas, 40 sweeps, pool 114 and
+#: 124 ms wall, serial 105 and 118 ms; 16x16 (128 rows), 6250 replicas, 60
+#: sweeps, pool 289 and 271 ms wall, serial 391 and 371 ms.
+POOL_MIN_ROWS = 64
+
 # start configurations as site-major symbol indices (n_sites, replicas)
 _STARTS = {
     "plus": lambda m, n, rng: np.ones((m, n), dtype=np.int8),
@@ -484,8 +495,11 @@ def _heat_bath(model: GibbsModel, n_samples: int, sweeps: int, seed: int,
     whose rows rarely repeat makes one compare call per row and threshold.
 
     Chunks run in parallel on `ordered_map`'s pool of `os.cpu_count()`
-    threads; numpy releases the interpreter lock in `random_raw` and the
-    ufuncs, where the time goes.  Each chunk keeps its own generator, start
+    threads when the larger parity class has at least `POOL_MIN_ROWS` rows;
+    numpy releases the interpreter lock in `random_raw` and the ufuncs,
+    where the time goes.  With fewer rows (8x8 has 32) every call is short,
+    the workers mostly trade the lock, and chunks run serially in the
+    calling thread.  Each chunk keeps its own generator, start
     draw, carry and buffers, and chunks are yielded in order, so the output
     does not depend on the thread count.  Working memory is up to one chunk
     per worker thread, whatever n_samples is: at 16x16 one chunk peaks at
@@ -575,7 +589,8 @@ def _heat_bath(model: GibbsModel, n_samples: int, sweeps: int, seed: int,
                     compare(count, t, spins[a:b].view(bool))
         return lo, hi, [spins[row] for spins in legs]
 
-    return ordered_map(run, _chunks(n_samples, seed))
+    return ordered_map(run, _chunks(n_samples, seed),
+                       threads=1 if n_rows < POOL_MIN_ROWS else 0)
 
 
 def _inverse_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -230,9 +230,12 @@ def exact_battery(model_list=None, threads: int = 0, t_points: int = 20,
     count and `threads=1` runs serially.  Rows come out in model
     order whatever the thread count.  `t_points` below 1 is a ConfigError,
     raised before any joint is built: an empty tail grid checks nothing.
+    So is a negative `threads`, which `ordered_map` would take for every core.
     """
     if t_points < 1:
         raise ConfigError("t_points must be at least 1")
+    if threads < 0:
+        raise ConfigError("threads must be 0 (every core) or a positive count")
     model_list = battery_models(seed) if model_list is None else model_list
     chunks = list(models.ordered_map(lambda m: _battery_task(m, t_points),
                                      model_list, threads))

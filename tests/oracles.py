@@ -166,6 +166,52 @@ def transport_vertex_oracle(p, q, cost):
     return best
 
 
+def reference_coupling_rows(joint, i):
+    """(value, lower, upper, past_mass) of row i, by the formula the package
+    first had: for coordinate j = i + 1 + y, four strided
+    `reshape(n_past, k**y, k, R).sum(axis=(1, 3))` reductions per symbol
+    pair.  `coupling.coupling_rows_all` must match it bit for bit.
+    """
+    m, k = joint.n_sites, joint.k
+    n_past = k ** i
+    value = np.zeros((n_past, m))
+    lower = np.zeros((n_past, m))
+    upper = np.zeros((n_past, m))
+    value[:, i] = lower[:, i] = upper[:, i] = 1.0
+    past_mass = np.array([1.0]) if i == 0 else joint.prefix_marginal(i - 1).reshape(-1)
+    if i == m - 1:
+        return value, lower, upper, past_mass
+    t = joint.probs.reshape(n_past, k, -1)
+    n_future = t.shape[2]
+    sym_mass = t.sum(axis=2)
+    cond = t / np.where(sym_mass > 0.0, sym_mass, 1.0)[:, :, None]
+    for a in range(k):
+        for b in range(a + 1, k):
+            ok = (sym_mass[:, a] > 0.0) & (sym_mass[:, b] > 0.0)
+            if not ok.any():
+                continue
+            p1, p2 = cond[:, a, :], cond[:, b, :]
+            mn = np.minimum(p1, p2)
+            r1, r2 = p1 - mn, p2 - mn
+            resid = r1.sum(axis=1)
+            safe = np.where(resid > 1e-15, resid, 1.0)
+            for y in range(m - i - 1):
+                j = i + 1 + y
+                shape = (n_past, k ** y, k, n_future // k ** (y + 1))
+                ax = (1, 3)
+                m1 = p1.reshape(shape).sum(axis=ax)
+                m2 = p2.reshape(shape).sum(axis=ax)
+                tv_j = 0.5 * np.abs(m1 - m2).sum(axis=1)
+                g1 = r1.reshape(shape).sum(axis=ax)
+                g2 = r2.reshape(shape).sum(axis=ax)
+                val = resid - (g1 * g2).sum(axis=1) / safe
+                val = np.clip(np.where(resid > 1e-15, val, 0.0), 0.0, None)
+                value[:, j] = np.maximum(value[:, j], np.where(ok, val, 0.0))
+                lower[:, j] = np.maximum(lower[:, j], np.where(ok, tv_j, 0.0))
+                upper[:, j] = np.maximum(upper[:, j], np.where(ok, resid, 0.0))
+    return value, lower, upper, past_mass
+
+
 def reference_heat_bath(model, n_samples, sweeps, seed, start="plus", frozen=None):
     """Float32 heat bath with a gathered p_+ table, leg by leg.
 

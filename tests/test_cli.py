@@ -122,6 +122,8 @@ def test_unknown_subcommand_is_exit_2(tmp_path, capsys):
     ("transport", {"seed": 1, "n_instances": -3, "gibbs_pair": False}),
     ("transport", {"seed": 1, "support_cap": -4}),
     ("transport", {"seed": 1, "support_cap": 3}),
+    # a command's flags follow its name; a negative count is not "every core"
+    ("battery --threads -5", {}),
 ])
 def test_malformed_config_is_exit_2(tmp_path, capsys, monkeypatch, command, cfg):
     def no_sampling(*args, **kwargs):
@@ -133,7 +135,7 @@ def test_malformed_config_is_exit_2(tmp_path, capsys, monkeypatch, command, cfg)
         monkeypatch.setattr(module, name, no_sampling)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
-    assert run([command, "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert run([*command.split(), "--config", str(path), "--out", str(tmp_path)]) == 2
     assert "config error:" in capsys.readouterr().err
 
 

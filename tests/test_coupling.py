@@ -20,9 +20,10 @@ from spinconc.coupling import (
     verify_transport_chain,
 )
 from spinconc.errors import CapacityError, ConfigError
-from spinconc.fields import SPIN, magnetization, single_spin
-from spinconc.lattice import rect_sites
+from spinconc.fields import SPIN, Alphabet, magnetization, single_spin
+from spinconc.lattice import rect_sites, segment_sites
 from spinconc.models import (
+    GibbsModel,
     MarkovChainModel,
     exact_joint,
     iid_spins,
@@ -31,7 +32,7 @@ from spinconc.models import (
     ising_segment,
 )
 
-from tests.oracles import naive_tv, transport_vertex_oracle
+from tests.oracles import naive_tv, reference_coupling_rows, transport_vertex_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -108,6 +109,40 @@ def test_rows_match_oracle_2d():
         naive = _naive_row(joint, 1, prefix, 0, 1)
         for j, v in naive.items():
             assert abs(band.value[w, j] - v) < 1e-12
+
+
+def _ternary_chain(n: int) -> GibbsModel:
+    rng = np.random.default_rng(5)
+    terms = [((x, x + 1), rng.normal(size=(3, 3))) for x in range(n - 1)]
+    return GibbsModel(segment_sites(n), terms, 0.8, Alphabet(("a", "b", "c"), (0.0, 0.5, 2.0)))
+
+
+# runs of R = 3^5, 3^4, ... entries are not multiples of 8; the chain that
+# never leaves minus has pasts of probability zero
+@pytest.mark.parametrize("model", [
+    ising_rect(4, 4, 0.2, "plus"),
+    ising_rect(2, 3, 0.5, "plus"),
+    ising_rect(3, 3, 0.3, "free"),
+    _ternary_chain(7),
+    MarkovChainModel(6, [0.5, 0.5], [[1.0, 0.0], [0.5, 0.5]]),
+], ids=["ising-4x4", "ising-2x3", "ising-3x3", "ternary-chain-7", "absorbing-markov-6"])
+def test_bands_match_the_reference_formula_bit_for_bit(model):
+    joint = exact_joint(model)
+    for i in range(joint.n_sites):
+        band = coupling_rows_all(joint, i)
+        want = reference_coupling_rows(joint, i)
+        for name, w in zip(("value", "lower", "upper", "past_mass"), want):
+            assert np.array_equal(getattr(band, name), w), (i, name)
+
+
+def test_pairwise_sum_is_numpys_sum():
+    # every branch: in order, 8 partial sums with and without a remainder,
+    # and the split of the sum above 128 entries
+    rng = np.random.default_rng(2)
+    for n in (1, 2, 7, 8, 9, 15, 16, 27, 81, 128, 129, 243, 1000):
+        x = rng.random((n, 5)) ** 3
+        got = coupling._pairwise_sum(lambda r: x[r], n)
+        assert np.array_equal(got, np.ascontiguousarray(x.T).sum(axis=1)), n
 
 
 def test_markov_first_superdiagonal_is_two_q_minus_one():

@@ -4,11 +4,13 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from math import exp
 
 import numpy as np
 import pytest
 
+from spinconc import models
 from spinconc.errors import (
     CapacityError,
     ConfigError,
@@ -358,11 +360,15 @@ MIXED_BOUNDARY = {**{(-3, y): "-" for y in range(-2, 4)},
                                       lambda b: ising_segment(9, b, "minus"),
                                       lambda b: ising_rect(6, 5, b, MIXED_BOUNDARY, 0.5)],
                          ids=["rectangle", "L-shape", "segment", "mixed-rectangle"])
-def test_heat_bath_matches_float32_reference_bit_for_bit(model_of, beta):
+def test_heat_bath_matches_float32_reference_bit_for_bit(model_of, beta, monkeypatch):
     model = model_of(beta)
-    # four chunks cross the pool's window of in-flight chunks on a 2-core
-    # machine, so a chunk yielded out of order or dropped shows
-    window = (3 * CHUNK + 5,) if model.name == "ising[5x3]_b1_plus" else ()
+    # every volume here is below the pool's threshold; pooled, four chunks
+    # cross the window of in-flight chunks on a 2-core machine, so a chunk
+    # yielded out of order or dropped shows
+    window = ()
+    if model.name == "ising[5x3]_b1_plus":
+        monkeypatch.setattr(models, "POOL_MIN_ROWS", 0)
+        window = (3 * CHUNK + 5,)
     for start in ("plus", "minus", "random"):
         for frozen in (None, (model.n_sites // 2, (0, 1))):
             for n in (1, 7, CHUNK + 1) + window:
@@ -371,7 +377,9 @@ def test_heat_bath_matches_float32_reference_bit_for_bit(model_of, beta):
                 assert np.array_equal(got, want), (start, frozen, n)
 
 
-def test_heat_bath_closed_early_joins_its_threads():
+def test_heat_bath_closed_early_joins_its_threads(monkeypatch):
+    monkeypatch.setattr(models, "POOL_MIN_ROWS", 0)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     before = threading.active_count()
     chunks = _heat_bath(ising_rect(5, 3, 1.0, "plus"), 6 * CHUNK, 3, seed=1)
     lo, hi, _ = next(chunks)
@@ -381,6 +389,25 @@ def test_heat_bath_closed_early_joins_its_threads():
     closer.join(timeout=30)
     assert not closer.is_alive()
     assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("side, pooled", [(8, False), (16, True)])
+def test_heat_bath_pools_only_from_pool_min_rows(side, pooled, monkeypatch):
+    # 8x8 has 32 rows per parity class, 16x16 has 128: the pool pays only
+    # on the larger volume
+    assert (side * side // 2 >= models.POOL_MIN_ROWS) == pooled
+    pools = []
+
+    class Recording(ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(models, "ThreadPoolExecutor", Recording)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    model = ising_rect(side, side, 0.3)
+    glauber_batch(model, magnetization(model.sites), 2 * CHUNK, 1, seed=3)
+    assert len(pools) == pooled
 
 
 def test_importing_spinconc_leaves_openblas_on_one_thread():
