@@ -26,22 +26,24 @@ from spinconc.models import ExactJoint
 # martingale decomposition along the enumeration order
 # ---------------------------------------------------------------------------
 
-_ORTHO_BLOCK = 2 ** 17  # entries in one orthogonality_error temporary (1 MiB)
-
-
 @dataclass
 class MartingaleDecomposition:
     """Increments V_i = E[g|first i+1 coordinates] - E[g|first i coordinates].
 
-    `increments[i]` is V_i broadcast to the joint's shape (all m of them in
-    one array); entries over zero-probability prefixes are set to zero and
-    excluded from all identities.
+    V_i is a function of the first i+1 coordinates, and `increments[i]` is
+    stored on that prefix grid: an array of shape (k,)*(i+1) + (1,)*(m-i-1),
+    which broadcasts against the joint and whose `.reshape(-1)` is the table
+    over prefixes in enumeration order.  Entries over zero-probability
+    prefixes are zero; a zero-probability configuration under a
+    positive-mass prefix carries its prefix's value.  Every identity is
+    taken over the support or weighted by the joint, so no check reads a
+    zero-probability configuration.
     """
 
     joint: ExactJoint
     g_table: np.ndarray
     mean: float
-    increments: np.ndarray
+    increments: list[np.ndarray]
     support: np.ndarray
 
     def telescoping_error(self) -> float:
@@ -56,30 +58,22 @@ class MartingaleDecomposition:
         worst = 0.0
         for i, v in enumerate(self.increments):
             axes = tuple(range(i, self.joint.n_sites))
-            num = (p * v).sum(axis=axes)
-            den = p.sum(axis=axes)
-            mask = den > 0
-            if np.any(mask):
-                worst = max(worst, float(np.abs(np.atleast_1d(num)[np.atleast_1d(mask)]
-                                                / np.atleast_1d(den)[np.atleast_1d(mask)]).max()))
+            num = np.atleast_1d((p * v).sum(axis=axes))
+            den = np.atleast_1d(p.sum(axis=axes))
+            live = den > 0
+            if live.any():
+                worst = max(worst, float(np.abs(num[live] / den[live]).max()))
         return worst
 
     def orthogonality_error(self) -> float:
-        """max over pairs i < j of |E[V_i V_j]|.
-
-        Row i sums p V_i V_j for a block of rows j > i at once; each sum runs
-        over the same contiguous values in the same order as a sum of the
-        single product, so the result does not depend on the blocking.  A
-        block's temporary holds at most `_ORTHO_BLOCK` entries.
-        """
-        p = self.joint.probs.reshape(-1)
-        v = self.increments.reshape(len(self.increments), -1)
-        step = max(1, _ORTHO_BLOCK // v.shape[1])
+        """max over pairs i < j of |E[V_i V_j]|, each a sum of p V_i V_j over
+        every configuration."""
+        p = self.joint.probs
         worst = 0.0
-        for i in range(len(v) - 1):
-            pv = p * v[i]
-            for j in range(i + 1, len(v), step):
-                worst = max(worst, float(np.abs((pv * v[j:j + step]).sum(axis=1)).max()))
+        for i, v in enumerate(self.increments[:-1]):
+            pv = p * v
+            for w in self.increments[i + 1:]:
+                worst = max(worst, abs(float((pv * w).sum())))
         return worst
 
 
@@ -88,19 +82,19 @@ def martingale_decomposition(joint: ExactJoint, g: LocalFunction) -> MartingaleD
     m = joint.n_sites
     g_table = joint.function_table(g)
     mean = joint.expectation(g_table)
-    support = p > 0
-    prev = np.full(p.shape, mean)
-    increments = np.empty((m,) + p.shape)
+    pg = p * g_table
+    prev = mean
+    increments = []
     for i in range(m):
         axes = tuple(range(i + 1, m))
-        num = (p * g_table).sum(axis=axes, keepdims=True)
+        num = pg.sum(axis=axes, keepdims=True)
         den = p.sum(axis=axes, keepdims=True)
+        live = den > 0
         with np.errstate(invalid="ignore", divide="ignore"):
-            cond = np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)
-        cond = np.broadcast_to(cond, p.shape)
-        increments[i] = np.where(support, cond - prev, 0.0)
-        prev = np.where(den > 0, cond, prev)
-    return MartingaleDecomposition(joint, g_table, mean, increments, support)
+            cond = np.where(live, num / np.where(live, den, 1.0), 0.0)
+        increments.append(np.where(live, cond - prev, 0.0))
+        prev = np.where(live, cond, prev)
+    return MartingaleDecomposition(joint, g_table, mean, increments, p > 0)
 
 
 # ---------------------------------------------------------------------------

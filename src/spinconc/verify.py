@@ -92,37 +92,28 @@ def battery_functions(model: GibbsModel) -> list[LocalFunction]:
 # row-sum inequality check
 # ---------------------------------------------------------------------------
 
-def backbone_check(joint: ExactJoint, g: LocalFunction,
-                   decomposition=None, corrupt_entry=None, values=None):
-    """Worst violation of |V_i(sigma)| <= sum_y D_{i,y}(past) delta_y g.
+def backbone_check(dec: bounds.MartingaleDecomposition, rhs: list[np.ndarray]):
+    """Worst violation of |V_i| <= sum_y D_{i,y}(past) delta_y g.
 
-    Returns (max over sigma, i of |V_i| - rhs, witness (i, flat config)).
-    `values[i]`, when given, is `coupling_rows_all(joint, i).value`, shared
-    by a caller that checks several observables on one joint; by default the
-    bands are computed here.  `corrupt_entry=(i, y)` zeroes column y of the
-    row-i coupling values in a copy, a deliberate sabotage hook used to
-    confirm the check has teeth.
+    `rhs[i]` is that row sum for every past sigma_{<i}, flat over the k**i
+    pasts in enumeration order: `coupling_rows_all(joint, i).value @
+    delta_vector(g, ...).per_site`.  Row i compares |V_i| with it on every
+    positive-mass prefix sigma_{<=i}.  Returns (max over i and prefixes of
+    |V_i| - rhs, witness (i, flat config)); the witness config is the first
+    positive-probability configuration under the worst prefix.
     """
-    dec = decomposition or bounds.martingale_decomposition(joint, g)
-    dv = fields.delta_vector(g, joint.sites, joint.alphabet)
-    m, k = joint.n_sites, joint.k
-    conf = np.arange(k ** m)
+    joint = dec.joint
     support = dec.support.reshape(-1)
     worst = -math.inf
     witness = (0, 0)
-    for i in range(m):
-        value = (coupling.coupling_rows_all(joint, i).value if values is None
-                 else values[i])
-        if corrupt_entry is not None and corrupt_entry[0] == i:
-            value = value.copy()
-            value[:, corrupt_entry[1]] = 0.0
-        rhs = (value @ dv.per_site)[conf // k ** (m - i)]
-        gap = np.abs(dec.increments[i].reshape(-1)) - rhs
-        gap = np.where(support, gap, -math.inf)
-        j = int(gap.argmax())
-        if gap[j] > worst:
-            worst = float(gap[j])
-            witness = (i, j)
+    for i, v in enumerate(dec.increments):
+        gap = np.abs(v.reshape(-1)) - np.repeat(rhs[i], joint.k)
+        gap = np.where(joint.prefix_marginal(i).reshape(-1) > 0.0, gap, -math.inf)
+        q = int(gap.argmax())
+        if gap[q] > worst:
+            worst = float(gap[q])
+            block = support.size // gap.size
+            witness = (i, q * block + int(support[q * block:(q + 1) * block].argmax()))
     return worst, witness
 
 
@@ -131,11 +122,11 @@ def backbone_check(joint: ExactJoint, g: LocalFunction,
 # ---------------------------------------------------------------------------
 
 def _observable_rows(model: GibbsModel, joint: ExactJoint, g: LocalFunction,
-                     values: list[np.ndarray], env_norm: float,
+                     dv: fields.DeltaVector, rhs: list[np.ndarray], env_norm: float,
                      moment_norm: dict[int, float], t_points: int) -> list[BoundRow]:
-    """The exact rows of one observable, on its model's shared bands and norms."""
+    """The exact rows of one observable, from its oscillation vector `dv`,
+    its backbone row sums `rhs` and its model's shared norms."""
     dec = bounds.martingale_decomposition(joint, g)
-    dv = fields.delta_vector(g, joint.sites, joint.alphabet)
     name, fname = model.name, g.name
     rows = []
 
@@ -155,7 +146,7 @@ def _observable_rows(model: GibbsModel, joint: ExactJoint, g: LocalFunction,
                           _TOLERANCES["decomposition"],
                           dec.orthogonality_error(), 0.0))
 
-    viol, witness = backbone_check(joint, g, decomposition=dec, values=values)
+    viol, witness = backbone_check(dec, rhs)
     rows.append(exact_row("backbone_rowsum", _TOLERANCES["backbone"], viol, 0.0,
                           params={"witness_row": witness[0],
                                   "witness_config": witness[1]}))
@@ -197,26 +188,30 @@ def _battery_task(model: GibbsModel, t_points: int) -> list[BoundRow]:
     """Every exact row of one model, observable by observable
     (`battery_functions(model)`).
 
-    Each coupling band is computed once: its envelope and moment rows are
-    taken as it is produced, then only its `value` array is kept, for the
-    backbone check of every observable.  The envelope norm and the moment
-    norms of orders 2, 4 and 6 do not depend on the observable either.
+    Each coupling band is computed once and reduced as it streams by: the
+    envelope and moment matrices take their rows from it, and each
+    observable takes its backbone row sums `band.value @ delta_g`.  No band
+    outlives its row.  The envelope norm and the moment norms of orders 2,
+    4 and 6 do not depend on the observable.
     """
     joint = models.exact_joint(model)
-    values = []
+    functions = battery_functions(model)
+    dvs = [fields.delta_vector(g, joint.sites, joint.alphabet) for g in functions]
+    rhs = [[] for _ in functions]
 
     def bands():
         for i in range(joint.n_sites):
             band = coupling.coupling_rows_all(joint, i)
-            values.append(band.value)
+            for sums, dv in zip(rhs, dvs):
+                sums.append(band.value @ dv.per_site)
             yield band
 
     env = coupling.envelope_and_moment_matrices(joint, p_orders=(2, 4, 6),
                                                 bands=bands())
     env_norm = bounds.operator_norm_l2(env.envelope)
     moment_norm = {q: bounds.operator_norm_l2(env.moment[q]) for q in (2, 4, 6)}
-    return [row for g in battery_functions(model)
-            for row in _observable_rows(model, joint, g, values, env_norm,
+    return [row for g, dv, sums in zip(functions, dvs, rhs)
+            for row in _observable_rows(model, joint, g, dv, sums, env_norm,
                                         moment_norm, t_points)]
 
 
@@ -230,13 +225,21 @@ def exact_battery(model_list=None, threads: int = 0, t_points: int = 20,
     count and `threads=1` runs serially.  Rows come out in model
     order whatever the thread count.  `t_points` below 1 is a ConfigError,
     raised before any joint is built: an empty tail grid checks nothing.
-    So is a negative `threads`, which `ordered_map` would take for every core.
+    So is a negative `threads`, which `ordered_map` would take for every core,
+    an empty `model_list`, and a model on fewer than two sites, which has no
+    pair for `battery_functions` to take.
     """
     if t_points < 1:
         raise ConfigError("t_points must be at least 1")
     if threads < 0:
         raise ConfigError("threads must be 0 (every core) or a positive count")
     model_list = battery_models(seed) if model_list is None else model_list
+    if not model_list:
+        raise ConfigError("the battery needs at least one model")
+    for m in model_list:
+        if m.n_sites < 2:
+            raise ConfigError(f"battery model {m.name} has {m.n_sites} site(s); "
+                              "its pair observable needs two")
     chunks = list(models.ordered_map(lambda m: _battery_task(m, t_points),
                                      model_list, threads))
     report = BoundReport(meta={

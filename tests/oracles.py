@@ -212,6 +212,77 @@ def reference_coupling_rows(joint, i):
     return value, lower, upper, past_mass
 
 
+def reference_decomposition(joint, g_table, mean):
+    """Martingale increments by the formula the package first had: every
+    V_i broadcast over the joint's shape, stacked into one (m, *shape)
+    array, zero off the support.  `bounds.martingale_decomposition` must
+    match it bit for bit on the support.
+    """
+    p = joint.probs
+    m = joint.n_sites
+    support = p > 0
+    prev = np.full(p.shape, mean)
+    increments = np.empty((m,) + p.shape)
+    for i in range(m):
+        axes = tuple(range(i + 1, m))
+        num = (p * g_table).sum(axis=axes, keepdims=True)
+        den = p.sum(axis=axes, keepdims=True)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            cond = np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)
+        cond = np.broadcast_to(cond, p.shape)
+        increments[i] = np.where(support, cond - prev, 0.0)
+        prev = np.where(den > 0, cond, prev)
+    return increments
+
+
+def reference_decomposition_errors(joint, g_table, mean, increments):
+    """(telescoping, conditional mean, orthogonality) errors of dense
+    increments, by the package's first formulas; the orthogonality sums run
+    over blocks of at most 2**17 entries, which does not change them."""
+    p = joint.probs
+    support = p > 0
+    total = sum(increments)
+    telescoping = float(np.abs(total - (g_table - mean))[support].max())
+    cond_mean = 0.0
+    for i, v in enumerate(increments):
+        axes = tuple(range(i, joint.n_sites))
+        num = (p * v).sum(axis=axes)
+        den = p.sum(axis=axes)
+        mask = den > 0
+        if np.any(mask):
+            cond_mean = max(cond_mean, float(np.abs(np.atleast_1d(num)[np.atleast_1d(mask)]
+                                                    / np.atleast_1d(den)[np.atleast_1d(mask)]).max()))
+    pf = p.reshape(-1)
+    v = increments.reshape(len(increments), -1)
+    step = max(1, 2 ** 17 // v.shape[1])
+    ortho = 0.0
+    for i in range(len(v) - 1):
+        pv = pf * v[i]
+        for j in range(i + 1, len(v), step):
+            ortho = max(ortho, float(np.abs((pv * v[j:j + step]).sum(axis=1)).max()))
+    return telescoping, cond_mean, ortho
+
+
+def reference_backbone(joint, increments, values, per_site):
+    """(worst gap, witness (i, flat config)) of the backbone check by its
+    first loop: every row's gap over all k**m configurations, -inf off the
+    support, with `values[i]` the row-i band values."""
+    m, k = joint.n_sites, joint.k
+    conf = np.arange(k ** m)
+    support = (joint.probs > 0).reshape(-1)
+    worst = -np.inf
+    witness = (0, 0)
+    for i in range(m):
+        rhs = (values[i] @ per_site)[conf // k ** (m - i)]
+        gap = np.abs(increments[i].reshape(-1)) - rhs
+        gap = np.where(support, gap, -np.inf)
+        j = int(gap.argmax())
+        if gap[j] > worst:
+            worst = float(gap[j])
+            witness = (i, j)
+    return worst, witness
+
+
 def reference_heat_bath(model, n_samples, sweeps, seed, start="plus", frozen=None):
     """Float32 heat bath with a gathered p_+ table, leg by leg.
 

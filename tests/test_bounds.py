@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -23,11 +24,14 @@ from spinconc.bounds import (
     stretched_bound,
     variance_bound,
 )
-from spinconc.fields import SPIN, magnetization, total_spin
+from spinconc.coupling import coupling_rows_all
+from spinconc.fields import SPIN, delta_vector, magnetization, total_spin
 from spinconc.lattice import segment_sites
-from spinconc.models import ExactJoint, exact_joint, ising_rect
+from spinconc.models import ExactJoint, MarkovChainModel, exact_joint, ising_rect
+from spinconc.verify import _TOLERANCES, backbone_check, battery_functions, battery_models
 
-from tests.oracles import dict_joint, naive_increments
+from tests.oracles import (dict_joint, naive_increments, reference_backbone,
+                           reference_decomposition, reference_decomposition_errors)
 
 
 def _random_joint(m, seed, zero_slab=False):
@@ -54,7 +58,7 @@ def test_increments_match_dictionary_oracle():
 
     for cfg, vs in naive_increments(dict_joint(joint), g_of, 4):
         for i, v in enumerate(vs):
-            assert abs(dec.increments[i][cfg] - v) < 1e-10
+            assert abs(np.broadcast_to(dec.increments[i], joint.probs.shape)[cfg] - v) < 1e-10
 
 
 def test_decomposition_identities_gibbs():
@@ -84,6 +88,86 @@ def test_last_increment_reaches_g():
     partial = sum(dec.increments) + dec.mean
     on_support = dec.support
     assert np.allclose(partial[on_support], dec.g_table[on_support], atol=1e-12)
+
+
+# every battery model; a 2^16-state joint; a prefix of probability zero at
+# the first coordinate; a chain that never leaves minus, whose
+# zero-probability prefixes sit under positive-mass pasts
+_REFERENCE_JOINTS = {m.name: (lambda m=m: exact_joint(m)) for m in battery_models()}
+_REFERENCE_JOINTS.update({
+    "ising[4x4]_b0.2_plus": lambda: exact_joint(ising_rect(4, 4, 0.2, "plus")),
+    "zero-mass-prefix": lambda: _random_joint(3, seed=5, zero_slab=True),
+    "absorbing-markov-6": lambda: exact_joint(
+        MarkovChainModel(6, [0.5, 0.5], [[1.0, 0.0], [0.5, 0.5]])),
+})
+
+
+@pytest.mark.parametrize("name", list(_REFERENCE_JOINTS))
+def test_decomposition_and_backbone_match_the_dense_reference_bit_for_bit(name):
+    joint = _REFERENCE_JOINTS[name]()
+    values = [coupling_rows_all(joint, i).value for i in range(joint.n_sites)]
+    for g in battery_functions(joint):
+        dec = martingale_decomposition(joint, g)
+        want = reference_decomposition(joint, dec.g_table, dec.mean)
+        assert len(dec.increments) == len(want)
+        for i, (v, w) in enumerate(zip(dec.increments, want)):
+            assert v.shape == (joint.k,) * (i + 1) + (1,) * (joint.n_sites - i - 1)
+            dense = np.where(dec.support, np.broadcast_to(v, joint.probs.shape), 0.0)
+            assert np.array_equal(dense, w), (g.name, i)
+            assert not v.reshape(-1)[joint.prefix_marginal(i).reshape(-1) == 0.0].any()
+        got = (dec.telescoping_error(), dec.conditional_mean_error(),
+               dec.orthogonality_error())
+        assert got == reference_decomposition_errors(joint, dec.g_table, dec.mean, want)
+        per_site = delta_vector(g, joint.sites, joint.alphabet).per_site
+        assert (backbone_check(dec, [v @ per_site for v in values])
+                == reference_backbone(joint, want, values, per_site)), g.name
+
+
+def _sabotaged(dec, change):
+    """A copy of `dec` whose increments went through `change`, in place."""
+    increments = [v.copy() for v in dec.increments]
+    change(increments)
+    return dataclasses.replace(dec, increments=increments)
+
+
+@pytest.fixture
+def rect_decomposition():
+    # 2x3 plus: every configuration has positive probability
+    joint = exact_joint(ising_rect(2, 3, 0.5, "plus"))
+    dec = martingale_decomposition(joint, total_spin(joint.sites))
+    tol = _TOLERANCES["decomposition"]
+    assert dec.telescoping_error() < tol
+    assert dec.conditional_mean_error() < tol
+    assert dec.orthogonality_error() < tol
+    return dec, tol
+
+
+def test_telescoping_fails_when_one_prefix_moves(rect_decomposition):
+    dec, tol = rect_decomposition
+
+    def shift(v):
+        v[2].reshape(-1)[5] += 1e-3
+
+    assert _sabotaged(dec, shift).telescoping_error() > tol
+
+
+def test_conditional_mean_fails_when_one_past_moves(rect_decomposition):
+    # every child (sigma_{<2}, s) of the past sigma_{<2} = (1, 0) moves alike
+    dec, tol = rect_decomposition
+
+    def shift(v):
+        v[2].reshape(4, 2)[2] += 1e-3
+
+    assert _sabotaged(dec, shift).conditional_mean_error() > tol
+
+
+def test_orthogonality_fails_when_an_earlier_increment_leaks(rect_decomposition):
+    dec, tol = rect_decomposition
+
+    def leak(v):
+        v[4] = v[4] + v[1]
+
+    assert _sabotaged(dec, leak).orthogonality_error() > tol
 
 
 # ---------------------------------------------------------------------------

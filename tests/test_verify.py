@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinconc import coupling
+from spinconc import coupling, models
 from spinconc.bounds import martingale_decomposition
 from spinconc.errors import ConfigError
 from spinconc.fields import delta_vector, magnetization, total_spin
@@ -107,28 +107,49 @@ def test_battery_computes_each_band_once(monkeypatch):
     assert len(calls) == sum(m.n_sites for m in battery_models()) == 70
 
 
+def _band_values(joint):
+    return [coupling.coupling_rows_all(joint, i).value for i in range(joint.n_sites)]
+
+
+def _row_sums(values, g, joint, corrupt=None):
+    """The backbone's right-hand sides `values[i] @ delta_g`.  `corrupt=(i, y)`
+    zeroes column y of a copy of `values[i]` first, a sabotage that must
+    surface as a violation."""
+    per_site = delta_vector(g, joint.sites, joint.alphabet).per_site
+    sums = []
+    for i, value in enumerate(values):
+        if corrupt is not None and corrupt[0] == i:
+            value = value.copy()
+            value[:, corrupt[1]] = 0.0
+        sums.append(value @ per_site)
+    return sums
+
+
 def test_backbone_corruption_is_detected():
     # iid coins leave no slack: the coupling matrix is the identity, so
     # zeroing one diagonal entry must surface as a violation of exactly 1
     joint = exact_joint(iid_spins(6, 0.5))
     g = total_spin(joint.sites)
-    clean, _ = backbone_check(joint, g)
+    dec = martingale_decomposition(joint, g)
+    values = _band_values(joint)
+    clean, _ = backbone_check(dec, _row_sums(values, g, joint))
     assert clean <= 1e-12
-    bad, witness = backbone_check(joint, g, corrupt_entry=(3, 3))
+    bad, witness = backbone_check(dec, _row_sums(values, g, joint, corrupt=(3, 3)))
     assert bad == pytest.approx(1.0, abs=1e-12)
     assert witness[0] == 3
 
 
 def test_backbone_corruption_leaves_shared_bands_intact():
     # the battery shares one set of band values across observables; the
-    # sabotage hook must corrupt a copy, not the shared arrays
+    # sabotage must corrupt a copy, not the shared arrays
     joint = exact_joint(iid_spins(6, 0.5))
     g = total_spin(joint.sites)
-    values = [coupling.coupling_rows_all(joint, i).value for i in range(joint.n_sites)]
-    bad, witness = backbone_check(joint, g, corrupt_entry=(3, 3), values=values)
+    dec = martingale_decomposition(joint, g)
+    values = _band_values(joint)
+    bad, witness = backbone_check(dec, _row_sums(values, g, joint, corrupt=(3, 3)))
     assert bad == pytest.approx(1.0, abs=1e-12)
     assert witness[0] == 3
-    clean, _ = backbone_check(joint, g, values=values)
+    clean, _ = backbone_check(dec, _row_sums(values, g, joint))
     assert clean <= 1e-12
 
 
@@ -136,14 +157,27 @@ def test_backbone_witness_reproduces_the_gap():
     model = ising_segment(4, 0.4, "free")
     joint = exact_joint(model)
     g = magnetization(joint.sites)
-    worst, (i, conf) = backbone_check(joint, g)
     dec = martingale_decomposition(joint, g)
+    worst, (i, conf) = backbone_check(dec, _row_sums(_band_values(joint), g, joint))
     dv = delta_vector(g, joint.sites, joint.alphabet)
     k, m = joint.k, joint.n_sites
     digits = [(conf // k ** (m - 1 - j)) % k for j in range(m)]
     row = coupling.coupling_rows_all(joint, i).value[np.ravel_multi_index(digits[:i], (k,) * i)]
-    gap = abs(dec.increments[i].reshape(-1)[conf]) - float(row @ dv.per_site)
+    v = np.broadcast_to(dec.increments[i], joint.probs.shape)
+    gap = abs(v.reshape(-1)[conf]) - float(row @ dv.per_site)
     assert gap == pytest.approx(worst, abs=1e-12)
+
+
+# an empty list, and a 1-site model after a usable one
+@pytest.mark.parametrize("model_list", [[], [iid_spins(6, 0.5), iid_spins(1, 0.5)]],
+                         ids=["no-models", "one-site-model"])
+def test_battery_rejects_unusable_models_before_any_joint(monkeypatch, model_list):
+    def no_joint(model):
+        raise AssertionError(f"joint of {model.name} built")
+
+    monkeypatch.setattr(models, "exact_joint", no_joint)
+    with pytest.raises(ConfigError):
+        exact_battery(model_list=model_list, threads=1)
 
 
 # ---------------------------------------------------------------------------
