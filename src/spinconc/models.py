@@ -286,32 +286,30 @@ def ising_model(sites: Sequence[Site], beta: float, boundary="plus",
     pos = {s: i for i, s in enumerate(ordered)}
     alphabet = SPIN
     vals = np.array(alphabet.values)
-    nn_index = [np.array([pos[y] for y in _neighbors_in(pos, x)], dtype=int)
-                for x in ordered]
     pair_energy = -np.outer(vals, vals)
-    # each bond once as (i, j), i < j, sorted by i then j: the order in
-    # which every joint's log weights are summed
-    terms = [((i, int(j)), pair_energy)
-             for i, nb in enumerate(nn_index) for j in np.sort(nb[nb > i])]
-
-    # collar: outside neighbors with fixed symbols contribute single-site terms
+    # one pass over each site's unit moves: an inside neighbor is a bond
+    # partner, an outside one with a fixed symbol adds to the collar field.
+    # Each bond is kept once as (i, j), i < j, sorted by i then j, and the
+    # single-site terms follow the bonds: the order in which every joint's
+    # log weights are summed
+    nn_index, bonds, singles = [], [], []
     bfield = np.zeros(len(ordered))
-    d = len(ordered[0])
-    for x in ordered:
-        total = external_field
-        for delta in _unit_moves(d):
+    for i, x in enumerate(ordered):
+        inside, total = [], external_field
+        for delta in _unit_moves(len(x)):
             y = tuple(a + b for a, b in zip(x, delta))
             if y in pos:
-                continue
-            bval = _boundary_value(boundary, y, alphabet)
-            if bval is not None:
+                inside.append(pos[y])
+            elif (bval := _boundary_value(boundary, y, alphabet)) is not None:
                 total += bval
-        bfield[pos[x]] = total
+        nn_index.append(np.array(inside, dtype=int))
+        bonds += [((i, j), pair_energy) for j in sorted(inside) if j > i]
+        bfield[i] = total
         if total != 0.0:
-            terms.append(((pos[x],), -vals * total))
+            singles.append(((i,), -vals * total))
 
     label = boundary if isinstance(boundary, str) else "explicit"
-    model = GibbsModel(ordered, terms, beta, alphabet,
+    model = GibbsModel(ordered, bonds + singles, beta, alphabet,
                        name=f"ising{_shape_label(ordered)}_b{beta:g}_{label}")
     model.nn_index = nn_index
     model.boundary_field = bfield
@@ -324,13 +322,6 @@ def _unit_moves(d: int):
             move = [0] * d
             move[axis] = sign
             yield tuple(move)
-
-
-def _neighbors_in(pos: dict, x: Site):
-    for delta in _unit_moves(len(x)):
-        y = tuple(a + b for a, b in zip(x, delta))
-        if y in pos:
-            yield y
 
 
 def _shape_label(sites: tuple[Site, ...]) -> str:

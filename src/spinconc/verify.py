@@ -300,13 +300,16 @@ def binomial_ci99(k: int, n: int) -> tuple[float, float]:
     return lo, hi
 
 
-def _check_batch(n_samples: int, sweeps: int) -> None:
-    """The rules every tail batch keeps: at least 1000 replicas, and
-    `sweeps` nonnegative; a ConfigError otherwise."""
+def _check_batch(n_samples: int, sweeps: int, start: str) -> None:
+    """The rules every tail batch keeps: at least 1000 replicas, `sweeps`
+    nonnegative, and `start` one of the heat-bath kernel's start
+    configurations; a ConfigError otherwise."""
     if n_samples < 1000:
         raise ConfigError(f"a tail batch needs at least 1000 replicas, got {n_samples}")
     if sweeps < 0:
         raise ConfigError("sweeps must be nonnegative")
+    if start not in models._STARTS:
+        raise ConfigError(f"unknown start configuration {start!r}")
 
 
 def _mean_size(n: int) -> int:
@@ -342,7 +345,7 @@ def empirical_tail(model: GibbsModel, g: LocalFunction, t_grid, n_samples: int,
     replicas) and the main batch each get their own seed, both drawn from
     `seed`.
     """
-    _check_batch(n_samples, sweeps)
+    _check_batch(n_samples, sweeps, start)
     rng = np.random.default_rng(seed)
     seed_mean, seed_main = (int(s) for s in rng.integers(2 ** 63, size=2))
     m_hat, se_mean = _mean_batch(models.glauber_batch(
@@ -438,9 +441,9 @@ def hightemp_experiment(config: HightempConfig) -> BoundReport:
     """
     if min(config.rows, config.cols, config.fit_rows, config.fit_cols) < 1:
         raise ConfigError("rows, cols, fit_rows and fit_cols must be at least 1")
-    if not config.t_multipliers:
-        raise ConfigError("t_multipliers must not be empty")
-    _check_batch(config.n_samples, config.sweeps)
+    if not config.t_multipliers or not all(m > 0.0 for m in config.t_multipliers):
+        raise ConfigError("t_multipliers must be a nonempty list of positive values")
+    _check_batch(config.n_samples, config.sweeps, config.start)
     model = models.ising_rect(config.rows, config.cols, config.beta, config.boundary)
     g = fields.magnetization(model.sites, normalized=True)
     dv = fields.delta_vector(g, model.sites, model.alphabet)
@@ -619,7 +622,7 @@ def lowtemp_experiment(config: LowtempConfig) -> tuple[TailProfile, BoundReport]
     if not config.quantiles or not all(0.0 <= q <= 1.0 for q in config.quantiles):
         raise ConfigError("quantiles must be a nonempty list of values in [0, 1]")
     n_split = (config.n_tail - _mean_size(config.n_tail)) // 2
-    _check_batch(n_split, config.sweeps)  # each held-out split is a tail batch
+    _check_batch(n_split, config.sweeps, config.start)  # each held-out split is a tail batch
     model = models.ising_rect(config.rows, config.cols, config.beta, config.boundary)
     g = fields.magnetization(model.sites, normalized=True)
     dv = fields.delta_vector(g, model.sites, model.alphabet)
@@ -804,7 +807,8 @@ def _config_from_dict(cls, cfg: dict, kind: str):
     `_real` by the type of the default's entries.  A `float` field must
     pass `_real`, and `bool`, `str` and `dict` fields must hold a JSON value
     of that kind; these are kept as given, so the artifact digests see them
-    unchanged.  Any other value is a ConfigError naming its key.
+    unchanged.  Every config has a `seed`, which must be nonnegative.  Any
+    other value is a ConfigError naming its key.
     """
     specs = dataclasses.fields(cls)
     unknown = set(cfg) - {f.name for f in specs}
@@ -832,6 +836,8 @@ def _config_from_dict(cls, cfg: dict, kind: str):
                 raise TypeError(f"expected {f.type}, got {value!r}")
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{kind} config key {f.name!r}: {exc}") from None
+    if merged["seed"] < 0:
+        raise ConfigError(f"{kind} config key 'seed' must be nonnegative, got {merged['seed']}")
     return cls(**merged)
 
 

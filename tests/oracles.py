@@ -46,6 +46,26 @@ def pattern_match(target):
     return lambda v: 1.0 if tuple(v) == tuple(target) else 0.0
 
 
+def spiral_walk(d):
+    """The enumeration order as a walk, site by site: 0, 1, 2, ... in 1D; in
+    2D the counterclockwise square spiral from the origin, runs of 1, 1, 2,
+    2, 3, ... steps turning left after each run, the first step in +x."""
+    if d == 1:
+        yield from ((i,) for i in itertools.count())
+        return
+    directions = ((1, 0), (0, 1), (-1, 0), (0, -1))
+    x, y = 0, 0
+    yield (0, 0)
+    direction = 0
+    for run in itertools.count(1):
+        for _ in range(2):
+            dx, dy = directions[direction % 4]
+            for _ in range(run):
+                x, y = x + dx, y + dy
+                yield (x, y)
+            direction += 1
+
+
 def naive_tv(p, q):
     return 0.5 * sum(abs(a - b) for a, b in zip(p, q))
 

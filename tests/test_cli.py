@@ -124,6 +124,20 @@ def test_unknown_subcommand_is_exit_2(tmp_path, capsys):
     ("transport", {"seed": 1, "support_cap": 3}),
     # a command's flags follow its name; a negative count is not "every core"
     ("battery --threads -5", {}),
+    # numpy's generators take no negative seed
+    ("battery", {"seed": -1}),
+    ("tail", {"seed": -1}),
+    ("coupling-matrix", {"seed": -1}),
+    ("transport", {"seed": -1}),
+    ("hightemp", {"seed": -1}),
+    ("lowtemp", {"seed": -1}),
+    # the exponential bound claims nothing at t <= 0
+    ("hightemp", {"seed": 1, "n_samples": 1000, "t_multipliers": [-1.0, 0.5]}),
+    ("hightemp", {"seed": 1, "n_samples": 1000, "t_multipliers": [0.0, 0.5]}),
+    # the start configuration is checked with the other batch rules
+    ("lowtemp", {"seed": 1, "start": "sideways"}),
+    ("hightemp", {"seed": 1, "start": "sideways"}),
+    ("tail", {"seed": 1, "start": "sideways"}),
 ])
 def test_malformed_config_is_exit_2(tmp_path, capsys, monkeypatch, command, cfg):
     def no_sampling(*args, **kwargs):

@@ -1,7 +1,8 @@
 """Checks on the package against its tooling: the benchmark's span tracer
 patches attributes that exist and every benchmark workload passes its own
-gate, traced and untraced; no module imports a name it never uses, and every
-default parameter is passed by some call."""
+gate, traced and untraced; no module imports a name it never uses, every
+module-level definition is referenced, and every default parameter is passed
+by some call."""
 
 import ast
 import importlib
@@ -84,6 +85,42 @@ def test_package_modules_use_every_import():
         unused = sorted(f"{name} (line {line})" for name, line in imported.items()
                         if name not in used)
         assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def _module_definitions(tree: ast.Module):
+    """(name, line) of every module-level function, class and assigned name."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield name.id, node.lineno
+
+
+def test_every_module_definition_is_referenced():
+    # a definition that no code, test or benchmark reads is dead code; a
+    # reference is a name read, an attribute, an imported name, or a string
+    # constant or one of its dotted parts (the span targets name functions so)
+    referenced = set()
+    for top in ("src", "perfbench", "tests"):
+        for path in (ROOT / top).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                    referenced.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    referenced.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    referenced.add(node.name)
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    referenced.update({node.value, *node.value.split(".")})
+    dead = [f"{path.name}: {name} (line {line})"
+            for path in sorted((ROOT / "src" / "spinconc").glob("*.py"))
+            for name, line in _module_definitions(ast.parse(path.read_text(encoding="utf-8")))
+            if name not in referenced and name != "__version__"]
+    assert not dead, f"module-level definitions nothing references: {dead}"
 
 
 def _defaults(path: Path):
