@@ -197,10 +197,9 @@ def _run_hightemp(config: verify.HightempConfig, digested: dict, args):
 
 
 def _run_lowtemp(config: verify.LowtempConfig, digested: dict, args):
-    profile, report = verify.lowtemp_experiment(config)
+    ell_tail, psi, report = verify.lowtemp_experiment(config)
     lines = ["j,ell_tail,psi"]
-    psi = np.asarray(profile.psi, dtype=float)
-    for j, tail in enumerate(np.asarray(profile.ell0_tail, dtype=float), start=1):
+    for j, tail in enumerate(ell_tail, start=1):
         psi_j = repr(float(psi[j - 1])) if j - 1 < len(psi) else ""
         lines.append(f"{j},{float(tail)!r},{psi_j}")
     return report, {"profile.csv": "\n".join(lines) + "\n"}, []

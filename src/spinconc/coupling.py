@@ -22,7 +22,6 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
-from spinconc.bounds import profile_norm_bound
 from spinconc.errors import CapacityError, ConfigError, ConvergenceError
 from spinconc.fields import LocalFunction, delta_vector
 from spinconc.lattice import Site
@@ -562,28 +561,3 @@ def verify_transport_chain(joint_p: ExactJoint, joint_q: ExactJoint,
                     and plan.cost <= span * tree_dis + tol)
     return TransportChainReport(rho, phi, plan.dual_gap, plan_dis,
                          tree_dis, transport_ok, rows)
-
-
-# ---------------------------------------------------------------------------
-# tail profiles feeding the norm bounds
-# ---------------------------------------------------------------------------
-
-@dataclass
-class TailProfile:
-    """Row-tail data: P(ell0 >= j) and the long-range profile psi(j).
-
-    The arrays must reach every j where either can be nonzero: `norm_bound`
-    sums them and adds nothing for what lies beyond.
-    """
-
-    ell0_tail: np.ndarray
-    psi: np.ndarray
-
-    def norm_bound(self, p: int) -> float:
-        return profile_norm_bound(p, self.ell0_tail, self.psi)
-
-
-def tail_from_samples(ell0_samples: np.ndarray, j_max: int) -> np.ndarray:
-    """Empirical P(ell0 >= j) for j = 1..j_max."""
-    ell0_samples = np.asarray(ell0_samples)
-    return np.array([(ell0_samples >= j).mean() for j in range(1, j_max + 1)])

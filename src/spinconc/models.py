@@ -280,7 +280,9 @@ def ising_model(sites: Sequence[Site], beta: float, boundary="plus",
     """Ferromagnetic pair model on an arbitrary finite site set.
 
     Energy of a bond is -s_x s_y, so weights are exp(beta * sum of products)
-    plus boundary bond terms with the fixed outside symbols substituted.
+    plus boundary bond terms with the fixed outside symbols substituted.  A
+    dict boundary maps outside neighbors (the collar) to symbols; a key
+    outside the collar is a ConfigError.
     """
     ordered = sort_by_spiral(sites)
     pos = {s: i for i, s in enumerate(ordered)}
@@ -288,11 +290,11 @@ def ising_model(sites: Sequence[Site], beta: float, boundary="plus",
     vals = np.array(alphabet.values)
     pair_energy = -np.outer(vals, vals)
     # one pass over each site's unit moves: an inside neighbor is a bond
-    # partner, an outside one with a fixed symbol adds to the collar field.
-    # Each bond is kept once as (i, j), i < j, sorted by i then j, and the
-    # single-site terms follow the bonds: the order in which every joint's
-    # log weights are summed
-    nn_index, bonds, singles = [], [], []
+    # partner, an outside one is in the collar and, with a fixed symbol,
+    # adds to the collar field.  Each bond is kept once as (i, j), i < j,
+    # sorted by i then j, and the single-site terms follow the bonds: the
+    # order in which every joint's log weights are summed
+    nn_index, bonds, singles, collar = [], [], [], set()
     bfield = np.zeros(len(ordered))
     for i, x in enumerate(ordered):
         inside, total = [], external_field
@@ -300,13 +302,18 @@ def ising_model(sites: Sequence[Site], beta: float, boundary="plus",
             y = tuple(a + b for a, b in zip(x, delta))
             if y in pos:
                 inside.append(pos[y])
-            elif (bval := _boundary_value(boundary, y, alphabet)) is not None:
-                total += bval
+            else:
+                collar.add(y)
+                if (bval := _boundary_value(boundary, y, alphabet)) is not None:
+                    total += bval
         nn_index.append(np.array(inside, dtype=int))
         bonds += [((i, j), pair_energy) for j in sorted(inside) if j > i]
         bfield[i] = total
         if total != 0.0:
             singles.append(((i,), -vals * total))
+    if isinstance(boundary, dict) and (stray := set(boundary) - collar):
+        raise ConfigError(f"boundary sites {sorted(stray)} are not outside "
+                          f"neighbors of the volume")
 
     label = boundary if isinstance(boundary, str) else "explicit"
     model = GibbsModel(ordered, bonds + singles, beta, alphabet,

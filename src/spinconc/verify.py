@@ -5,8 +5,9 @@ checks every identity and bound against brute-force truth (decomposition,
 row-sum inequality, exponential and moment bounds).  The Monte Carlo
 experiments estimate tails on volumes far beyond enumeration: a
 high-temperature run checks the exponential bound with an exactly computed
-decay constant, a low-temperature run fits decay profiles and a stretched
-exponential on held-out splits.
+decay constant, a low-temperature run measures the disagreement and path
+profiles and checks a stretched exponential fitted and judged on held-out
+splits.
 
 Every Monte Carlo verdict uses the conservative end of a 99% confidence
 interval; exact-path results never touch a random number generator.
@@ -26,7 +27,6 @@ from scipy import stats as sstats
 
 from spinconc import bounds, coupling, fields, models
 from spinconc.bounds import BoundReport, BoundRow, classify_tail_row
-from spinconc.coupling import TailProfile
 from spinconc.errors import ConfigError, _integer, _real
 from spinconc.fields import LocalFunction
 from spinconc.lattice import l1_distance
@@ -343,9 +343,12 @@ def empirical_tail(model: GibbsModel, g: LocalFunction, t_grid, n_samples: int,
     g chunk by chunk, so working memory is up to one chunk per worker thread
     plus 8 bytes per replica.  The mean batch (`_mean_size(n_samples)`
     replicas) and the main batch each get their own seed, both drawn from
-    `seed`.
+    `seed`.  An empty `t_grid`, or an entry that is negative or NaN, is a
+    ConfigError before the first sample.
     """
     _check_batch(n_samples, sweeps, start)
+    if len(t_grid) == 0 or not all(t >= 0.0 for t in t_grid):
+        raise ConfigError("t_grid must be a nonempty list of values >= 0")
     rng = np.random.default_rng(seed)
     seed_mean, seed_main = (int(s) for s in rng.integers(2 ** 63, size=2))
     m_hat, se_mean = _mean_batch(models.glauber_batch(
@@ -568,7 +571,7 @@ def ell_samples(model: GibbsModel, n_samples: int, sweeps: int, seed: int,
 
 @dataclass
 class LowtempConfig:
-    """Low-temperature run: decay ranking, profile fits, held-out tail bound."""
+    """Low-temperature run: decay ranking, profile, held-out tail bound."""
 
     seed: int
     rows: int = 16
@@ -598,14 +601,17 @@ def _loglinear_fit(x: np.ndarray, y: np.ndarray):
     return float(slope), float(intercept), r2
 
 
-def lowtemp_experiment(config: LowtempConfig) -> tuple[TailProfile, BoundReport]:
-    """Fitted decay and tail study in the ordered phase; all fits labeled mc.
+def lowtemp_experiment(config: LowtempConfig) -> tuple[np.ndarray, np.ndarray, BoundReport]:
+    """Decay and tail study in the ordered phase; all estimates labeled mc.
 
     Three independent sample streams: a synchronized pair chain for the
     disagreement field, equilibrium replicas for the path-magnetization
     statistic, and two equal tail splits (fit on A, verdict on B) plus a
-    mean batch.  Fit degeneracies are reported as such; no verdict is forced
-    from a degenerate fit.
+    mean batch.  Returns `(ell_tail, psi_hat, report)`: the profile
+    `ell_tail[j-1]` = P(ell >= j) for j = 1..rows + cols and `psi_hat[j-1]`,
+    the largest disagreement at distance j from the frozen site.  It feeds
+    the `profile_*` assemblies as measured; no curve is fitted to it.  A
+    degenerate split-A fit is reported as such; no verdict is forced from it.
 
     A value out of its range is a ConfigError before the first sample.
     """
@@ -641,7 +647,6 @@ def lowtemp_experiment(config: LowtempConfig) -> tuple[TailProfile, BoundReport]
         model, config.n_pair, config.sweeps, seed_pair, frozen=config.frozen)
     x_site = model.sites[config.frozen]
     dists = np.array([l1_distance(x_site, y) for y in model.sites])
-    pair_floor = 5.0 / config.n_pair
     report.meta["monotone_violations"] = pair.monotone_violations
 
     sel = (dists >= 1) & (dists <= config.spearman_dmax)
@@ -656,56 +661,19 @@ def lowtemp_experiment(config: LowtempConfig) -> tuple[TailProfile, BoundReport]
                  note="p-value of the one-sided rank-decay test"),
         tol=0.0))
 
-    # --- per-distance envelope profile and its exponential fit -------------
+    # --- per-distance envelope profile -------------------------------------
     d_max = int(dists.max())
     psi_hat = np.zeros(d_max)
     for j in range(1, d_max + 1):
         on_shell = pair.disagree[dists == j]
         psi_hat[j - 1] = float(on_shell.max()) if on_shell.size else 0.0
-    fit_js = np.nonzero(psi_hat > pair_floor)[0] + 1
-    if len(fit_js) >= 2:
-        slope, intercept, r2 = _loglinear_fit(
-            fit_js.astype(float), np.log(psi_hat[fit_js - 1]))
-        report.add(BoundRow(model.name, "disagreement", "psi_exponential_fit",
-                            {"n_points": int(len(fit_js)), "r_squared": r2,
-                             "noise_floor": pair_floor},
-                            -slope, verdict="info",
-                            note=f"psi(j) ~ C exp(-c j): c = {-slope!r}, "
-                                 f"log C = {intercept!r}"))
-    else:
-        report.add(BoundRow(model.name, "disagreement", "psi_exponential_fit",
-                            {"n_points": int(len(fit_js))}, math.nan,
-                            verdict="info",
-                            note="degenerate: too few points above the noise floor"))
 
     # --- path-magnetization statistic ---------------------------------------
     ells = ell_samples(model, config.n_ell, config.sweeps, seed_ell,
                        config.theta, config.start)
     j_cap = config.rows + config.cols  # geometric bound on the statistic
-    ell_tail = coupling.tail_from_samples(ells, j_cap)
-    ell_floor = 5.0 / config.n_ell
-    pts = np.nonzero((ell_tail > ell_floor) & (ell_tail < 1.0))[0] + 1
-    # the statistic is box-censored, so the survival curve is a step
-    # function; a fit needs at least two distinct levels
-    n_levels = len(np.unique(np.round(ell_tail[pts - 1], 12))) if len(pts) else 0
-    if len(pts) >= 2 and n_levels >= 2:
-        xs = np.log(pts.astype(float))
-        ys = np.log(-np.log(ell_tail[pts - 1]))
-        alpha_hat, log_c, r2 = _loglinear_fit(xs, ys)
-        report.add(BoundRow(model.name, "path_magnetization", "ell_stretched_fit",
-                            {"n_points": int(len(pts)), "r_squared": r2,
-                             "theta": config.theta, "alpha": alpha_hat},
-                            math.exp(log_c), verdict="info",
-                            note="P(ell >= n) ~ exp(-c n^alpha); theoretical "
-                                 "column holds c"))
-    else:
-        report.add(BoundRow(model.name, "path_magnetization", "ell_stretched_fit",
-                            {"n_points": int(len(pts)), "n_levels": n_levels,
-                             "theta": config.theta},
-                            math.nan, verdict="info",
-                            note="degenerate: too few resolvable tail levels"))
     # ell <= j_cap and psi_hat holds every distance, so nothing is truncated
-    profile = TailProfile(ell0_tail=ell_tail, psi=psi_hat)
+    ell_tail = np.array([(ells >= j).mean() for j in range(1, j_cap + 1)])
 
     # --- held-out stretched-exponential tail bound -------------------------
     m_hat, se_mean = _mean_batch(models.glauber_batch(
@@ -751,10 +719,11 @@ def lowtemp_experiment(config: LowtempConfig) -> tuple[TailProfile, BoundReport]
                             {"n_points": 0}, math.nan, verdict="info",
                             note="degenerate: no resolvable split-A points"))
 
-    # --- informational bound assemblies from the fitted profile ------------
+    # --- informational bound assemblies from the profile -------------------
     for p in config.p_list:
         report.add(BoundRow(model.name, g.name, f"profile_norm_p{p}",
-                            {"p": int(p)}, profile.norm_bound(int(p)),
+                            {"p": int(p)},
+                            bounds.profile_norm_bound(int(p), ell_tail, psi_hat),
                             verdict="info",
                             note="tail-profile norm assembly (empirical inputs)"))
         moment = float(np.mean(ells.astype(float) ** (2 * p * 2 + config.eps)))
@@ -773,7 +742,7 @@ def lowtemp_experiment(config: LowtempConfig) -> tuple[TailProfile, BoundReport]
                             {"rho": rho, "t": t_top, "chebyshev_bound": cheb},
                             lux, verdict="info",
                             note="split-A Luxembourg norm; theoretical column holds it"))
-    return profile, report
+    return ell_tail, psi_hat, report
 
 
 # ---------------------------------------------------------------------------

@@ -214,7 +214,7 @@ def test_criterion_09_low_temperature_tail():
     config = verify.LowtempConfig(seed=20260818, rows=16, cols=16, beta=1.0,
                                   n_pair=80000, n_tail=100000, n_ell=20000,
                                   sweeps=60)
-    profile, report = verify.lowtemp_experiment(config)
+    _, _, report = verify.lowtemp_experiment(config)
     rank = next(r for r in report.rows if r.bound == "decay_rank_test")
     held = _rows(report, "tail_stretched_heldout")
     ok = (rank.verdict == "pass" and rank.observed < 0.01

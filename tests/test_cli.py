@@ -138,6 +138,15 @@ def test_unknown_subcommand_is_exit_2(tmp_path, capsys):
     ("lowtemp", {"seed": 1, "start": "sideways"}),
     ("hightemp", {"seed": 1, "start": "sideways"}),
     ("tail", {"seed": 1, "start": "sideways"}),
+    # a dict boundary names collar sites only: not an inside site, not a far one
+    ("tail", {"seed": 1, "model": {"kind": "ising", "volume": [2, 2], "beta": 0.3,
+                                   "boundary": {"0,0": "+"}}}),
+    ("tail", {"seed": 1, "model": {"kind": "ising", "volume": [2, 2], "beta": 0.3,
+                                   "boundary": {"5,5": "-"}}}),
+    # a tail grid that checks nothing, or a t no tail is defined at
+    ("tail", {"seed": 1, "t_grid": [], "n_samples": 1000}),
+    ("tail", {"seed": 1, "t_grid": [0.1, -0.2], "n_samples": 1000}),
+    ("tail", {"seed": 1, "t_grid": [0.1, float("nan")], "n_samples": 1000}),
 ])
 def test_malformed_config_is_exit_2(tmp_path, capsys, monkeypatch, command, cfg):
     def no_sampling(*args, **kwargs):

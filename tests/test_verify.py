@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinconc import coupling, models
+from spinconc import coupling, models, verify
 from spinconc.bounds import martingale_decomposition
 from spinconc.errors import ConfigError
 from spinconc.fields import delta_vector, magnetization, total_spin
@@ -166,6 +166,50 @@ def test_backbone_witness_reproduces_the_gap():
     v = np.broadcast_to(dec.increments[i], joint.probs.shape)
     gap = abs(v.reshape(-1)[conf]) - float(row @ dv.per_site)
     assert gap == pytest.approx(worst, abs=1e-12)
+
+
+@pytest.fixture(scope="module")
+def observable_inputs():
+    """The arguments `_battery_task` hands `_observable_rows`, for each
+    observable of every battery model, keyed by model name."""
+    captured = {}
+    original = verify._observable_rows
+
+    def capture(*args):
+        captured.setdefault(args[0].name, []).append(args)
+        return original(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "_observable_rows", capture)
+        for model in battery_models():
+            verify._battery_task(model, 20)
+    return captured
+
+
+def _failed(args, label, env_norm, moment_norm):
+    """How many `label` rows of one model fail with the norms replaced."""
+    rows = [row for model, joint, g, dv, rhs, _, _, t_points in args
+            for row in verify._observable_rows(model, joint, g, dv, list(rhs), env_norm,
+                                               dict(moment_norm), t_points)
+            if row.bound == label]
+    assert len(rows) == len(args)
+    return sum(row.verdict == "fail" for row in rows)
+
+
+def test_halved_envelope_norm_fails_the_tail_grid(observable_inputs):
+    assert len(observable_inputs) == 11
+    for name, args in observable_inputs.items():
+        env_norm, moment_norm = args[0][5], args[0][6]
+        assert _failed(args, "tail_exponential_grid", env_norm, moment_norm) == 0, name
+        assert _failed(args, "tail_exponential_grid", env_norm / 2, moment_norm) >= 1, name
+
+
+def test_shrunk_second_moment_norm_fails_the_variance(observable_inputs):
+    for name, args in observable_inputs.items():
+        env_norm, moment_norm = args[0][5], args[0][6]
+        assert _failed(args, "variance", env_norm, moment_norm) == 0, name
+        shrunk = {**moment_norm, 2: moment_norm[2] / 10}
+        assert _failed(args, "variance", env_norm, shrunk) >= 1, name
 
 
 # an empty list, and a 1-site model after a usable one
@@ -399,7 +443,7 @@ def lowtemp_small():
 
 
 def test_lowtemp_no_refutations(lowtemp_small):
-    profile, rep = lowtemp_small
+    _, _, rep = lowtemp_small
     assert rep.meta["experiment"] == "low_temperature_tail"
     assert rep.n_failures == 0
     rank = next(r for r in rep.rows if r.bound == "decay_rank_test")
@@ -414,12 +458,11 @@ def test_lowtemp_no_refutations(lowtemp_small):
 
 
 def test_lowtemp_profile_shape(lowtemp_small):
-    profile, rep = lowtemp_small
-    assert len(profile.ell0_tail) == 16
-    tail = np.asarray(profile.ell0_tail)
+    tail, psi, rep = lowtemp_small
+    assert len(tail) == 16
     assert ((0.0 <= tail) & (tail <= 1.0)).all()
     assert (np.diff(tail) <= 1e-12).all()  # survival function
-    assert (np.asarray(profile.psi) >= 0.0).all()
+    assert (psi >= 0.0).all()
     # profile norm assemblies are reported for each p
     for p in (1, 2, 3):
         assert any(r.bound == f"profile_norm_p{p}" for r in rep.rows)
@@ -427,11 +470,10 @@ def test_lowtemp_profile_shape(lowtemp_small):
 
 
 def test_lowtemp_fit_rows_are_annotated(lowtemp_small):
-    _, rep = lowtemp_small
-    for name in ("psi_exponential_fit", "ell_stretched_fit", "stretched_fit"):
-        row = next(r for r in rep.rows if r.bound == name)
-        assert row.verdict == "info"
-        assert row.note
+    _, _, rep = lowtemp_small
+    row = next(r for r in rep.rows if r.bound == "stretched_fit")
+    assert row.verdict == "info"
+    assert row.note
 
 
 def test_lowtemp_rejects_tiny_splits():
