@@ -269,9 +269,12 @@ def _boundary_value(boundary, site: Site, alphabet: Alphabet):
         return min(alphabet.values)
     if isinstance(boundary, dict):
         key = tuple(site)
-        if key in boundary:
-            return alphabet.values[alphabet.index(boundary[key])]
-        return None
+        if key not in boundary:
+            return None
+        if boundary[key] not in alphabet.symbols:
+            raise ConfigError(f"boundary symbol {boundary[key]!r} at {key} is not one "
+                              f"of the symbols {alphabet.symbols}")
+        return alphabet.values[alphabet.index(boundary[key])]
     raise ConfigError(f"unknown boundary condition {boundary!r}")
 
 
@@ -282,7 +285,7 @@ def ising_model(sites: Sequence[Site], beta: float, boundary="plus",
     Energy of a bond is -s_x s_y, so weights are exp(beta * sum of products)
     plus boundary bond terms with the fixed outside symbols substituted.  A
     dict boundary maps outside neighbors (the collar) to symbols; a key
-    outside the collar is a ConfigError.
+    outside the collar, or a symbol outside the alphabet, is a ConfigError.
     """
     ordered = sort_by_spiral(sites)
     pos = {s: i for i, s in enumerate(ordered)}
@@ -618,15 +621,15 @@ def glauber_batch(model: GibbsModel, g: LocalFunction, n_samples: int, sweeps: i
 
     Product models are drawn exactly site by site and Markov chains exactly
     by ancestral sampling (`sweeps` and `start` do not enter); every other
-    model goes to the heat-bath kernel `_heat_bath`, which refuses one that
-    is not binary nearest-neighbor with a ConfigError.  `g.fn` sees one
-    chunk at a time, in the calling thread, as C-contiguous rows of the
-    values at `g.sites`, so working memory is up to one heat-bath chunk per
-    worker thread plus the n_samples values returned.
+    model goes to the heat-bath kernel `_heat_bath`.  An unknown `start` is a
+    ConfigError on either path, and so is a model the kernel cannot run.
+    `g.fn` sees one chunk at a time, in the calling thread, as C-contiguous
+    rows of the values at `g.sites`, so working memory is up to one
+    heat-bath chunk per worker thread plus the n_samples values returned.
     """
-    if start not in _STARTS:
-        raise ConfigError(f"unknown start configuration {start!r}")
     if isinstance(model, (ProductModel, MarkovChainModel)):
+        if start not in _STARTS:
+            raise ConfigError(f"unknown start configuration {start!r}")
         chunks = _exact_draws(model, n_samples, seed)
     else:
         chunks = _heat_bath(model, n_samples, sweeps, seed, start)
@@ -650,24 +653,6 @@ def glauber_block_batch(model: GibbsModel, n_samples: int, sweeps: int,
     for lo, hi, legs in _heat_bath(model, n_samples, sweeps, seed, start):
         out[:, lo:hi] = legs[0]
     return out
-
-
-def grid_layout(model: GibbsModel):
-    """(rows, cols, flat grid cell per site index) for a rectangle.
-
-    `to_grid[i]` is the row-major grid cell of enumeration index i.
-    """
-    xs = sorted({s[0] for s in model.sites})
-    ys = sorted({s[1] for s in model.sites})
-    rows, cols = len(ys), len(xs)
-    if rows * cols != model.n_sites:
-        raise ConfigError("grid layout needs a full rectangular volume")
-    row_of = {y: r for r, y in enumerate(ys)}
-    col_of = {x: c for c, x in enumerate(xs)}
-    to_grid = np.empty(model.n_sites, dtype=np.int64)
-    for idx, (x, y) in enumerate(model.sites):
-        to_grid[idx] = row_of[y] * cols + col_of[x]
-    return rows, cols, to_grid
 
 
 # ---------------------------------------------------------------------------

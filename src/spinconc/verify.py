@@ -7,7 +7,8 @@ experiments estimate tails on volumes far beyond enumeration: a
 high-temperature run checks the exponential bound with an exactly computed
 decay constant, a low-temperature run measures the disagreement and path
 profiles and checks a stretched exponential fitted and judged on held-out
-splits.
+splits.  The path statistic, like the magnetization, is an observable
+that `models.glauber_batch` reads chunk by chunk, 8 bytes per replica.
 
 Every Monte Carlo verdict uses the conservative end of a 99% confidence
 interval; exact-path results never touch a random number generator.
@@ -547,22 +548,20 @@ def ell_statistic(minus: np.ndarray, theta: float = 0.9) -> np.ndarray:
     return ell.reshape(2, n).max(axis=0)
 
 
-def ell_samples(model: GibbsModel, n_samples: int, sweeps: int, seed: int,
-                theta: float, start: str = "plus") -> np.ndarray:
-    """Path-magnetization statistic on independent equilibrium samples.
-
-    One `ell_statistic` call evaluates the replicas with a minus spin; the
-    others are 0.
+def ell_observable(sites, rows: int, cols: int, theta: float) -> LocalFunction:
+    """The path-magnetization statistic of a rows x cols rectangle as an
+    observable.  Its sites run row-major, so a sampled row of values is one
+    grid in grid order; `fn` makes one `ell_statistic` call on the grids
+    with a minus spin, and the others are 0.
     """
-    rows, cols, to_grid = models.grid_layout(model)
-    ids = models.glauber_block_batch(model, n_samples, sweeps, seed, start)
-    minus = np.zeros((n_samples, rows * cols), dtype=bool)
-    minus[:, to_grid] = ids.T == 0
-    minus = minus.reshape(n_samples, rows, cols)
-    has_minus = minus.any(axis=(1, 2))
-    out = np.zeros(n_samples, dtype=np.int64)
-    out[has_minus] = ell_statistic(minus[has_minus], theta)
-    return out
+    def fn(values: np.ndarray) -> np.ndarray:
+        minus = (values < 0).reshape(len(values), rows, cols)
+        has_minus = minus.any(axis=(1, 2))
+        out = np.zeros(len(values))
+        out[has_minus] = ell_statistic(minus[has_minus], theta)
+        return out
+
+    return LocalFunction("ell", tuple(sorted(sites, key=lambda s: (s[1], s[0]))), fn)
 
 
 # ---------------------------------------------------------------------------
@@ -605,9 +604,10 @@ def lowtemp_experiment(config: LowtempConfig) -> tuple[np.ndarray, np.ndarray, B
     """Decay and tail study in the ordered phase; all estimates labeled mc.
 
     Three independent sample streams: a synchronized pair chain for the
-    disagreement field, equilibrium replicas for the path-magnetization
-    statistic, and two equal tail splits (fit on A, verdict on B) plus a
-    mean batch.  Returns `(ell_tail, psi_hat, report)`: the profile
+    disagreement field, equilibrium replicas of the path-magnetization
+    statistic (`ell_observable`, read through `glauber_batch` like the
+    magnetization), and two equal tail splits (fit on A, verdict on B) plus
+    a mean batch.  Returns `(ell_tail, psi_hat, report)`: the profile
     `ell_tail[j-1]` = P(ell >= j) for j = 1..rows + cols and `psi_hat[j-1]`,
     the largest disagreement at distance j from the frozen site.  It feeds
     the `profile_*` assemblies as measured; no curve is fitted to it.  A
@@ -669,8 +669,9 @@ def lowtemp_experiment(config: LowtempConfig) -> tuple[np.ndarray, np.ndarray, B
         psi_hat[j - 1] = float(on_shell.max()) if on_shell.size else 0.0
 
     # --- path-magnetization statistic ---------------------------------------
-    ells = ell_samples(model, config.n_ell, config.sweeps, seed_ell,
-                       config.theta, config.start)
+    ells = models.glauber_batch(
+        model, ell_observable(model.sites, config.rows, config.cols, config.theta),
+        config.n_ell, config.sweeps, seed_ell, config.start)
     j_cap = config.rows + config.cols  # geometric bound on the statistic
     # ell <= j_cap and psi_hat holds every distance, so nothing is truncated
     ell_tail = np.array([(ells >= j).mean() for j in range(1, j_cap + 1)])

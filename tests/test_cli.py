@@ -147,6 +147,9 @@ def test_unknown_subcommand_is_exit_2(tmp_path, capsys):
     ("tail", {"seed": 1, "t_grid": [], "n_samples": 1000}),
     ("tail", {"seed": 1, "t_grid": [0.1, -0.2], "n_samples": 1000}),
     ("tail", {"seed": 1, "t_grid": [0.1, float("nan")], "n_samples": 1000}),
+    # a dict-boundary symbol outside the alphabet
+    ("tail", {"seed": 1, "model": {"kind": "ising", "volume": [2, 2], "beta": 0.3,
+                                   "boundary": {"-1,0": "x"}}}),
 ])
 def test_malformed_config_is_exit_2(tmp_path, capsys, monkeypatch, command, cfg):
     def no_sampling(*args, **kwargs):

@@ -46,7 +46,7 @@ from spinconc.models import (
     _heat_bath,
     _halves,
 )
-from spinconc.verify import battery_models, empirical_tail
+from spinconc.verify import battery_models, ell_observable, empirical_tail
 
 from .oracles import ising_weight, numpy_openblas, reference_heat_bath
 
@@ -436,18 +436,20 @@ def test_sampler_working_memory_is_one_chunk_per_worker():
     # replica added.  The chunks' fixed memory grows with the volume and,
     # on 16x16, still sets the peak at 3.2e5 replicas; on 4x4 the
     # per-replica arrays set it from 8e4 up, so a regression of 16 bytes
-    # per replica shows.
+    # per replica shows.  The path statistic is read the same way, chunk by
+    # chunk, so it meets the same bound.
     model = ising_rect(4, 4, 1.0)
-    g = magnetization(model.sites)
-    sizes, peaks = (80_000, 320_000), []
-    for n in sizes:
-        tracemalloc.start()
-        try:
-            empirical_tail(model, g, [0.1, 0.5], n, 1, seed=1)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert peaks[1] - peaks[0] <= 16 * (sizes[1] - sizes[0])
+    sizes = (80_000, 320_000)
+    for g in (magnetization(model.sites), ell_observable(model.sites, 4, 4, 0.9)):
+        peaks = []
+        for n in sizes:
+            tracemalloc.start()
+            try:
+                empirical_tail(model, g, [0.1, 0.5], n, 1, seed=1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 16 * (sizes[1] - sizes[0]), g.name
 
 
 def test_glauber_batch_rejects_what_it_cannot_sample():
@@ -462,9 +464,19 @@ def test_glauber_batch_rejects_what_it_cannot_sample():
     before = threading.active_count()
     with pytest.raises(ConfigError):
         _heat_bath(generic, 10, 5, seed=1)
+    gibbs = ising_rect(3, 3, 0.5)
     with pytest.raises(ConfigError):
-        _heat_bath(ising_rect(3, 3, 0.5), 10, 5, seed=1, start="sideways")
+        _heat_bath(gibbs, 10, 5, seed=1, start="sideways")
+    with pytest.raises(ConfigError):
+        glauber_batch(gibbs, magnetization(gibbs.sites), 10, 5, seed=1, start="sideways")
     assert threading.active_count() == before
+
+
+def test_boundary_symbol_outside_the_alphabet_is_a_config_error():
+    with pytest.raises(ConfigError) as exc:
+        ising_model(rect_sites(2, 2), 0.3, {(-1, 0): "x"})
+    message = str(exc.value)
+    assert all(part in message for part in ("(-1, 0)", "'x'", "'+'", "'-'"))
 
 
 def test_magnetization_increasing_in_beta():

@@ -11,7 +11,8 @@ from spinconc import coupling, models, verify
 from spinconc.bounds import martingale_decomposition
 from spinconc.errors import ConfigError
 from spinconc.fields import delta_vector, magnetization, total_spin
-from spinconc.models import exact_joint, iid_spins, ising_rect, ising_segment
+from spinconc.models import (CHUNK, exact_joint, glauber_batch, glauber_block_batch,
+                             iid_spins, ising_rect, ising_segment)
 from spinconc.verify import (
     HightempConfig,
     LowtempConfig,
@@ -21,6 +22,7 @@ from spinconc.verify import (
     battery_models,
     binomial_ci99,
     config_digest,
+    ell_observable,
     ell_statistic,
     empirical_tail,
     exact_battery,
@@ -429,6 +431,30 @@ def test_ell_statistic_invariants(rows, cols, mask, theta):
     assert (ell == 0) == (not minus.any())
     # raising theta can only lengthen the worst path
     assert ell <= ell_statistic(minus, min(theta + 0.09, 1.0))[0]
+
+
+# 2500 replicas are three chunks, the last one partial; a 6x10 rectangle
+# fails a transposed grid; at 3x3 and beta = 3 whole chunks hold no minus spin
+@pytest.mark.parametrize("rows, cols, beta", [(8, 8, 1.0), (6, 10, 0.8), (3, 3, 3.0)])
+@pytest.mark.parametrize("start", ["plus", "random"])
+def test_ell_per_chunk_matches_the_block_sampler(rows, cols, beta, start):
+    # both paths read the same heat-bath replicas; the reference maps the
+    # whole batch onto the grid, row y and column x, and scores every grid.
+    # At theta = 0.9 one minus spin already fills the longest path of these
+    # boxes, whatever its cell; at 0.5 the value depends on where they lie.
+    model = ising_rect(rows, cols, beta)
+    n = 2500
+    got = glauber_batch(model, ell_observable(model.sites, rows, cols, 0.5), n, 5, 7, start)
+    ids = glauber_block_batch(model, n, 5, 7, start)
+    xs = sorted({x for x, _ in model.sites})
+    ys = sorted({y for _, y in model.sites})
+    minus = np.zeros((n, rows, cols), dtype=bool)
+    for i, (x, y) in enumerate(model.sites):
+        minus[:, ys.index(y), xs.index(x)] = ids[i] == 0
+    want = ell_statistic(minus, 0.5)
+    assert np.array_equal(got, want)
+    chunk_has_minus = [bool(want[lo:lo + CHUNK].any()) for lo in range(0, n, CHUNK)]
+    assert all(chunk_has_minus) == (rows > 3)
 
 
 # ---------------------------------------------------------------------------
