@@ -240,6 +240,21 @@ def coupling_rows_all(joint: ExactJoint, i: int) -> CouplingRowBand:
     return band
 
 
+def _band_power(value: np.ndarray, i: int, p) -> np.ndarray:
+    """`value ** p` for the row-i band `value`, bit for bit.
+
+    Its columns j < i hold 0.0 and column i holds 1.0, which every power
+    p >= 1 keeps, so `pow` runs on the later columns only; the last band has
+    none and is returned as it is.  The result is a full-width band, so the
+    product that reads it is the one `value ** p` would get.
+    """
+    if i == value.shape[1] - 1:
+        return value
+    out = value.copy()
+    out[:, i + 1:] **= p
+    return out
+
+
 @dataclass
 class EnvelopeData:
     """Worst-case and probability-weighted power means of the coupling rows."""
@@ -260,6 +275,9 @@ def envelope_and_moment_matrices(joint: ExactJoint, p_orders=(1, 2),
     `coupling_rows_all(joint, i)` for i = 0..m-1 in order, for a caller that
     shares them; a generator lets each band be dropped once reduced.  By
     default they are computed here.
+
+    Each moment row is the float `past_mass @ value ** p` gives
+    (`tests/oracles.py`); `_band_power` takes the power.
     """
     m = joint.n_sites
     env = np.zeros((m, m))
@@ -274,7 +292,7 @@ def envelope_and_moment_matrices(joint: ExactJoint, p_orders=(1, 2),
         lo_env[i] = band.lower[mask].max(axis=0)
         hi_env[i] = band.upper[mask].max(axis=0)
         for p in p_orders:
-            mom[p][i] = (band.past_mass @ band.value ** p) ** (1.0 / p)
+            mom[p][i] = (band.past_mass @ _band_power(band.value, i, p)) ** (1.0 / p)
     return EnvelopeData(joint.sites, env, lo_env, hi_env, mom)
 
 

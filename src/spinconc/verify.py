@@ -168,7 +168,11 @@ def _observable_rows(model: GibbsModel, joint: ExactJoint, g: LocalFunction,
                           params={"envelope_norm": env_norm, "delta_l2": dv.l2,
                                   "t_max": t_max, "t_points": t_points}))
 
-    moment = {q: float((joint.probs * centered ** q).sum()) for q in (2, 4, 6)}
+    # pow runs once per distinct centered value; q is even, so merging -0.0
+    # with +0.0 changes nothing, and the product and sum see the full table
+    levels, where = np.unique(centered, return_inverse=True)
+    where = where.reshape(centered.shape)  # numpy < 2 returns it flat
+    moment = {q: float((joint.probs * (levels ** q)[where]).sum()) for q in (2, 4, 6)}
     var = moment[2]
     norm2 = moment_norm[2]
     rows.append(exact_row("variance", bounds.variance_bound(norm2, dv.l2), var,
@@ -553,6 +557,11 @@ def ell_observable(sites, rows: int, cols: int, theta: float) -> LocalFunction:
     observable.  Its sites run row-major, so a sampled row of values is one
     grid in grid order; `fn` makes one `ell_statistic` call on the grids
     with a minus spin, and the others are 0.
+
+    One minus spin puts every path of fewer than 2 / (1 - theta) sites below
+    theta, and every cell lies on a longest path.  So when rows + cols - 1
+    < 2 / (1 - theta) (rows + cols - 1 <= 19 at theta = 0.9), ell is
+    rows + cols or 0: it only says whether the grid has a minus spin.
     """
     def fn(values: np.ndarray) -> np.ndarray:
         minus = (values < 0).reshape(len(values), rows, cols)
@@ -570,7 +579,12 @@ def ell_observable(sites, rows: int, cols: int, theta: float) -> LocalFunction:
 
 @dataclass
 class LowtempConfig:
-    """Low-temperature run: decay ranking, profile, held-out tail bound."""
+    """Low-temperature run: decay ranking, profile, held-out tail bound.
+
+    The path statistic ell resolves where the minus spins lie only when
+    rows + cols - 1 >= 2 / (1 - theta); below that it reads whether a grid
+    has a minus spin (`ell_observable`), as on 8 x 8 at theta = 0.9.
+    """
 
     seed: int
     rows: int = 16

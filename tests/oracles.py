@@ -303,6 +303,20 @@ def reference_backbone(joint, increments, values, per_site):
     return worst, witness
 
 
+def reference_central_moment(joint, g_table, mean, q):
+    """E(g - Eg)^q by the battery's first formula, `pow` on every entry of
+    the centered table.  `verify._observable_rows` must match it bit for
+    bit."""
+    return float((joint.probs * (g_table - mean) ** q).sum())
+
+
+def reference_moment_row(past_mass, value, p):
+    """Row i of the order-p moment matrix by its first formula, `pow` on
+    every entry of the row-i band `value`.
+    `coupling.envelope_and_moment_matrices` must match it bit for bit."""
+    return (past_mass @ value ** p) ** (1.0 / p)
+
+
 def reference_heat_bath(model, n_samples, sweeps, seed, start="plus", frozen=None):
     """Float32 heat bath with a gathered p_+ table, leg by leg.
 

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,14 +25,17 @@ from spinconc.bounds import (
     stretched_bound,
     variance_bound,
 )
-from spinconc.coupling import coupling_rows_all
-from spinconc.fields import SPIN, delta_vector, magnetization, total_spin
+from spinconc.coupling import coupling_rows_all, envelope_and_moment_matrices
+from spinconc.fields import SPIN, Alphabet, delta_vector, magnetization, total_spin
 from spinconc.lattice import segment_sites
-from spinconc.models import ExactJoint, MarkovChainModel, exact_joint, ising_rect
-from spinconc.verify import _TOLERANCES, backbone_check, battery_functions, battery_models
+from spinconc.models import (ExactJoint, GibbsModel, MarkovChainModel, ProductModel,
+                             exact_joint, ising_rect)
+from spinconc.verify import (_TOLERANCES, _observable_rows, backbone_check,
+                             battery_functions, battery_models)
 
 from tests.oracles import (dict_joint, naive_increments, reference_backbone,
-                           reference_decomposition, reference_decomposition_errors)
+                           reference_central_moment, reference_decomposition,
+                           reference_decomposition_errors, reference_moment_row)
 
 
 def _random_joint(m, seed, zero_slab=False):
@@ -121,6 +125,42 @@ def test_decomposition_and_backbone_match_the_dense_reference_bit_for_bit(name):
         per_site = delta_vector(g, joint.sites, joint.alphabet).per_site
         assert (backbone_check(dec, [v @ per_site for v in values])
                 == reference_backbone(joint, want, values, per_site)), g.name
+
+
+# MarkovChainModel is binary only; these bring a third symbol, with
+# centered levels of both signs
+_THREE_SYMBOLS = Alphabet(("a", "b", "c"), (-1.0, 0.5, 2.0))
+_MOMENT_JOINTS = {
+    **_REFERENCE_JOINTS,
+    "three-symbol-product-6": lambda: exact_joint(ProductModel(
+        segment_sites(6), np.random.default_rng(3).dirichlet(np.ones(3), size=6),
+        _THREE_SYMBOLS)),
+    "three-symbol-chain-5": lambda: exact_joint(GibbsModel(
+        segment_sites(5),
+        [((i, i + 1), np.random.default_rng(i).normal(size=(3, 3))) for i in range(4)],
+        0.8, _THREE_SYMBOLS)),
+}
+
+
+@pytest.mark.parametrize("name", list(_MOMENT_JOINTS))
+def test_moment_rows_and_moment_matrices_match_the_pow_formulas_bit_for_bit(name):
+    joint = _MOMENT_JOINTS[name]()
+    bands = [coupling_rows_all(joint, i) for i in range(joint.n_sites)]
+    # the battery's orders, and the odd ones a coupling-matrix config may ask for
+    moment = envelope_and_moment_matrices(joint, (1, 2, 3, 4, 6)).moment
+    for p in (1, 2, 3, 4, 6):
+        want = np.array([reference_moment_row(b.past_mass, b.value, p) for b in bands])
+        assert np.array_equal(moment[p], want), p
+    labels = {"variance": 2, "moment_p1": 2, "moment_p2": 4, "moment_p3": 6}
+    for g in battery_functions(joint):
+        dv = delta_vector(g, joint.sites, joint.alphabet)
+        rhs = [b.value @ dv.per_site for b in bands]
+        rows = _observable_rows(SimpleNamespace(name=name), joint, g, dv, rhs, 1.0,
+                                {2: 1.0, 4: 1.0, 6: 1.0}, 2)
+        observed = {r.bound: r.observed for r in rows if r.bound in labels}
+        dec = martingale_decomposition(joint, g)
+        assert observed == {label: reference_central_moment(joint, dec.g_table, dec.mean, q)
+                            for label, q in labels.items()}, g.name
 
 
 def _sabotaged(dec, change):

@@ -419,6 +419,24 @@ def test_ell_statistic_known_values():
         ell_statistic(batch, 1.5)
 
 
+# At theta = 0.9 one minus spin puts every path of up to 2 / (1 - 0.9) - 1 =
+# 19 sites below theta, and every cell lies on a longest path.  So while
+# rows + cols - 1 <= 19, ell is rows + cols on any grid with a minus spin,
+# wherever the spins lie; past that, one minus spin gives 20.
+@pytest.mark.parametrize("rows, cols, one_minus", [
+    (8, 8, 16), (6, 10, 16), (5, 15, 20), (5, 16, 20), (16, 16, 20)])
+def test_ell_at_theta_09_reads_only_whether_a_small_grid_has_a_minus_spin(
+        rows, cols, one_minus):
+    one = np.eye(rows * cols, dtype=bool).reshape(-1, rows, cols)
+    assert ell_statistic(one, 0.9).tolist() == [one_minus] * (rows * cols)
+    rng = np.random.default_rng(rows * cols)
+    some = rng.random((200, rows, cols)) < rng.uniform(0.0, 0.3, (200, 1, 1))
+    ell = ell_statistic(some, 0.9)
+    assert np.array_equal(ell == 0, ~some.any(axis=(1, 2)))
+    saturated = ell[ell > 0] == rows + cols
+    assert saturated.all() == (rows + cols - 1 <= 19)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 2 ** 16 - 1),
        st.sampled_from([0.5, 0.9]))
