@@ -65,7 +65,7 @@ def _status(report: BoundReport) -> int:
 # ---------------------------------------------------------------------------
 # per-command configs and runs
 # ---------------------------------------------------------------------------
-# run(config, digested, args) -> (report or None, tables, summary lines of a
+# run(config, digested) -> (report or None, tables, summary lines of a
 # run without a report); `digested` is the config dict the stem digests.
 # Runs call verify through the module, so patched attributes are seen.
 
@@ -75,9 +75,10 @@ class BatteryConfig:
     t_points: int = 20
 
 
-def _run_battery(config: BatteryConfig, digested: dict, args):
-    return verify.exact_battery(threads=args.threads, t_points=config.t_points,
-                                seed=config.seed), {}, []
+def _run_battery(config: BatteryConfig, digested: dict):
+    report = verify.exact_battery(verify.battery_models(config.seed), config.t_points)
+    report.meta["battery_seed"] = config.seed
+    return report, {}, []
 
 
 @dataclass
@@ -91,7 +92,7 @@ class TailConfig:
     start: str = "plus"
 
 
-def _run_tail(config: TailConfig, digested: dict, args):
+def _run_tail(config: TailConfig, digested: dict):
     model = models.model_from_config(config.model)
     try:
         g = fields.build_function(config.function, model.sites, model.alphabet)
@@ -120,7 +121,7 @@ class CouplingMatrixConfig:
     p_orders: tuple = (2, 4)
 
 
-def _run_coupling_matrix(config: CouplingMatrixConfig, digested: dict, args):
+def _run_coupling_matrix(config: CouplingMatrixConfig, digested: dict):
     if min(config.p_orders, default=1) < 1:
         raise ConfigError("p_orders entries must be at least 1")
     model = models.model_from_config(config.model)
@@ -150,7 +151,7 @@ class TransportConfig:
     gibbs_pair: bool = True
 
 
-def _run_transport(config: TransportConfig, digested: dict, args):
+def _run_transport(config: TransportConfig, digested: dict):
     if config.n_instances < 1:
         raise ConfigError("n_instances must be at least 1")
     if config.support_cap < 4:
@@ -192,11 +193,11 @@ def _run_transport(config: TransportConfig, digested: dict, args):
     return report, {}, []
 
 
-def _run_hightemp(config: verify.HightempConfig, digested: dict, args):
+def _run_hightemp(config: verify.HightempConfig, digested: dict):
     return verify.hightemp_experiment(config), {}, []
 
 
-def _run_lowtemp(config: verify.LowtempConfig, digested: dict, args):
+def _run_lowtemp(config: verify.LowtempConfig, digested: dict):
     ell_tail, psi, report = verify.lowtemp_experiment(config)
     lines = ["j,ell_tail,psi"]
     for j, tail in enumerate(ell_tail, start=1):
@@ -252,7 +253,7 @@ def _configure(name: str, args):
 
 def _run_command(name: str, args) -> int:
     config, digested, stem = _configure(name, args)
-    report, tables, lines = _COMMANDS[name].run(config, digested, args)
+    report, tables, lines = _COMMANDS[name].run(config, digested)
     paths = verify.write_artifacts(args.out, stem, report=report, tables=tables)
     if report is not None:
         lines = _summary_lines(report)
@@ -294,9 +295,6 @@ def _parser() -> argparse.ArgumentParser:
         if command.samples:
             p.add_argument("--samples", type=int, default=None,
                            help=f"set the config's {command.samples}")
-        if name == "battery":
-            p.add_argument("--threads", type=int, default=0,
-                           help="battery worker threads, 0 = all cores")
     p = sub.add_parser("report", help="re-render a previously written report JSON")
     p.add_argument("--config", default=None, help="report JSON path")
     return parser

@@ -31,3 +31,11 @@ def _integer(value) -> int:
             or isinstance(value, float) and not value.is_integer()):
         raise TypeError(f"expected an integer, got {value!r}")
     return int(value)
+
+
+def _only_keys(spec: dict, allowed: set, what: str) -> None:
+    """ConfigError naming the keys of `spec` outside `allowed`: a key that
+    no reader reads is a typo, not a setting."""
+    stray = sorted(set(spec) - allowed)
+    if stray:
+        raise ConfigError(f"{what} takes no keys {stray}")

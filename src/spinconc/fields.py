@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from spinconc.errors import CapacityError, _integer
+from spinconc.errors import CapacityError, _integer, _only_keys
 from spinconc.lattice import Site
 
 #: most configurations any exact enumeration or joint may hold
@@ -80,13 +80,6 @@ class LocalFunction:
             grid = value_grid(self, alphabet, cols)
             out[cols] = [np.ptp(grid, axis=a).max() for a in range(len(cols))]
         return out
-
-    def variation(self, x: Site, alphabet: Alphabet) -> float:
-        """Largest |g(s) - g(s')| over configuration pairs differing at x only."""
-        x = tuple(x)
-        if x not in self.sites:
-            return 0.0
-        return float(self.oscillations(alphabet)[self.sites.index(x)])
 
 
 def value_grid(g: LocalFunction, alphabet: Alphabet,
@@ -204,9 +197,16 @@ def build_function(spec: dict, volume_sites: Sequence[Site],
     """Instantiate a catalog observable from a config dictionary.
 
     Site coordinates and `count` are read through `_integer` and
-    `normalized` must be a boolean; anything else is a TypeError.
+    `normalized` must be a boolean; anything else is a TypeError.  A key
+    the kind does not read is a ConfigError.
     """
     kind = spec.get("kind")
+    read = {"magnetization": {"normalized"}, "total_spin": set(), "single_spin": {"site"},
+            "pair_product": {"x", "y"}, "majority": {"count"},
+            "pattern_indicator": {"sites", "pattern"}}
+    if not isinstance(kind, str) or kind not in read:
+        raise ValueError(f"unknown observable kind: {kind!r}")
+    _only_keys(spec, read[kind] | {"kind"}, f"observable kind {kind!r}")
     volume = tuple(tuple(s) for s in volume_sites)
 
     def site(coords) -> Site:
@@ -228,8 +228,6 @@ def build_function(spec: dict, volume_sites: Sequence[Site],
         if not 1 <= count <= len(volume):
             raise ValueError(f"majority count must lie in [1, {len(volume)}], got {count}")
         return majority(volume[:count])
-    if kind == "pattern_indicator":
-        sites = ([site(s) for s in spec["sites"]] if "sites" in spec
-                 else volume[: len(spec["pattern"])])
-        return pattern_indicator(sites, spec["pattern"], alphabet)
-    raise ValueError(f"unknown observable kind: {kind!r}")
+    sites = ([site(s) for s in spec["sites"]] if "sites" in spec
+             else volume[: len(spec["pattern"])])
+    return pattern_indicator(sites, spec["pattern"], alphabet)

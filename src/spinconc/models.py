@@ -42,6 +42,7 @@ from spinconc.errors import (
     ConfigError,
     DegenerateConditioningError,
     _integer,
+    _only_keys,
     _real,
 )
 from spinconc.fields import ENUMERATION_CAP, SPIN, Alphabet, LocalFunction, value_grid
@@ -222,6 +223,15 @@ def _neg_log(p: np.ndarray) -> np.ndarray:
         return -np.log(p)
 
 
+def _check_laws(what: str, rows: np.ndarray) -> None:
+    """ValueError unless every row is a probability law: no negative entry,
+    and a sum of one.  A NaN entry fails the sum."""
+    if (rows < 0.0).any():
+        raise ValueError(f"{what} must have no negative entry")
+    if not np.allclose(rows.sum(axis=1), 1.0, atol=1e-12):
+        raise ValueError(f"{what} must sum to one")
+
+
 class ProductModel(GibbsModel):
     """Independent coordinates with prescribed per-site marginals: the Gibbs
     law at beta = 1 whose term at site i is -log marginals[i]."""
@@ -231,8 +241,7 @@ class ProductModel(GibbsModel):
         self.marginals = np.asarray(marginals, dtype=float)
         if self.marginals.shape != (len(sites), alphabet.size):
             raise ValueError("marginals must have shape (n_sites, alphabet size)")
-        if not np.allclose(self.marginals.sum(axis=1), 1.0, atol=1e-12):
-            raise ValueError("each marginal must sum to one")
+        _check_laws("each marginal", self.marginals)
         energy = _neg_log(self.marginals)
         super().__init__(sites, [((i,), e) for i, e in enumerate(energy)], 1.0,
                          alphabet, name)
@@ -249,8 +258,8 @@ class MarkovChainModel(GibbsModel):
         self.transition = np.asarray(transition, dtype=float)
         if self.initial.shape != (2,) or self.transition.shape != (2, 2):
             raise ValueError("a spin chain needs initial of shape (2,) and transition (2, 2)")
-        if not np.allclose(self.transition.sum(axis=1), 1.0, atol=1e-12):
-            raise ValueError("transition rows must sum to one")
+        _check_laws("the initial law", self.initial[None])
+        _check_laws("each transition row", self.transition)
         step = _neg_log(self.transition)
         terms = [((0,), _neg_log(self.initial))] + [((i, i + 1), step) for i in range(n - 1)]
         super().__init__(segment_sites(n), terms, 1.0, SPIN, name)
@@ -355,10 +364,9 @@ def ising_segment(n: int, beta: float, boundary="plus",
     return ising_model(segment_sites(n), beta, boundary, external_field)
 
 
-def iid_spins(n_sites: int | Sequence[Site], p_plus: float = 0.5) -> ProductModel:
-    sites = segment_sites(n_sites) if isinstance(n_sites, int) else sort_by_spiral(n_sites)
-    marg = np.tile([1.0 - p_plus, p_plus], (len(sites), 1))
-    return ProductModel(sites, marg, SPIN, name=f"iid[{len(sites)}]_p{p_plus:g}")
+def iid_spins(n: int, p_plus: float = 0.5) -> ProductModel:
+    marg = np.tile([1.0 - p_plus, p_plus], (n, 1))
+    return ProductModel(segment_sites(n), marg, SPIN, name=f"iid[{n}]_p{p_plus:g}")
 
 
 # ---------------------------------------------------------------------------
@@ -401,18 +409,17 @@ _STARTS = {
 }
 
 
-def ordered_map(fn: Callable, items: Iterable, threads: int = 0):
-    """fn(item) for each item, yielded in item order, computed on a pool.
+def ordered_map(fn: Callable, items: Iterable):
+    """fn(item) for each item, yielded in item order, computed on a pool of
+    `os.cpu_count()` threads, or serially in the calling thread on one core.
 
-    `threads` is the worker count: 0 uses every core (`os.cpu_count()`), 1
-    runs serially in the calling thread.  At most `workers` calls are in
-    flight beyond the result last yielded, so a slow consumer bounds the
-    memory, and items are read only as slots free up.  Closing the generator
-    early cancels the calls not yet started, waits for the running ones and
-    joins every worker thread.  An exception from fn is raised when its
-    result's turn comes.
+    At most `workers` calls are in flight beyond the result last yielded, so
+    a slow consumer bounds the memory, and items are read only as slots free
+    up.  Closing the generator early cancels the calls not yet started,
+    waits for the running ones and joins every worker thread.  An exception
+    from fn is raised when its result's turn comes.
     """
-    workers = threads if threads > 0 else (os.cpu_count() or 1)
+    workers = os.cpu_count() or 1
     if workers == 1:
         yield from map(fn, items)
         return
@@ -590,8 +597,8 @@ def _heat_bath(model: GibbsModel, n_samples: int, sweeps: int, seed: int,
                     compare(count, t, spins[a:b].view(bool))
         return lo, hi, [spins[row] for spins in legs]
 
-    return ordered_map(run, _chunks(n_samples, seed),
-                       threads=1 if n_rows < POOL_MIN_ROWS else 0)
+    chunks = _chunks(n_samples, seed)
+    return map(run, chunks) if n_rows < POOL_MIN_ROWS else ordered_map(run, chunks)
 
 
 def _inverse_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -721,13 +728,17 @@ def dobrushin_matrix(model: GibbsModel) -> DobrushinData:
 def model_from_config(cfg: dict) -> GibbsModel:
     """Build a model from a JSON-style dictionary (see README for the schema).
 
-    Every number is read through `_integer` or `_real`.
+    Every number is read through `_integer` or `_real`.  A key the kind does
+    not read is a ConfigError, and so is a volume other than two sides or
+    `{"segment": n}`.
     """
     if not isinstance(cfg, dict) or "kind" not in cfg:
         raise ConfigError("model config must be a dict with a 'kind' entry")
     kind = cfg["kind"]
     try:
         if kind == "ising":
+            _only_keys(cfg, {"kind", "beta", "external_field", "boundary", "volume"},
+                       "this kind")
             beta = _real(cfg["beta"])
             h = _real(cfg.get("external_field", 0.0))
             boundary = cfg.get("boundary", "plus")
@@ -735,10 +746,14 @@ def model_from_config(cfg: dict) -> GibbsModel:
                 boundary = {tuple(k_ if isinstance(k_, tuple) else tuple(int(c) for c in k_.split(","))): v
                             for k_, v in boundary.items()}
             vol = cfg["volume"]
-            if isinstance(vol, dict) and "segment" in vol:
+            if isinstance(vol, dict):
+                _only_keys(vol, {"segment"}, "a segment volume")
                 return ising_segment(_integer(vol["segment"]), beta, boundary, h)
+            if not isinstance(vol, (list, tuple)) or len(vol) != 2:
+                raise ConfigError(f"volume must be two sides or {{'segment': n}}, got {vol!r}")
             return ising_rect(_integer(vol[0]), _integer(vol[1]), beta, boundary, h)
         if kind in ("iid", "product"):
+            _only_keys(cfg, {"kind", "n_sites", "p_plus"}, "this kind")
             n = _integer(cfg["n_sites"])
             p = cfg.get("p_plus", 0.5)
             if np.isscalar(p):
@@ -747,6 +762,7 @@ def model_from_config(cfg: dict) -> GibbsModel:
             return ProductModel(segment_sites(n), np.column_stack([1.0 - p, p]), SPIN,
                                 name=f"product[{n}]")
         if kind == "markov":
+            _only_keys(cfg, {"kind", "n_sites", "initial", "transition"}, "this kind")
             return MarkovChainModel(
                 _integer(cfg["n_sites"]),
                 np.array([_real(x) for x in cfg["initial"]]),

@@ -49,7 +49,7 @@ _TOLERANCES = {
 # battery registry
 # ---------------------------------------------------------------------------
 
-def battery_models(seed: int = 101) -> list[GibbsModel]:
+def battery_models(seed: int) -> list[GibbsModel]:
     """Eleven exactly enumerable models spanning the implemented families.
 
     The three chain transition matrices are random but fixed by `seed`, so
@@ -220,38 +220,30 @@ def _battery_task(model: GibbsModel, t_points: int) -> list[BoundRow]:
                                         moment_norm, t_points)]
 
 
-def exact_battery(model_list=None, threads: int = 0, t_points: int = 20,
-                  seed: int = 101) -> BoundReport:
-    """Run every exact check over the battery; no verdict tolerates a violation.
+def exact_battery(model_list, t_points: int) -> BoundReport:
+    """Run every exact check over `model_list`; no verdict tolerates a violation.
 
     One task per model builds the joint and its coupling bands once and
     checks every observable on them.  Tasks are independent, so they run on
-    `models.ordered_map`'s thread pool; `threads=0` picks the machine's CPU
-    count and `threads=1` runs serially.  Rows come out in model
-    order whatever the thread count.  `t_points` below 1 is a ConfigError,
-    raised before any joint is built: an empty tail grid checks nothing.
-    So is a negative `threads`, which `ordered_map` would take for every core,
-    an empty `model_list`, and a model on fewer than two sites, which has no
+    `models.ordered_map`'s thread pool, and rows come out in model order
+    whatever the core count.  `t_points` below 1 is a ConfigError, raised
+    before any joint is built: an empty tail grid checks nothing.  So is an
+    empty `model_list`, and a model on fewer than two sites, which has no
     pair for `battery_functions` to take.
     """
     if t_points < 1:
         raise ConfigError("t_points must be at least 1")
-    if threads < 0:
-        raise ConfigError("threads must be 0 (every core) or a positive count")
-    model_list = battery_models(seed) if model_list is None else model_list
     if not model_list:
         raise ConfigError("the battery needs at least one model")
     for m in model_list:
         if m.n_sites < 2:
             raise ConfigError(f"battery model {m.name} has {m.n_sites} site(s); "
                               "its pair observable needs two")
-    chunks = list(models.ordered_map(lambda m: _battery_task(m, t_points),
-                                     model_list, threads))
+    chunks = list(models.ordered_map(lambda m: _battery_task(m, t_points), model_list))
     report = BoundReport(meta={
         "experiment": "exact_battery",
         "models": [m.name for m in model_list],
         "functions_per_model": len(battery_functions(model_list[0])),
-        "battery_seed": seed,
         "t_points": t_points,
         "tolerances": dict(_TOLERANCES),
     })

@@ -37,7 +37,7 @@ def _verdict(num: int, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def battery_report():
-    return verify.exact_battery()
+    return verify.exact_battery(verify.battery_models(101), 20)
 
 
 def _rows(report, name):

@@ -97,7 +97,7 @@ def test_last_increment_reaches_g():
 # every battery model; a 2^16-state joint; a prefix of probability zero at
 # the first coordinate; a chain that never leaves minus, whose
 # zero-probability prefixes sit under positive-mass pasts
-_REFERENCE_JOINTS = {m.name: (lambda m=m: exact_joint(m)) for m in battery_models()}
+_REFERENCE_JOINTS = {m.name: (lambda m=m: exact_joint(m)) for m in battery_models(101)}
 _REFERENCE_JOINTS.update({
     "ising[4x4]_b0.2_plus": lambda: exact_joint(ising_rect(4, 4, 0.2, "plus")),
     "zero-mass-prefix": lambda: _random_joint(3, seed=5, zero_slab=True),

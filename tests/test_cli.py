@@ -16,13 +16,14 @@ def _files(path):
 
 def test_battery_runs_clean(tmp_path):
     out = str(tmp_path)
-    assert run(["battery", "--out", out, "--threads", "4"]) == 0
+    assert run(["battery", "--out", out]) == 0
     names = _files(tmp_path)
     assert len(names) == 2
     assert names[0].startswith("battery_") and "_s101" in names[0]
     with open(tmp_path / names[1], "r", encoding="utf-8") as fh:
         blob = json.load(fh)
     assert blob["meta"]["experiment"] == "exact_battery"
+    assert blob["meta"]["battery_seed"] == 101
     assert all(r["verdict"] == "pass" for r in blob["rows"])
 
 
@@ -68,8 +69,9 @@ def test_seed_is_required_for_sampling(tmp_path):
 
 def test_unknown_subcommand_is_exit_2(tmp_path, capsys):
     assert run(["bogus"]) == 2
-    # --threads belongs to the battery alone
-    assert run(["hightemp", "--seed", "1", "--threads", "2"]) == 2
+    # no command takes --threads: the battery runs on every core
+    for command in ("battery", "hightemp"):
+        assert run([command, "--seed", "1", "--threads", "2", "--out", str(tmp_path)]) == 2
     # --samples belongs to tail, hightemp and lowtemp alone
     for command in ("battery", "coupling-matrix", "transport"):
         assert run([command, "--seed", "1", "--samples", "5", "--out", str(tmp_path)]) == 2
@@ -122,8 +124,6 @@ def test_unknown_subcommand_is_exit_2(tmp_path, capsys):
     ("transport", {"seed": 1, "n_instances": -3, "gibbs_pair": False}),
     ("transport", {"seed": 1, "support_cap": -4}),
     ("transport", {"seed": 1, "support_cap": 3}),
-    # a command's flags follow its name; a negative count is not "every core"
-    ("battery --threads -5", {}),
     # numpy's generators take no negative seed
     ("battery", {"seed": -1}),
     ("tail", {"seed": -1}),
@@ -150,6 +150,22 @@ def test_unknown_subcommand_is_exit_2(tmp_path, capsys):
     # a dict-boundary symbol outside the alphabet
     ("tail", {"seed": 1, "model": {"kind": "ising", "volume": [2, 2], "beta": 0.3,
                                    "boundary": {"-1,0": "x"}}}),
+    # product and chain laws must be laws: the exact and the sampled paths
+    # read anything else differently
+    ("tail", {"seed": 1, "model": {"kind": "iid", "n_sites": 4, "p_plus": 1.5}}),
+    ("coupling-matrix", {"model": {"kind": "iid", "n_sites": 4, "p_plus": 1.5}}),
+    ("tail", {"seed": 1, "model": {"kind": "product", "n_sites": 2, "p_plus": [0.5, -0.1]}}),
+    ("tail", {"seed": 1, "model": {"kind": "markov", "n_sites": 4, "initial": [0.3, 0.3],
+                                   "transition": [[0.5, 0.5], [0.5, 0.5]]}}),
+    ("tail", {"seed": 1, "model": {"kind": "markov", "n_sites": 4, "initial": [1.2, -0.2],
+                                   "transition": [[0.5, 0.5], [0.5, 0.5]]}}),
+    ("tail", {"seed": 1, "model": {"kind": "markov", "n_sites": 4, "initial": [0.5, 0.5],
+                                   "transition": [[1.5, -0.5], [0.5, 0.5]]}}),
+    # a key the spec does not read, and a volume that is not two sides
+    ("tail", {"seed": 1, "model": {"kind": "ising", "volume": [3, 3], "beta": 0.2,
+                                   "boundry": "minus"}}),
+    ("tail", {"seed": 1, "model": {"kind": "ising", "volume": [3, 3, 7], "beta": 0.2}}),
+    ("tail", {"seed": 1, "function": {"kind": "magnetization", "normalised": False}}),
 ])
 def test_malformed_config_is_exit_2(tmp_path, capsys, monkeypatch, command, cfg):
     def no_sampling(*args, **kwargs):

@@ -542,6 +542,28 @@ def test_site_influence_p_values():
     assert 2 * data.p_sup_tv > SITE_PERCOLATION_PC_2D
 
 
+# a marginal, an initial law or a transition row that is not a law: the
+# exact joint and the exact sampler would read it differently
+@pytest.mark.parametrize("build", [
+    lambda: ProductModel(segment_sites(2), [[0.5, 0.5], [1.25, -0.25]]),
+    lambda: iid_spins(4, 1.5),
+    lambda: MarkovChainModel(4, [0.3, 0.3], [[0.5, 0.5], [0.5, 0.5]]),
+    lambda: MarkovChainModel(4, [1.2, -0.2], [[0.5, 0.5], [0.5, 0.5]]),
+    lambda: MarkovChainModel(4, [0.5, 0.5], [[1.5, -0.5], [0.5, 0.5]]),
+], ids=["negative-marginal", "p_plus-above-one", "initial-sum", "negative-initial",
+        "negative-transition"])
+def test_product_and_chain_models_refuse_laws_that_are_not_laws(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_product_and_chain_models_take_probabilities_zero_and_one():
+    product = exact_joint(iid_spins(3, 1.0))
+    assert product.probs[1, 1, 1] == 1.0
+    chain = exact_joint(MarkovChainModel(3, [0.0, 1.0], [[1.0, 0.0], [0.0, 1.0]]))
+    assert chain.probs[1, 1, 1] == 1.0
+
+
 def test_model_from_config_roundtrip():
     m1 = model_from_config({"kind": "ising", "volume": [2, 3], "beta": 0.5,
                             "boundary": "minus"})

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -42,7 +43,7 @@ from .oracles import numpy_openblas
 # ---------------------------------------------------------------------------
 
 def test_battery_models_distinct_and_enumerable():
-    ms = battery_models()
+    ms = battery_models(101)
     assert len(ms) == 11
     assert len({m.name for m in ms}) == 11
     for m in ms:
@@ -51,7 +52,7 @@ def test_battery_models_distinct_and_enumerable():
 
 
 def test_battery_all_exact_checks_pass():
-    report = exact_battery()
+    report = exact_battery(battery_models(101), 20)
     assert report.n_failures == 0
     assert report.n_unresolved == 0
     assert len(report.rows) >= 400
@@ -63,16 +64,25 @@ def test_battery_all_exact_checks_pass():
             "tail_exponential_grid", "variance", "moment_p3"} <= names
 
 
-def test_battery_thread_count_does_not_change_output():
+def test_battery_thread_count_does_not_change_output(monkeypatch):
     # three iid models, whose bands are trivial, plus a Markov chain, an
     # Ising segment and a 2x3 rectangle with real coupling bands
-    ms = battery_models()
+    ms = battery_models(101)
     small = ms[:3] + [ms[3], ms[6], ms[8]]
     assert [m.name for m in small[3:]] == ["markov[6]_r0", "ising[6]_b0.7_plus",
                                            "ising[2x3]_b0.5_plus"]
-    serial = exact_battery(model_list=small, threads=1)
-    pooled = exact_battery(model_list=small, threads=4)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    serial = exact_battery(model_list=small, t_points=20)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    pooled = exact_battery(model_list=small, t_points=20)
     assert serial.to_json() == pooled.to_json()
+
+
+def test_battery_on_a_callers_models_names_no_seed():
+    # the models were built by the caller, at a seed the battery never saw
+    report = exact_battery(battery_models(4242)[:4], 20)
+    assert "battery_seed" not in report.meta
+    assert report.meta["models"][3] == "markov[6]_r0"
 
 
 def test_exact_rows_do_not_depend_on_blas_threads():
@@ -85,9 +95,9 @@ def test_exact_rows_do_not_depend_on_blas_threads():
     model_list = [ising_rect(4, 4, 0.1, "plus")]
     try:
         set_threads(2)
-        threaded = exact_battery(model_list=model_list, threads=1)
+        threaded = exact_battery(model_list, 20)
         set_threads(1)
-        single = exact_battery(model_list=model_list, threads=1)
+        single = exact_battery(model_list, 20)
     finally:
         set_threads(1)
     assert len(threaded.rows) == len(single.rows) > 0
@@ -105,8 +115,8 @@ def test_battery_computes_each_band_once(monkeypatch):
         return original(joint, i)
 
     monkeypatch.setattr(coupling, "coupling_rows_all", counted)
-    exact_battery(threads=1)
-    assert len(calls) == sum(m.n_sites for m in battery_models()) == 70
+    exact_battery(battery_models(101), 20)
+    assert len(calls) == sum(m.n_sites for m in battery_models(101)) == 70
 
 
 def _band_values(joint):
@@ -183,7 +193,7 @@ def observable_inputs():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(verify, "_observable_rows", capture)
-        for model in battery_models():
+        for model in battery_models(101):
             verify._battery_task(model, 20)
     return captured
 
@@ -223,7 +233,7 @@ def test_battery_rejects_unusable_models_before_any_joint(monkeypatch, model_lis
 
     monkeypatch.setattr(models, "exact_joint", no_joint)
     with pytest.raises(ConfigError):
-        exact_battery(model_list=model_list, threads=1)
+        exact_battery(model_list, 20)
 
 
 # ---------------------------------------------------------------------------
@@ -561,7 +571,7 @@ def test_config_digest_is_canonical():
 
 
 def test_write_artifacts_round_trip(tmp_path):
-    report = exact_battery(model_list=battery_models()[:1], threads=1)
+    report = exact_battery(battery_models(101)[:1], 20)
     paths = write_artifacts(str(tmp_path), "run", report=report,
                             tables={"extra.csv": "x,y\n1,2\n"})
     assert len(paths) == 3
