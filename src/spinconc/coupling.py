@@ -91,12 +91,6 @@ class CouplingRowBand:
     past_mass: np.ndarray
 
 
-def _past_mass(joint: ExactJoint, i: int) -> np.ndarray:
-    if i == 0:
-        return np.array([1.0])
-    return joint.prefix_marginal(i - 1).reshape(-1)
-
-
 #: run length from which numpy's own reduction of a row-major sum beats
 #: `_pairwise_sum`'s strided adds.  numpy pays about 60 ns per run, the adds
 #: about 1.5 us per call: on the 4x4 stack of 2^17 entries own against adds
@@ -197,7 +191,7 @@ def coupling_rows_all(joint: ExactJoint, i: int) -> CouplingRowBand:
     lower = np.zeros((n_past, m))
     upper = np.zeros((n_past, m))
     value[:, i] = lower[:, i] = upper[:, i] = 1.0
-    band = CouplingRowBand(value, lower, upper, _past_mass(joint, i))
+    band = CouplingRowBand(value, lower, upper, joint.prefix_marginal(i - 1).reshape(-1))
     if i == m - 1:
         return band
     n_future = joint.probs.size // (n_past * k)
@@ -303,8 +297,6 @@ def envelope_and_moment_matrices(joint: ExactJoint, p_orders=(1, 2),
 def _step_conditionals(joint: ExactJoint, k_coord: int) -> np.ndarray:
     """P(coordinate k = symbol 1 | each prefix), flat over k-bit prefixes."""
     num = joint.prefix_marginal(k_coord).reshape(-1)
-    if k_coord == 0:
-        return np.array([num[1]])
     den = joint.prefix_marginal(k_coord - 1).reshape(-1)
     return num[1::2] / np.where(den > 0.0, den, 1.0)
 

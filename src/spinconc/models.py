@@ -107,7 +107,15 @@ class ExactJoint:
         return self.sites.index(tuple(site))
 
     def prefix_marginal(self, i: int) -> np.ndarray:
-        """Marginal law of the first i+1 coordinates (an (k,)*(i+1) array)."""
+        """Marginal law of the first i+1 coordinates (an (k,)*(i+1) array).
+
+        i = -1 is the empty prefix, whose mass is `np.array(1.0)`; any i
+        outside -1..n_sites-1 is an IndexError.
+        """
+        if not -1 <= i < self.n_sites:
+            raise IndexError(f"prefix index {i} outside -1..{self.n_sites - 1}")
+        if i == -1:
+            return np.array(1.0)
         if not self._prefix_cache:
             tables = [self.probs]
             for axis in range(self.n_sites - 1, 0, -1):
@@ -391,6 +399,16 @@ def exact_joint(model: GibbsModel) -> ExactJoint:
 #: replicas per chunk; every chunk draws from its own `SeedSequence` child,
 #: so replica r depends only on the seed and r // CHUNK, never on n_samples
 CHUNK = 1024
+
+#: the largest replica count one sampled batch may ask for (`tail` and
+#: `hightemp`'s n_samples, `lowtemp`'s n_pair, n_ell and n_tail); the
+#: experiments raise CapacityError above it, before their first sample.
+#: Peak `tracemalloc` grows by 22.4 B per replica of `lowtemp`'s n_tail (two
+#: held-out float64 splits, their centring, quantiles and tail counts) and by
+#: 8.5 B per replica of `tail`'s n_samples (4x4, 10^5 -> 4*10^5 replicas),
+#: and `_chunks` spawns one 376 B `SeedSequence` child per CHUNK replicas up
+#: front.  At the cap that is at most 1.1 GB, under a seventh of an 8 GB box.
+MAX_REPLICAS = 50_000_000
 
 #: `_heat_bath` runs its chunks serially when its larger parity class has
 #: fewer rows: each numpy call is then too short to pay for the pool, whose

@@ -28,7 +28,7 @@ from scipy import stats as sstats
 
 from spinconc import bounds, coupling, fields, models
 from spinconc.bounds import BoundReport, BoundRow, classify_tail_row
-from spinconc.errors import ConfigError, _integer, _real
+from spinconc.errors import CapacityError, ConfigError, _integer, _real
 from spinconc.fields import LocalFunction
 from spinconc.lattice import l1_distance
 from spinconc.models import (ExactJoint, GibbsModel, ProductModel,
@@ -297,16 +297,26 @@ def binomial_ci99(k: int, n: int) -> tuple[float, float]:
     return lo, hi
 
 
+def _check_replicas(**counts: int) -> None:
+    """A CapacityError naming every count above `models.MAX_REPLICAS`."""
+    over = [f"{name}={n}" for name, n in counts.items() if n > models.MAX_REPLICAS]
+    if over:
+        raise CapacityError(f"{', '.join(over)} above the replica cap "
+                            f"of {models.MAX_REPLICAS}")
+
+
 def _check_batch(n_samples: int, sweeps: int, start: str) -> None:
     """The rules every tail batch keeps: at least 1000 replicas, `sweeps`
     nonnegative, and `start` one of the heat-bath kernel's start
-    configurations; a ConfigError otherwise."""
+    configurations; a ConfigError otherwise.  More than
+    `models.MAX_REPLICAS` replicas is a CapacityError."""
     if n_samples < 1000:
         raise ConfigError(f"a tail batch needs at least 1000 replicas, got {n_samples}")
     if sweeps < 0:
         raise ConfigError("sweeps must be nonnegative")
     if start not in models._STARTS:
         raise ConfigError(f"unknown start configuration {start!r}")
+    _check_replicas(n_samples=n_samples)
 
 
 def _mean_size(n: int) -> int:
@@ -341,7 +351,8 @@ def empirical_tail(model: GibbsModel, g: LocalFunction, t_grid, n_samples: int,
     plus 8 bytes per replica.  The mean batch (`_mean_size(n_samples)`
     replicas) and the main batch each get their own seed, both drawn from
     `seed`.  An empty `t_grid`, or an entry that is negative or NaN, is a
-    ConfigError before the first sample.
+    ConfigError, and more than `models.MAX_REPLICAS` replicas a
+    CapacityError, before the first sample.
     """
     _check_batch(n_samples, sweeps, start)
     if len(t_grid) == 0 or not all(t >= 0.0 for t in t_grid):
@@ -619,7 +630,8 @@ def lowtemp_experiment(config: LowtempConfig) -> tuple[np.ndarray, np.ndarray, B
     the `profile_*` assemblies as measured; no curve is fitted to it.  A
     degenerate split-A fit is reported as such; no verdict is forced from it.
 
-    A value out of its range is a ConfigError before the first sample.
+    A value out of its range is a ConfigError, and a replica count above
+    `models.MAX_REPLICAS` a CapacityError, before the first sample.
     """
     if min(config.rows, config.cols, config.n_pair, config.n_ell,
            config.spearman_dmax, *config.p_list) < 1:
@@ -633,6 +645,7 @@ def lowtemp_experiment(config: LowtempConfig) -> tuple[np.ndarray, np.ndarray, B
         raise ConfigError("theta must lie in (0, 1]")
     if not config.quantiles or not all(0.0 <= q <= 1.0 for q in config.quantiles):
         raise ConfigError("quantiles must be a nonempty list of values in [0, 1]")
+    _check_replicas(n_pair=config.n_pair, n_ell=config.n_ell, n_tail=config.n_tail)
     n_split = (config.n_tail - _mean_size(config.n_tail)) // 2
     _check_batch(n_split, config.sweeps, config.start)  # each held-out split is a tail batch
     model = models.ising_rect(config.rows, config.cols, config.beta, config.boundary)

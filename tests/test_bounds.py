@@ -119,9 +119,13 @@ def test_decomposition_and_backbone_match_the_dense_reference_bit_for_bit(name):
             dense = np.where(dec.support, np.broadcast_to(v, joint.probs.shape), 0.0)
             assert np.array_equal(dense, w), (g.name, i)
             assert not v.reshape(-1)[joint.prefix_marginal(i).reshape(-1) == 0.0].any()
-        got = (dec.telescoping_error(), dec.conditional_mean_error(),
-               dec.orthogonality_error())
-        assert got == reference_decomposition_errors(joint, dec.g_table, dec.mean, want)
+        telescoping, cond_mean, ortho = reference_decomposition_errors(
+            joint, dec.g_table, dec.mean, want)
+        assert dec.telescoping_error() == telescoping, g.name
+        # both martingale checks sum on prefix grids, in another order than
+        # the dense formulas: equal to rounding, and both read about 1e-15
+        assert dec.conditional_mean_error() == pytest.approx(cond_mean, rel=0, abs=1e-14)
+        assert dec.orthogonality_error() == pytest.approx(ortho, rel=0, abs=1e-14)
         per_site = delta_vector(g, joint.sites, joint.alphabet).per_site
         assert (backbone_check(dec, [v @ per_site for v in values])
                 == reference_backbone(joint, want, values, per_site)), g.name
@@ -161,6 +165,35 @@ def test_moment_rows_and_moment_matrices_match_the_pow_formulas_bit_for_bit(name
         dec = martingale_decomposition(joint, g)
         assert observed == {label: reference_central_moment(joint, dec.g_table, dec.mean, q)
                             for label, q in labels.items()}, g.name
+
+
+@pytest.mark.parametrize("name", list(_MOMENT_JOINTS))
+def test_martingale_checks_match_the_dense_formulas_on_any_prefix_increments(name):
+    # random prefix-shaped arrays, zero on zero-mass prefixes, in place of the
+    # increments: both errors then read O(1) values, which the prefix-grid
+    # sums must reproduce to rounding
+    joint = _MOMENT_JOINTS[name]()
+    m, k = joint.n_sites, joint.k
+    rng = np.random.default_rng(24)
+    increments = []
+    for i in range(m):
+        v = rng.normal(size=(k,) * (i + 1) + (1,) * (m - i - 1))
+        v[joint.prefix_marginal(i).reshape(v.shape) == 0.0] = 0.0
+        increments.append(v)
+    dec = dataclasses.replace(martingale_decomposition(joint, total_spin(joint.sites)),
+                              increments=increments)
+    dense = np.array([np.broadcast_to(v, joint.probs.shape) for v in increments])
+    _, cond_mean, ortho = reference_decomposition_errors(joint, dec.g_table, dec.mean, dense)
+    assert min(cond_mean, ortho) > 1e-3
+    assert dec.conditional_mean_error() == pytest.approx(cond_mean, rel=1e-12, abs=0)
+    assert dec.orthogonality_error() == pytest.approx(ortho, rel=1e-12, abs=0)
+    # one pair (i, m - 1) at a time, so that a slip at any depth of the sums
+    # over later coordinates cannot hide behind the largest pair
+    for i in range(m - 1):
+        pair = [v if a in (i, m - 1) else np.zeros_like(v) for a, v in enumerate(increments)]
+        want = abs(float((joint.probs * dense[i] * dense[m - 1]).sum()))
+        got = dataclasses.replace(dec, increments=pair).orthogonality_error()
+        assert got == pytest.approx(want, rel=1e-12, abs=0), i
 
 
 def _sabotaged(dec, change):
@@ -208,6 +241,33 @@ def test_orthogonality_fails_when_an_earlier_increment_leaks(rect_decomposition)
         v[4] = v[4] + v[1]
 
     assert _sabotaged(dec, leak).orthogonality_error() > tol
+
+
+# a break sized to twice the battery's tolerance fails it, and one sized to
+# half of it passes: the checks read the break itself, not rounding
+@pytest.mark.parametrize("factor, fails", [(2.0, True), (0.5, False)])
+def test_orthogonality_reads_a_leak_sized_to_the_tolerance(rect_decomposition,
+                                                           factor, fails):
+    dec, tol = rect_decomposition
+    # E[V_1 (V_4 + c V_1)] = E[V_1 V_4] + c E[V_1^2], and E[V_1 V_4] = 0
+    c = factor * tol / float((dec.joint.probs * dec.increments[1] ** 2).sum())
+
+    def leak(v):
+        v[4] += c * v[1]
+
+    assert (_sabotaged(dec, leak).orthogonality_error() > tol) == fails
+
+
+@pytest.mark.parametrize("factor, fails", [(2.0, True), (0.5, False)])
+def test_conditional_mean_reads_a_shift_sized_to_the_tolerance(rect_decomposition,
+                                                               factor, fails):
+    # E[V_2 | sigma_{<2} = (1, 0)] moves from 0 to the shift
+    dec, tol = rect_decomposition
+
+    def shift(v):
+        v[2].reshape(4, 2)[2] += factor * tol
+
+    assert (_sabotaged(dec, shift).conditional_mean_error() > tol) == fails
 
 
 # ---------------------------------------------------------------------------

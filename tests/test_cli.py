@@ -217,6 +217,29 @@ def test_capacity_overflow_is_exit_3(tmp_path):
                 "--out", str(tmp_path)]) == 3
 
 
+_OVER_CAP = models.MAX_REPLICAS + 1
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("tail", {"seed": 1, "n_samples": _OVER_CAP}),
+    ("hightemp", {"seed": 1, "n_samples": _OVER_CAP}),
+    ("lowtemp", {"seed": 1, "n_pair": _OVER_CAP}),
+    ("lowtemp", {"seed": 1, "n_ell": _OVER_CAP}),
+    ("lowtemp", {"seed": 1, "n_tail": _OVER_CAP}),
+])
+def test_replica_count_above_the_cap_is_exit_3_before_any_sample(
+        tmp_path, capsys, monkeypatch, command, cfg):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("an over-cap count reached the heat-bath kernel")
+
+    for module in (models, coupling):
+        monkeypatch.setattr(module, "_heat_bath", no_sampling)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run([command, "--config", str(path), "--out", str(tmp_path)]) == 3
+    assert "replica cap" in capsys.readouterr().err
+
+
 def test_tail_seed_rerun_is_byte_identical(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):

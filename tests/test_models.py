@@ -134,6 +134,18 @@ def test_degenerate_conditioning_raises():
         joint.conditional_future((1,))
 
 
+def test_prefix_marginal_reads_the_empty_prefix_and_refuses_other_indices():
+    joint = exact_joint(ising_rect(2, 2, 0.3, "plus"))
+    empty = joint.prefix_marginal(-1)
+    assert empty.shape == () and empty == 1.0
+    assert np.allclose(joint.prefix_marginal(0), joint.probs.sum(axis=(1, 2, 3)),
+                       rtol=0, atol=1e-15)
+    assert joint.prefix_marginal(3) is joint.probs
+    for i in (-2, joint.n_sites):
+        with pytest.raises(IndexError):
+            joint.prefix_marginal(i)
+
+
 def test_capacity_guard():
     with pytest.raises(CapacityError):
         exact_joint(iid_spins(25))
