@@ -165,10 +165,17 @@ class OrliczSpec:
         return ((1.0 - self.rho) / self.rho) ** (1.0 / self.rho)
 
     def phi(self, x) -> np.ndarray:
+        """phi(x), elementwise.  An array is worked on in place in one copy,
+        |x|; a scalar x stays a numpy scalar, whose power is libm's `pow`,
+        which differs in the last bit from numpy's array loop at some x."""
         x = np.abs(np.asarray(x, dtype=float))
+        out = x if isinstance(x, np.ndarray) else None
         h = self.shift
-        expo = np.minimum((x + h) ** self.rho, _EXP_CAP)
-        return np.exp(expo) - math.exp(min(h ** self.rho, _EXP_CAP))
+        x += h
+        x **= self.rho
+        x = np.exp(np.minimum(x, _EXP_CAP, out=out), out=out)
+        x -= math.exp(min(h ** self.rho, _EXP_CAP))
+        return x
 
 
 def luxembourg_norm(values, rho: float = 1.0) -> float:
@@ -180,14 +187,15 @@ def luxembourg_norm(values, rho: float = 1.0) -> float:
     ConvergenceError.
     """
     z = np.abs(np.asarray(values, dtype=float))
-    probs = np.full(z.shape, 1.0 / z.size)
     hi = float(z.max())
     if hi == 0.0:
         return 0.0
     spec = OrliczSpec(rho)
 
     def moment(lam: float) -> float:
-        return float((probs * spec.phi(z / lam)).sum())
+        phi = spec.phi(z / lam)
+        phi *= 1.0 / z.size  # each sample's weight, as one product per entry
+        return float(phi.sum())
 
     expansions = 0
     while moment(hi) > 1.0:
@@ -199,7 +207,7 @@ def luxembourg_norm(values, rho: float = 1.0) -> float:
     while moment(lo) <= 1.0:
         lo /= 2.0
         if lo < 1e-300:
-            return hi if moment(hi) <= 1.0 else 0.0
+            return hi
     while hi - lo > 1e-9 * hi:
         mid = 0.5 * (lo + hi)
         if moment(mid) <= 1.0:

@@ -89,7 +89,6 @@ class TailConfig:
     t_grid: tuple = (0.05, 0.1, 0.2, 0.4)
     n_samples: int = 20000
     sweeps: int = 30
-    start: str = "plus"
 
 
 def _run_tail(config: TailConfig, digested: dict):
@@ -101,7 +100,7 @@ def _run_tail(config: TailConfig, digested: dict):
     if not set(g.sites) <= set(model.sites):
         raise ConfigError(f"function {g.name} reads sites outside the model volume")
     estimates = verify.empirical_tail(model, g, config.t_grid, config.n_samples,
-                                      config.sweeps, config.seed, config.start)
+                                      config.sweeps, config.seed)
     meta = {"experiment": "empirical_tail", "model": model.name,
             "function": g.name, "config": digested, "seed": config.seed}
     blob = json.dumps({"meta": meta,
@@ -148,7 +147,6 @@ class TransportConfig:
     seed: int
     n_instances: int = 50
     support_cap: int = 16
-    gibbs_pair: bool = True
 
 
 def _run_transport(config: TransportConfig, digested: dict):
@@ -175,21 +173,20 @@ def _run_transport(config: TransportConfig, digested: dict):
             BoundRow("random_pair", f"instance_{idx}", "transport_marginals",
                      {"shape": [a, b]}, 0.0, observed=plan.marginal_error,
                      observed_kind="exact"), tol=1e-12))
-    if config.gibbs_pair:
-        jp = models.exact_joint(models.ising_rect(2, 2, 0.4, "plus"))
-        jq = models.exact_joint(models.ising_rect(2, 2, 0.4, "minus"))
-        fns = [fields.magnetization(jp.sites), fields.single_spin(jp.sites[0])]
-        vals = np.asarray(jp.alphabet.values)
-        # per-site budget = alphabet span, the largest any observable can move
-        phi = float(vals.max() - vals.min()) * np.ones(len(jp.sites))
-        chain = coupling.verify_transport_chain(jp, jq, fns, phi)
-        report.add(classify_tail_row(
-            BoundRow("ising[2x2]_b0.4", "pair", "transport_chain",
-                     {"functions": [f.name for f in fns]},
-                     0.0, observed=0.0 if chain.all_ok else 1.0,
-                     observed_kind="exact",
-                     note="mean-gap/disagreement chain on the +/- boundary pair"),
-            tol=0.0))
+    jp = models.exact_joint(models.ising_rect(2, 2, 0.4, "plus"))
+    jq = models.exact_joint(models.ising_rect(2, 2, 0.4, "minus"))
+    fns = [fields.magnetization(jp.sites), fields.single_spin(jp.sites[0])]
+    vals = np.asarray(jp.alphabet.values)
+    # per-site budget = alphabet span, the largest any observable can move
+    phi = float(vals.max() - vals.min()) * np.ones(len(jp.sites))
+    chain = coupling.verify_transport_chain(jp, jq, fns, phi)
+    report.add(classify_tail_row(
+        BoundRow("ising[2x2]_b0.4", "pair", "transport_chain",
+                 {"functions": [f.name for f in fns]},
+                 0.0, observed=0.0 if chain.all_ok else 1.0,
+                 observed_kind="exact",
+                 note="mean-gap/disagreement chain on the +/- boundary pair"),
+        tol=0.0))
     return report, {}, []
 
 

@@ -414,8 +414,10 @@ class PairGlauberResult:
 
 
 def coupled_glauber_disagreement(model: GibbsModel, n_samples: int, sweeps: int,
-                                 seed: int, frozen: int = 0) -> PairGlauberResult:
-    """Two heat-bath chains sharing every uniform whose frozen site is + vs -.
+                                 seed: int) -> PairGlauberResult:
+    """Two heat-bath chains sharing every uniform, from all-plus, whose
+    pinned site `model.sites[0]` (the spiral origin, the center of a
+    rectangle) is + in the upper leg and - in the lower one.
 
     Requires a ferromagnetic binary nearest-neighbor model, on any site set:
     the shared-uniform update then preserves the pointwise order of the two
@@ -423,7 +425,7 @@ def coupled_glauber_disagreement(model: GibbsModel, n_samples: int, sweeps: int,
     """
     if model.beta < 0:
         raise ConfigError("monotone coupling needs a ferromagnetic interaction")
-    chunks = _heat_bath(model, n_samples, sweeps, seed, frozen=(frozen, (1, 0)))
+    chunks = _heat_bath(model, n_samples, sweeps, seed, frozen=(0, (1, 0)))
     m = model.n_sites
     up_sum = np.zeros(m, dtype=np.int64)
     dn_sum = np.zeros(m, dtype=np.int64)

@@ -403,11 +403,12 @@ CHUNK = 1024
 #: the largest replica count one sampled batch may ask for (`tail` and
 #: `hightemp`'s n_samples, `lowtemp`'s n_pair, n_ell and n_tail); the
 #: experiments raise CapacityError above it, before their first sample.
-#: Peak `tracemalloc` grows by 22.4 B per replica of `lowtemp`'s n_tail (two
-#: held-out float64 splits, their centring, quantiles and tail counts) and by
-#: 8.5 B per replica of `tail`'s n_samples (4x4, 10^5 -> 4*10^5 replicas),
-#: and `_chunks` spawns one 376 B `SeedSequence` child per CHUNK replicas up
-#: front.  At the cap that is at most 1.1 GB, under a seventh of an 8 GB box.
+#: Peak `tracemalloc` grows by 12.8 B per replica of `lowtemp`'s n_tail (the
+#: held-out split A, 0.4 of n_tail in float64, and the Luxembourg norm's
+#: three working arrays of its size) and by 8.5 B per replica of `tail`'s
+#: n_samples (4x4, 10^5 -> 4*10^5 replicas), and `_chunks` spawns one 376 B
+#: `SeedSequence` child per CHUNK replicas up front.  At the cap that is at
+#: most 0.66 GB, under a twelfth of an 8 GB box.
 MAX_REPLICAS = 50_000_000
 
 #: `_heat_bath` runs its chunks serially when its larger parity class has
@@ -418,14 +419,6 @@ MAX_REPLICAS = 50_000_000
 #: 124 ms wall, serial 105 and 118 ms; 16x16 (128 rows), 6250 replicas, 60
 #: sweeps, pool 289 and 271 ms wall, serial 391 and 371 ms.
 POOL_MIN_ROWS = 64
-
-# start configurations as site-major symbol indices (n_sites, replicas)
-_STARTS = {
-    "plus": lambda m, n, rng: np.ones((m, n), dtype=np.int8),
-    "minus": lambda m, n, rng: np.zeros((m, n), dtype=np.int8),
-    "random": lambda m, n, rng: rng.integers(2, size=(m, n), dtype=np.int8),
-}
-
 
 def ordered_map(fn: Callable, items: Iterable):
     """fn(item) for each item, yielded in item order, computed on a pool of
@@ -478,16 +471,16 @@ def _halves(bit_generator, n: int, carry: np.ndarray):
 
 
 def _heat_bath(model: GibbsModel, n_samples: int, sweeps: int, seed: int,
-               start: str = "plus", frozen: tuple[int, tuple[int, ...]] | None = None):
+               frozen: tuple[int, tuple[int, ...]] | None = None):
     """The heat-bath kernel for binary nearest-neighbor Gibbs models.
 
     Returns an iterator of (lo, hi, legs), one per chunk of CHUNK replicas:
     each leg is a site-major int8 array (n_sites, hi - lo) of symbol indices
-    after `sweeps` sweeps from `start`, in the model's site order.  There is
-    one leg, or with `frozen=(site, symbols)` one leg per entry of
-    `symbols`: leg k starts with `site` set to symbols[k] and never updates
-    it.  All legs of a chunk read the same uniforms, which for a
-    ferromagnet is the monotone coupling: the update is increasing in the
+    after `sweeps` sweeps from the all-plus configuration, in the model's
+    site order.  There is one leg, or with `frozen=(site, symbols)` one leg
+    per entry of `symbols`: leg k starts with `site` set to symbols[k] and
+    never updates it.  All legs of a chunk read the same uniforms, which for
+    a ferromagnet is the monotone coupling: the update is increasing in the
     neighbor configuration, so the pointwise order of the legs persists.
 
     Any finite site set works.  Nearest neighbors have opposite coordinate
@@ -525,18 +518,15 @@ def _heat_bath(model: GibbsModel, n_samples: int, sweeps: int, seed: int,
     numpy releases the interpreter lock in `random_raw` and the ufuncs,
     where the time goes.  With fewer rows (8x8 has 32) every call is short,
     the workers mostly trade the lock, and chunks run serially in the
-    calling thread.  Each chunk keeps its own generator, start
-    draw, carry and buffers, and chunks are yielded in order, so the output
-    does not depend on the thread count.  Working memory is up to one chunk
-    per worker thread, whatever n_samples is: at 16x16 one chunk peaks at
-    about 3.1 MiB, of which the (deg + 1, rows, CHUNK) compare buffer takes
-    0.63 MiB.  The model and `start` are checked here, at call time, before
-    any thread starts.
+    calling thread.  Each chunk keeps its own generator, carry and buffers,
+    and chunks are yielded in order, so the output does not depend on the
+    thread count.  Working memory is up to one chunk per worker thread,
+    whatever n_samples is: at 16x16 one chunk peaks at about 3.1 MiB, of
+    which the (deg + 1, rows, CHUNK) compare buffer takes 0.63 MiB.  The
+    model is checked here, at call time, before any thread starts.
     """
     if model.alphabet.size != 2 or model.nn_index is None:
         raise ConfigError("heat-bath sampling needs a binary nearest-neighbor Gibbs model")
-    if start not in _STARTS:
-        raise ConfigError(f"unknown start configuration {start!r}")
     m = model.n_sites
     pinned, symbols = frozen if frozen is not None else (None, (None,))
     parity = np.array([sum(s) & 1 for s in model.sites])
@@ -578,16 +568,14 @@ def _heat_bath(model: GibbsModel, n_samples: int, sweeps: int, seed: int,
     def run(chunk) -> tuple[int, int, list[np.ndarray]]:
         lo, hi, rng = chunk
         size = hi - lo
-        start_cfg = _STARTS[start](m, size, rng)
         legs = []
         for sym in symbols:
-            spins = np.zeros((m + 1, size), dtype=np.int8)
-            spins[row] = start_cfg
+            spins = np.ones((m + 1, size), dtype=np.int8)
+            spins[m] = 0  # the ghost row
             if pinned is not None:
                 spins[row[pinned]] = sym
             legs.append(spins)
-        state = rng.bit_generator.state  # the start may leave half a word pending
-        carry = np.array([state["uinteger"]] * state["has_uint32"], dtype=np.uint32)
+        carry = np.empty(0, dtype=np.uint32)
         hit = np.empty((deg + 1, n_rows, size), dtype=bool)
         t_buf = np.empty((n_rows, size), dtype=np.int8)
         # per class: each run's rows with its (output, cut) pairs, and the
@@ -641,23 +629,21 @@ def _exact_draws(model: ProductModel | MarkovChainModel, n_samples: int, seed: i
 
 
 def glauber_batch(model: GibbsModel, g: LocalFunction, n_samples: int, sweeps: int,
-                  seed: int, start: str = "plus") -> np.ndarray:
+                  seed: int) -> np.ndarray:
     """g on independent draws from the model's law: float64 (n_samples,).
 
     Product models are drawn exactly site by site and Markov chains exactly
-    by ancestral sampling (`sweeps` and `start` do not enter); every other
-    model goes to the heat-bath kernel `_heat_bath`.  An unknown `start` is a
-    ConfigError on either path, and so is a model the kernel cannot run.
+    by ancestral sampling (`sweeps` does not enter); every other model goes
+    to the heat-bath kernel `_heat_bath`, whose chains start all-plus.  A
+    model the kernel cannot run is a ConfigError.
     `g.fn` sees one chunk at a time, in the calling thread, as C-contiguous
     rows of the values at `g.sites`, so working memory is up to one
     heat-bath chunk per worker thread plus the n_samples values returned.
     """
     if isinstance(model, (ProductModel, MarkovChainModel)):
-        if start not in _STARTS:
-            raise ConfigError(f"unknown start configuration {start!r}")
         chunks = _exact_draws(model, n_samples, seed)
     else:
-        chunks = _heat_bath(model, n_samples, sweeps, seed, start)
+        chunks = _heat_bath(model, n_samples, sweeps, seed)
     values = np.asarray(model.alphabet.values)
     cols = [model.sites.index(tuple(s)) for s in g.sites]
     out = np.empty(n_samples)
@@ -667,7 +653,7 @@ def glauber_batch(model: GibbsModel, g: LocalFunction, n_samples: int, sweeps: i
 
 
 def glauber_block_batch(model: GibbsModel, n_samples: int, sweeps: int,
-                        seed: int, start: str = "plus") -> np.ndarray:
+                        seed: int) -> np.ndarray:
     """Heat-bath replicas of a binary nearest-neighbor Gibbs model.
 
     Returns the kernel's site-major int8 symbol indices (n_sites, n_samples)
@@ -675,7 +661,7 @@ def glauber_block_batch(model: GibbsModel, n_samples: int, sweeps: int,
     and its precision.
     """
     out = np.empty((model.n_sites, n_samples), dtype=np.int8)
-    for lo, hi, legs in _heat_bath(model, n_samples, sweeps, seed, start):
+    for lo, hi, legs in _heat_bath(model, n_samples, sweeps, seed):
         out[:, lo:hi] = legs[0]
     return out
 

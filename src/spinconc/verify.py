@@ -305,17 +305,14 @@ def _check_replicas(**counts: int) -> None:
                             f"of {models.MAX_REPLICAS}")
 
 
-def _check_batch(n_samples: int, sweeps: int, start: str) -> None:
-    """The rules every tail batch keeps: at least 1000 replicas, `sweeps`
-    nonnegative, and `start` one of the heat-bath kernel's start
-    configurations; a ConfigError otherwise.  More than
-    `models.MAX_REPLICAS` replicas is a CapacityError."""
+def _check_batch(n_samples: int, sweeps: int) -> None:
+    """The rules every tail batch keeps: at least 1000 replicas and `sweeps`
+    nonnegative; a ConfigError otherwise.  More than `models.MAX_REPLICAS`
+    replicas is a CapacityError."""
     if n_samples < 1000:
         raise ConfigError(f"a tail batch needs at least 1000 replicas, got {n_samples}")
     if sweeps < 0:
         raise ConfigError("sweeps must be nonnegative")
-    if start not in models._STARTS:
-        raise ConfigError(f"unknown start configuration {start!r}")
     _check_replicas(n_samples=n_samples)
 
 
@@ -341,29 +338,37 @@ def _tail_estimates(dev: np.ndarray, t_grid, se_mean: float) -> list[TailEstimat
     return out
 
 
+def _deviations(model: GibbsModel, g: LocalFunction, n: int, sweeps: int, seed: int,
+                m_hat: float) -> np.ndarray:
+    """|g - m_hat| on n replicas from `models.glauber_batch`, centred in
+    place, so the batch holds 8 bytes per replica."""
+    dev = models.glauber_batch(model, g, n, sweeps, seed)
+    dev -= m_hat
+    return np.abs(dev, out=dev)
+
+
 def empirical_tail(model: GibbsModel, g: LocalFunction, t_grid, n_samples: int,
-                   sweeps: int, seed: int, start: str = "plus") -> list[TailEstimate]:
+                   sweeps: int, seed: int) -> list[TailEstimate]:
     """Replicated tail estimates at each t in `t_grid`.
 
     Replicas come from `models.glauber_batch`: exact draws for product and
-    Markov models, independent heat-bath chains for Gibbs models, reduced to
-    g chunk by chunk, so working memory is up to one chunk per worker thread
-    plus 8 bytes per replica.  The mean batch (`_mean_size(n_samples)`
-    replicas) and the main batch each get their own seed, both drawn from
-    `seed`.  An empty `t_grid`, or an entry that is negative or NaN, is a
-    ConfigError, and more than `models.MAX_REPLICAS` replicas a
-    CapacityError, before the first sample.
+    Markov models, independent heat-bath chains from all-plus for Gibbs
+    models, reduced to g chunk by chunk, so working memory is up to one
+    chunk per worker thread plus 8 bytes per replica.  The mean batch
+    (`_mean_size(n_samples)` replicas) and the main batch each get their own
+    seed, both drawn from `seed`.  An empty `t_grid`, or an entry that is
+    negative or NaN, is a ConfigError, and more than `models.MAX_REPLICAS`
+    replicas a CapacityError, before the first sample.
     """
-    _check_batch(n_samples, sweeps, start)
+    _check_batch(n_samples, sweeps)
     if len(t_grid) == 0 or not all(t >= 0.0 for t in t_grid):
         raise ConfigError("t_grid must be a nonempty list of values >= 0")
     rng = np.random.default_rng(seed)
     seed_mean, seed_main = (int(s) for s in rng.integers(2 ** 63, size=2))
     m_hat, se_mean = _mean_batch(models.glauber_batch(
-        model, g, _mean_size(n_samples), sweeps, seed_mean, start))
-    dev = models.glauber_batch(model, g, n_samples, sweeps, seed_main, start)
-    dev -= m_hat
-    return _tail_estimates(np.abs(dev, out=dev), t_grid, se_mean)
+        model, g, _mean_size(n_samples), sweeps, seed_mean))
+    return _tail_estimates(_deviations(model, g, n_samples, sweeps, seed_main, m_hat),
+                           t_grid, se_mean)
 
 
 def _mc_tail_row(model: str, function: str, label: str, params: dict,
@@ -439,7 +444,6 @@ class HightempConfig:
     t_multipliers: tuple = (0.5, 1.0, 2.0, 4.0, 8.0)
     fit_rows: int = 4
     fit_cols: int = 4
-    start: str = "plus"
 
 
 def hightemp_experiment(config: HightempConfig) -> BoundReport:
@@ -454,7 +458,7 @@ def hightemp_experiment(config: HightempConfig) -> BoundReport:
         raise ConfigError("rows, cols, fit_rows and fit_cols must be at least 1")
     if not config.t_multipliers or not all(m > 0.0 for m in config.t_multipliers):
         raise ConfigError("t_multipliers must be a nonempty list of positive values")
-    _check_batch(config.n_samples, config.sweeps, config.start)
+    _check_batch(config.n_samples, config.sweeps)
     model = models.ising_rect(config.rows, config.cols, config.beta, config.boundary)
     g = fields.magnetization(model.sites, normalized=True)
     dv = fields.delta_vector(g, model.sites, model.alphabet)
@@ -492,7 +496,7 @@ def hightemp_experiment(config: HightempConfig) -> BoundReport:
 
     t_grid = [m * dv.l2 for m in config.t_multipliers]
     estimates = empirical_tail(model, g, t_grid, config.n_samples,
-                               config.sweeps, config.seed, config.start)
+                               config.sweeps, config.seed)
     report.meta["mc_floor"] = binomial_ci99(0, config.n_samples)[1]
     report.meta["mean_shift"] = estimates[0].t - estimates[0].t_effective
     unclaimed = "" if applicable else "condition failed: exponential bound not claimed"
@@ -584,9 +588,12 @@ def ell_observable(sites, rows: int, cols: int, theta: float) -> LocalFunction:
 class LowtempConfig:
     """Low-temperature run: decay ranking, profile, held-out tail bound.
 
-    The path statistic ell resolves where the minus spins lie only when
-    rows + cols - 1 >= 2 / (1 - theta); below that it reads whether a grid
-    has a minus spin (`ell_observable`), as on 8 x 8 at theta = 0.9.
+    Every chain starts all-plus.  The pair chain pins the model's first
+    site, the spiral origin (the center of the rectangle), to + in one leg
+    and - in the other.  The path statistic ell resolves where the minus
+    spins lie only when rows + cols - 1 >= 2 / (1 - theta); below that it
+    reads whether a grid has a minus spin (`ell_observable`), as on 8 x 8 at
+    theta = 0.9.
     """
 
     seed: int
@@ -594,7 +601,6 @@ class LowtempConfig:
     cols: int = 16
     beta: float = 1.0
     boundary: str = "plus"
-    frozen: int = 0            # spiral origin = volume center
     n_pair: int = 80000
     n_tail: int = 100000
     n_ell: int = 20000
@@ -606,7 +612,6 @@ class LowtempConfig:
     p_list: tuple = (1, 2, 3)
     rho_grid: tuple = (0.25, 0.5)
     eps: float = 0.5
-    start: str = "plus"
 
 
 def _loglinear_fit(x: np.ndarray, y: np.ndarray):
@@ -626,7 +631,7 @@ def lowtemp_experiment(config: LowtempConfig) -> tuple[np.ndarray, np.ndarray, B
     magnetization), and two equal tail splits (fit on A, verdict on B) plus
     a mean batch.  Returns `(ell_tail, psi_hat, report)`: the profile
     `ell_tail[j-1]` = P(ell >= j) for j = 1..rows + cols and `psi_hat[j-1]`,
-    the largest disagreement at distance j from the frozen site.  It feeds
+    the largest disagreement at distance j from the pinned site.  It feeds
     the `profile_*` assemblies as measured; no curve is fitted to it.  A
     degenerate split-A fit is reported as such; no verdict is forced from it.
 
@@ -639,15 +644,13 @@ def lowtemp_experiment(config: LowtempConfig) -> tuple[np.ndarray, np.ndarray, B
                           "p_list entries must be at least 1")
     if min(config.kappa, config.eps, *config.rho_grid) <= 0.0:
         raise ConfigError("kappa, eps and the rho_grid entries must be positive")
-    if not 0 <= config.frozen < config.rows * config.cols:
-        raise ConfigError(f"frozen must index one of the {config.rows * config.cols} sites")
     if not 0.0 < config.theta <= 1.0:
         raise ConfigError("theta must lie in (0, 1]")
     if not config.quantiles or not all(0.0 <= q <= 1.0 for q in config.quantiles):
         raise ConfigError("quantiles must be a nonempty list of values in [0, 1]")
     _check_replicas(n_pair=config.n_pair, n_ell=config.n_ell, n_tail=config.n_tail)
     n_split = (config.n_tail - _mean_size(config.n_tail)) // 2
-    _check_batch(n_split, config.sweeps, config.start)  # each held-out split is a tail batch
+    _check_batch(n_split, config.sweeps)  # each held-out split is a tail batch
     model = models.ising_rect(config.rows, config.cols, config.beta, config.boundary)
     g = fields.magnetization(model.sites, normalized=True)
     dv = fields.delta_vector(g, model.sites, model.alphabet)
@@ -662,10 +665,9 @@ def lowtemp_experiment(config: LowtempConfig) -> tuple[np.ndarray, np.ndarray, B
     })
 
     # --- disagreement field from the synchronized pair chain ---------------
-    pair = coupling.coupled_glauber_disagreement(
-        model, config.n_pair, config.sweeps, seed_pair, frozen=config.frozen)
-    x_site = model.sites[config.frozen]
-    dists = np.array([l1_distance(x_site, y) for y in model.sites])
+    pair = coupling.coupled_glauber_disagreement(model, config.n_pair, config.sweeps,
+                                                 seed_pair)
+    dists = np.array([l1_distance(model.sites[0], y) for y in model.sites])
     report.meta["monotone_violations"] = pair.monotone_violations
 
     sel = (dists >= 1) & (dists <= config.spearman_dmax)
@@ -690,21 +692,23 @@ def lowtemp_experiment(config: LowtempConfig) -> tuple[np.ndarray, np.ndarray, B
     # --- path-magnetization statistic ---------------------------------------
     ells = models.glauber_batch(
         model, ell_observable(model.sites, config.rows, config.cols, config.theta),
-        config.n_ell, config.sweeps, seed_ell, config.start)
+        config.n_ell, config.sweeps, seed_ell)
     j_cap = config.rows + config.cols  # geometric bound on the statistic
     # ell <= j_cap and psi_hat holds every distance, so nothing is truncated
     ell_tail = np.array([(ells >= j).mean() for j in range(1, j_cap + 1)])
 
     # --- held-out stretched-exponential tail bound -------------------------
     m_hat, se_mean = _mean_batch(models.glauber_batch(
-        model, g, _mean_size(config.n_tail), config.sweeps, seed_mean, config.start))
-    dev_a, dev_b = (np.abs(models.glauber_batch(
-        model, g, n_split, config.sweeps, s, config.start) - m_hat) for s in (seed_a, seed_b))
+        model, g, _mean_size(config.n_tail), config.sweeps, seed_mean))
+    # split B lives only while it is counted: split A, which the Orlicz rows
+    # read below, is the one split held
+    dev_a = _deviations(model, g, n_split, config.sweeps, seed_a, m_hat)
     t_grid = np.quantile(dev_a, config.quantiles)
     report.meta["t_grid"] = [float(t) for t in t_grid]
     report.meta["mean_se"] = se_mean
     tails_a = _tail_estimates(dev_a, t_grid, se_mean)
-    tails_b = _tail_estimates(dev_b, t_grid, se_mean)
+    tails_b = _tail_estimates(_deviations(model, g, n_split, config.sweeps, seed_b, m_hat),
+                              t_grid, se_mean)
 
     fit_pts = [e for e in tails_a if 0.0 < e.estimate < 1.0 and e.t > 0.0]
     if fit_pts:
@@ -782,8 +786,8 @@ def load_config(path: str) -> dict:
     return cfg
 
 
-# JSON kinds a bool, str or dict config field may hold, kept as given
-_FIELD_KINDS = {"bool": bool, "str": str, "dict": dict}
+# JSON kinds a str or dict config field may hold, kept as given
+_FIELD_KINDS = {"str": str, "dict": dict}
 
 
 def _config_from_dict(cls, cfg: dict, kind: str):
@@ -794,8 +798,8 @@ def _config_from_dict(cls, cfg: dict, kind: str):
     null, is missing.  `int` fields are read through `_integer`, and
     `tuple` fields become tuples whose entries go through `_integer` or
     `_real` by the type of the default's entries.  A `float` field must
-    pass `_real`, and `bool`, `str` and `dict` fields must hold a JSON value
-    of that kind; these are kept as given, so the artifact digests see them
+    pass `_real`, and `str` and `dict` fields must hold a JSON value of
+    that kind; these are kept as given, so the artifact digests see them
     unchanged.  Every config has a `seed`, which must be nonnegative.  Any
     other value is a ConfigError naming its key.
     """

@@ -317,12 +317,12 @@ def reference_moment_row(past_mass, value, p):
     return (past_mass @ value ** p) ** (1.0 / p)
 
 
-def reference_heat_bath(model, n_samples, sweeps, seed, start="plus", frozen=None):
-    """Float32 heat bath with a gathered p_+ table, leg by leg.
+def reference_heat_bath(model, n_samples, sweeps, seed, frozen=None):
+    """Float32 heat bath with a gathered p_+ table, leg by leg, from all-plus.
 
     Returns one site-major int8 array (n_legs, n_sites, n_samples) of symbol
-    indices.  Same chunks, seeds, site classes and start draws as the
-    package kernel; each class update draws `random(dtype=float32)` and sets
+    indices.  Same chunks, seeds and site classes as the package kernel;
+    each class update draws `random(dtype=float32)` and sets
     the spin to [u < p_+(site, plus neighbors)] read from a float32 table on
     the 2^-24 grid.  The package kernel must match it bit for bit.
     """
@@ -352,16 +352,10 @@ def reference_heat_bath(model, n_samples, sweeps, seed, start="plus", frozen=Non
         lo, hi = j * 1024, min(j * 1024 + 1024, n_samples)
         rng = np.random.default_rng(child)
         size = hi - lo
-        if start == "plus":
-            start_cfg = np.ones((m, size), dtype=np.int8)
-        elif start == "minus":
-            start_cfg = np.zeros((m, size), dtype=np.int8)
-        else:
-            start_cfg = rng.integers(2, size=(m, size), dtype=np.int8)
         legs = []
         for sym in symbols:
             spins = np.zeros((m + 1, size), dtype=np.int8)
-            spins[row] = start_cfg
+            spins[:m] = 1
             if pinned is not None:
                 spins[row[pinned]] = sym
             legs.append(spins)

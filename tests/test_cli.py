@@ -39,7 +39,7 @@ def test_battery_reproduces_committed_artifacts(tmp_path):
 def test_hightemp_reproduces_committed_artifacts(tmp_path):
     config = ROOT / "configs" / "hightemp_8x8.json"
     assert run(["hightemp", "--config", str(config), "--out", str(tmp_path)]) == 0
-    stem = "hightemp_eb29d58b_s20260818"
+    stem = "hightemp_84347924_s20260818"
     assert _files(tmp_path) == [f"{stem}.csv", f"{stem}.json"]
     for name in _files(tmp_path):
         assert filecmp.cmp(tmp_path / name, ROOT / "artifacts" / name, shallow=False)
@@ -121,7 +121,7 @@ def test_unknown_subcommand_is_exit_2(tmp_path, capsys):
     # a majority needs between one site and the whole volume
     ("tail", {"seed": 1, "function": {"kind": "majority", "count": 0}}),
     # transport checks its ranges before the first LP
-    ("transport", {"seed": 1, "n_instances": -3, "gibbs_pair": False}),
+    ("transport", {"seed": 1, "n_instances": -3}),
     ("transport", {"seed": 1, "support_cap": -4}),
     ("transport", {"seed": 1, "support_cap": 3}),
     # numpy's generators take no negative seed
@@ -134,10 +134,6 @@ def test_unknown_subcommand_is_exit_2(tmp_path, capsys):
     # the exponential bound claims nothing at t <= 0
     ("hightemp", {"seed": 1, "n_samples": 1000, "t_multipliers": [-1.0, 0.5]}),
     ("hightemp", {"seed": 1, "n_samples": 1000, "t_multipliers": [0.0, 0.5]}),
-    # the start configuration is checked with the other batch rules
-    ("lowtemp", {"seed": 1, "start": "sideways"}),
-    ("hightemp", {"seed": 1, "start": "sideways"}),
-    ("tail", {"seed": 1, "start": "sideways"}),
     # a dict boundary names collar sites only: not an inside site, not a far one
     ("tail", {"seed": 1, "model": {"kind": "ising", "volume": [2, 2], "beta": 0.3,
                                    "boundary": {"0,0": "+"}}}),
@@ -181,6 +177,31 @@ def test_malformed_config_is_exit_2(tmp_path, capsys, monkeypatch, command, cfg)
     assert "config error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, key, value", [
+    ("tail", "start", "plus"),
+    ("hightemp", "start", "plus"),
+    ("lowtemp", "start", "plus"),
+    ("lowtemp", "frozen", 0),
+    ("transport", "gibbs_pair", True),
+])
+def test_retired_config_key_is_exit_2(tmp_path, capsys, monkeypatch, command, key, value):
+    # every chain starts all-plus, the pair chain pins the spiral origin and
+    # the transport suite always checks its Gibbs pair: a config that still
+    # sets one of these keys, even to the one value it had, names it and stops
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("a config with a retired key reached a sampler or a joint")
+
+    for module, name in ((models, "glauber_batch"), (models, "exact_joint"),
+                         (coupling, "coupled_glauber_disagreement"),
+                         (coupling, "kr_optimal_coupling")):
+        monkeypatch.setattr(module, name, no_sampling)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"seed": 1, key: value}))
+    assert run([command, "--config", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err and repr(key) in err
+
+
 def test_function_outside_the_model_is_exit_2(tmp_path, capsys):
     for function in ({"kind": "single_spin", "site": 5},
                      {"kind": "single_spin", "site": [9, 9]}):
@@ -192,17 +213,17 @@ def test_function_outside_the_model_is_exit_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("command, config, flags, stem", [
     ("battery", "battery_small.json", [], "battery_0175aa03_s101"),
-    ("tail", "tail_4x4.json", [], "tail_4ed753e7_s7"),
+    ("tail", "tail_4x4.json", [], "tail_017154f5_s7"),
     ("coupling-matrix", "coupling_3x3.json", [], "couplingmatrix_19d9e2af_s0"),
-    ("transport", "transport_small.json", [], "transport_332eeab7_s9"),
-    ("hightemp", "hightemp_8x8.json", [], "hightemp_eb29d58b_s20260818"),
-    ("lowtemp", "lowtemp_16x16.json", [], "lowtemp_b1d11ea2_s20260818"),
+    ("transport", "transport_small.json", [], "transport_8f641227_s9"),
+    ("hightemp", "hightemp_8x8.json", [], "hightemp_84347924_s20260818"),
+    ("lowtemp", "lowtemp_16x16.json", [], "lowtemp_eaaf8674_s20260818"),
     # --samples sets tail's n_samples and lowtemp's n_tail
-    ("tail", "tail_4x4.json", ["--samples", "5000"], "tail_47d628f4_s7"),
-    ("lowtemp", "lowtemp_16x16.json", ["--samples", "5000"], "lowtemp_f7c7caf8_s20260818"),
+    ("tail", "tail_4x4.json", ["--samples", "5000"], "tail_02997169_s7"),
+    ("lowtemp", "lowtemp_16x16.json", ["--samples", "5000"], "lowtemp_a3a2d046_s20260818"),
     # --seed is applied before the digest, in the digested dict or beside it
-    ("tail", "tail_4x4.json", ["--seed", "8"], "tail_d9ce89ff_s8"),
-    ("hightemp", "hightemp_8x8.json", ["--seed", "8"], "hightemp_c5878cc2_s8"),
+    ("tail", "tail_4x4.json", ["--seed", "8"], "tail_432bada1_s8"),
+    ("hightemp", "hightemp_8x8.json", ["--seed", "8"], "hightemp_27e6bf87_s8"),
 ])
 def test_committed_config_stems(command, config, flags, stem):
     args = _parser().parse_args([command, "--config", str(ROOT / "configs" / config), *flags])

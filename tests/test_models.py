@@ -350,8 +350,8 @@ def test_uniforms24_continue_the_float32_stream():
         assert np.array_equal(halves >> 8, ref.random(n, dtype=np.float32) * 2.0**24)
 
 
-def _kernel_legs(model, n, sweeps, seed, start, frozen):
-    chunks = list(_heat_bath(model, n, sweeps, seed, start, frozen))
+def _kernel_legs(model, n, sweeps, seed, frozen):
+    chunks = list(_heat_bath(model, n, sweeps, seed, frozen))
     return np.stack([np.concatenate([legs[k] for _, _, legs in chunks], axis=1)
                      for k in range(len(chunks[0][2]))])
 
@@ -377,16 +377,17 @@ def test_heat_bath_matches_float32_reference_bit_for_bit(model_of, beta, monkeyp
     # every volume here is below the pool's threshold; pooled, four chunks
     # cross the window of in-flight chunks on a 2-core machine, so a chunk
     # yielded out of order or dropped shows
+    # n = 7 on the 5x3 rectangle draws an odd number of halves for its 7-row
+    # class, so `_halves` carries half a word into the next class's draw
     window = ()
     if model.name == "ising[5x3]_b1_plus":
         monkeypatch.setattr(models, "POOL_MIN_ROWS", 0)
         window = (3 * CHUNK + 5,)
-    for start in ("plus", "minus", "random"):
-        for frozen in (None, (model.n_sites // 2, (0, 1))):
-            for n in (1, 7, CHUNK + 1) + window:
-                got = _kernel_legs(model, n, 3, 100 + n, start, frozen)
-                want = reference_heat_bath(model, n, 3, 100 + n, start, frozen)
-                assert np.array_equal(got, want), (start, frozen, n)
+    for frozen in (None, (model.n_sites // 2, (0, 1))):
+        for n in (1, 7, CHUNK + 1) + window:
+            got = _kernel_legs(model, n, 3, 100 + n, frozen)
+            want = reference_heat_bath(model, n, 3, 100 + n, frozen)
+            assert np.array_equal(got, want), (frozen, n)
 
 
 def test_heat_bath_closed_early_joins_its_threads(monkeypatch):
@@ -469,18 +470,10 @@ def test_glauber_batch_rejects_what_it_cannot_sample():
     generic = GibbsModel(segment_sites(2), [((0, 1), np.eye(2))], beta=0.5)
     with pytest.raises(ConfigError):
         glauber_batch(generic, magnetization(generic.sites), 10, 5, seed=1)
-    product = iid_spins(3)
-    with pytest.raises(ConfigError):
-        glauber_batch(product, magnetization(product.sites), 10, 5, seed=1, start="sideways")
     # the kernel refuses when called, before its pool starts a thread
     before = threading.active_count()
     with pytest.raises(ConfigError):
         _heat_bath(generic, 10, 5, seed=1)
-    gibbs = ising_rect(3, 3, 0.5)
-    with pytest.raises(ConfigError):
-        _heat_bath(gibbs, 10, 5, seed=1, start="sideways")
-    with pytest.raises(ConfigError):
-        glauber_batch(gibbs, magnetization(gibbs.sites), 10, 5, seed=1, start="sideways")
     assert threading.active_count() == before
 
 

@@ -1,8 +1,8 @@
 """Checks on the package against its tooling: the benchmark's span tracer
 patches attributes that exist and every benchmark workload passes its own
 gate, traced and untraced; no module imports a name it never uses, every
-module-level definition is referenced, and every default parameter is passed
-by some call."""
+module-level definition is referenced, every default parameter is passed by
+some call, and every committed config has its artifact stem pinned."""
 
 import ast
 import importlib
@@ -174,3 +174,13 @@ def test_every_default_parameter_is_passed_by_some_call():
                 continue
             never.append(f"{path.name}: {name}({param})")
     assert not never, f"default parameters no call passes: {never}"
+
+
+def test_every_committed_config_has_a_pinned_stem():
+    # a config's digest names its artifacts, so an edit to any committed
+    # config must show as a stem change in test_cli's pinned stems
+    from tests.test_cli import test_committed_config_stems
+    mark = next(m for m in test_committed_config_stems.pytestmark if m.name == "parametrize")
+    pinned = {case[1] for case in mark.args[1]}
+    committed = {path.name for path in (ROOT / "configs").glob("*.json")}
+    assert committed <= pinned, f"configs without a pinned stem: {sorted(committed - pinned)}"

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -464,16 +465,15 @@ def test_ell_statistic_invariants(rows, cols, mask, theta):
 # 2500 replicas are three chunks, the last one partial; a 6x10 rectangle
 # fails a transposed grid; at 3x3 and beta = 3 whole chunks hold no minus spin
 @pytest.mark.parametrize("rows, cols, beta", [(8, 8, 1.0), (6, 10, 0.8), (3, 3, 3.0)])
-@pytest.mark.parametrize("start", ["plus", "random"])
-def test_ell_per_chunk_matches_the_block_sampler(rows, cols, beta, start):
+def test_ell_per_chunk_matches_the_block_sampler(rows, cols, beta):
     # both paths read the same heat-bath replicas; the reference maps the
     # whole batch onto the grid, row y and column x, and scores every grid.
     # At theta = 0.9 one minus spin already fills the longest path of these
     # boxes, whatever its cell; at 0.5 the value depends on where they lie.
     model = ising_rect(rows, cols, beta)
     n = 2500
-    got = glauber_batch(model, ell_observable(model.sites, rows, cols, 0.5), n, 5, 7, start)
-    ids = glauber_block_batch(model, n, 5, 7, start)
+    got = glauber_batch(model, ell_observable(model.sites, rows, cols, 0.5), n, 5, 7)
+    ids = glauber_block_batch(model, n, 5, 7)
     xs = sorted({x for x, _ in model.sites})
     ys = sorted({y for _, y in model.sites})
     minus = np.zeros((n, rows, cols), dtype=bool)
@@ -528,6 +528,25 @@ def test_lowtemp_fit_rows_are_annotated(lowtemp_small):
     row = next(r for r in rep.rows if r.bound == "stretched_fit")
     assert row.verdict == "info"
     assert row.note
+
+
+def test_lowtemp_working_memory_per_tail_replica():
+    # lowtemp holds split A (0.4 n_tail float64, centred in place) and counts
+    # split B as it is drawn; the Luxembourg norm adds three arrays of split
+    # A's size: |z|, z / lambda and phi's in-place copy.  That is about 12.8
+    # bytes per replica of n_tail on 4x4, where the chunks' fixed memory
+    # does not set the peak
+    counts = dict(seed=3, rows=4, cols=4, n_pair=1000, n_ell=1000, sweeps=5)
+    sizes = (50_000, 200_000)
+    peaks = []
+    for n in sizes:
+        tracemalloc.start()
+        try:
+            lowtemp_experiment(LowtempConfig(n_tail=n, **counts))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 16 * (sizes[1] - sizes[0])
 
 
 def test_lowtemp_rejects_tiny_splits():
