@@ -164,11 +164,12 @@ class OrliczSpec:
             return 0.0
         return ((1.0 - self.rho) / self.rho) ** (1.0 / self.rho)
 
-    def phi(self, x) -> np.ndarray:
-        """phi(x), elementwise.  An array is worked on in place in one copy,
-        |x|; a scalar x stays a numpy scalar, whose power is libm's `pow`,
-        which differs in the last bit from numpy's array loop at some x."""
-        x = np.abs(np.asarray(x, dtype=float))
+    def phi(self, x, out: np.ndarray | None = None) -> np.ndarray:
+        """phi(x), elementwise.  An array is worked on in place in one array,
+        `out` when given (it may be x itself) or else a copy; a scalar x
+        stays a numpy scalar, whose power is libm's `pow`, which differs in
+        the last bit from numpy's array loop at some x."""
+        x = np.abs(np.asarray(x, dtype=float), out=out)
         out = x if isinstance(x, np.ndarray) else None
         h = self.shift
         x += h
@@ -191,9 +192,10 @@ def luxembourg_norm(values, rho: float = 1.0) -> float:
     if hi == 0.0:
         return 0.0
     spec = OrliczSpec(rho)
+    buf = np.empty_like(z)  # every step's z / lambda, and phi in place on it
 
     def moment(lam: float) -> float:
-        phi = spec.phi(z / lam)
+        phi = spec.phi(np.divide(z, lam, out=buf), out=buf)
         phi *= 1.0 / z.size  # each sample's weight, as one product per entry
         return float(phi.sum())
 

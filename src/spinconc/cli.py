@@ -142,25 +142,25 @@ def _run_coupling_matrix(config: CouplingMatrixConfig, digested: dict):
     return None, tables, lines
 
 
+#: the largest side of a random transport instance: at most 16 support points
+SIDE_CAP = 4
+
+
 @dataclass
 class TransportConfig:
     seed: int
     n_instances: int = 50
-    support_cap: int = 16
 
 
 def _run_transport(config: TransportConfig, digested: dict):
     if config.n_instances < 1:
         raise ConfigError("n_instances must be at least 1")
-    if config.support_cap < 4:
-        raise ConfigError("support_cap must be at least 4, the smallest 2x2 instance")
     rng = np.random.default_rng(config.seed)
     report = BoundReport(meta={"experiment": "transport_suite",
                                "config": digested, "seed": config.seed})
-    side_cap = max(2, int(np.sqrt(config.support_cap)))
     for idx in range(config.n_instances):
-        a = int(rng.integers(2, side_cap + 1))
-        b = int(rng.integers(2, side_cap + 1))
+        a = int(rng.integers(2, SIDE_CAP + 1))
+        b = int(rng.integers(2, SIDE_CAP + 1))
         p = rng.dirichlet(np.ones(a))
         q = rng.dirichlet(np.ones(b))
         cost = rng.uniform(0.0, 1.0, size=(a, b))
@@ -213,22 +213,21 @@ class _Command:
     config: type
     run: Callable
     samples: str | None     # the config field --samples sets; None: no --samples
-    seed_in_digest: bool    # fixed per command: changing it renames artifacts
 
 
 _COMMANDS = {
     "battery": _Command("run every exact check over the model battery",
-                        BatteryConfig, _run_battery, None, False),
+                        BatteryConfig, _run_battery, None),
     "tail": _Command("Monte Carlo tail estimates for one model and observable",
-                     TailConfig, _run_tail, "n_samples", False),
+                     TailConfig, _run_tail, "n_samples"),
     "coupling-matrix": _Command("enumerate envelope and moment coupling matrices",
-                                CouplingMatrixConfig, _run_coupling_matrix, None, False),
+                                CouplingMatrixConfig, _run_coupling_matrix, None),
     "transport": _Command("optimal-transport solver checks on random instances",
-                          TransportConfig, _run_transport, None, False),
+                          TransportConfig, _run_transport, None),
     "hightemp": _Command("high-temperature tail experiment with exact gating",
-                         verify.HightempConfig, _run_hightemp, "n_samples", True),
+                         verify.HightempConfig, _run_hightemp, "n_samples"),
     "lowtemp": _Command("low-temperature decay and held-out tail experiment",
-                        verify.LowtempConfig, _run_lowtemp, "n_tail", True),
+                        verify.LowtempConfig, _run_lowtemp, "n_tail"),
 }
 
 
@@ -242,8 +241,7 @@ def _configure(name: str, args):
         cfg[command.samples] = args.samples
     config = verify._config_from_dict(command.config, cfg, name)
     digested = verify.config_dict(config)
-    if not command.seed_in_digest:
-        del digested["seed"]
+    del digested["seed"]  # the digest hashes it beside the config
     digest = verify.config_digest(digested, config.seed)
     return config, digested, f"{name.replace('-', '')}_{digest}_s{config.seed}"
 

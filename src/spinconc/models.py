@@ -403,12 +403,12 @@ CHUNK = 1024
 #: the largest replica count one sampled batch may ask for (`tail` and
 #: `hightemp`'s n_samples, `lowtemp`'s n_pair, n_ell and n_tail); the
 #: experiments raise CapacityError above it, before their first sample.
-#: Peak `tracemalloc` grows by 12.8 B per replica of `lowtemp`'s n_tail (the
-#: held-out split A, 0.4 of n_tail in float64, and the Luxembourg norm's
-#: three working arrays of its size) and by 8.5 B per replica of `tail`'s
-#: n_samples (4x4, 10^5 -> 4*10^5 replicas), and `_chunks` spawns one 376 B
+#: Peak `tracemalloc` grows by 8.7 B per replica of `lowtemp`'s n_tail (4x4,
+#: 5*10^4 -> 2*10^5: split A, 0.4 of n_tail in float64, and the Luxembourg
+#: norm's two arrays of its size) and by 8.5 B per replica of `tail`'s
+#: n_samples (4x4, 10^5 -> 4*10^5), and `_chunks` spawns one 376 B
 #: `SeedSequence` child per CHUNK replicas up front.  At the cap that is at
-#: most 0.66 GB, under a twelfth of an 8 GB box.
+#: most 0.45 GB, under a sixteenth of an 8 GB box.
 MAX_REPLICAS = 50_000_000
 
 #: `_heat_bath` runs its chunks serially when its larger parity class has

@@ -430,9 +430,16 @@ def fit_decay_constant(beta: float, boundary, fit_rows: int, fit_cols: int):
     return best, used
 
 
+#: `hightemp`'s tail grid, in units of ||delta g||_2, and the enumerated
+#: volume its decay constant is fitted on
+T_MULTIPLIERS = (0.5, 1.0, 2.0, 4.0, 8.0)
+FIT_ROWS, FIT_COLS = 4, 4
+
+
 @dataclass
 class HightempConfig:
-    """High-temperature run: exact applicability check + empirical tails."""
+    """High-temperature run: exact applicability check + empirical tails at
+    T_MULTIPLIERS, with the decay constant of a FIT_ROWS x FIT_COLS volume."""
 
     seed: int
     rows: int = 8
@@ -441,9 +448,6 @@ class HightempConfig:
     boundary: str = "plus"
     n_samples: int = 100000
     sweeps: int = 40
-    t_multipliers: tuple = (0.5, 1.0, 2.0, 4.0, 8.0)
-    fit_rows: int = 4
-    fit_cols: int = 4
 
 
 def hightemp_experiment(config: HightempConfig) -> BoundReport:
@@ -454,10 +458,8 @@ def hightemp_experiment(config: HightempConfig) -> BoundReport:
     small volume with the same interaction.  When the condition fails, the
     tail rows are reported as informational: the data stays, the claim goes.
     """
-    if min(config.rows, config.cols, config.fit_rows, config.fit_cols) < 1:
-        raise ConfigError("rows, cols, fit_rows and fit_cols must be at least 1")
-    if not config.t_multipliers or not all(m > 0.0 for m in config.t_multipliers):
-        raise ConfigError("t_multipliers must be a nonempty list of positive values")
+    if min(config.rows, config.cols) < 1:
+        raise ConfigError("rows and cols must be at least 1")
     _check_batch(config.n_samples, config.sweeps)
     model = models.ising_rect(config.rows, config.cols, config.beta, config.boundary)
     g = fields.magnetization(model.sites, normalized=True)
@@ -479,8 +481,7 @@ def hightemp_experiment(config: HightempConfig) -> BoundReport:
     report.add(p_row)
     applicable = p_row.verdict == "pass"
 
-    c_fit, n_entries = fit_decay_constant(config.beta, config.boundary,
-                                          config.fit_rows, config.fit_cols)
+    c_fit, n_entries = fit_decay_constant(config.beta, config.boundary, FIT_ROWS, FIT_COLS)
     if c_fit <= 0.0:
         applicable = False
         prefactor = math.inf
@@ -489,18 +490,18 @@ def hightemp_experiment(config: HightempConfig) -> BoundReport:
     report.meta["decay_constant"] = c_fit
     report.meta["prefactor"] = prefactor
     report.add(BoundRow(model.name, g.name, "decay_fit",
-                        {"fit_rows": config.fit_rows, "fit_cols": config.fit_cols,
+                        {"fit_rows": FIT_ROWS, "fit_cols": FIT_COLS,
                          "entries_used": n_entries},
                         c_fit, verdict="info",
                         note="smallest -log(envelope)/distance over the enumerated volume"))
 
-    t_grid = [m * dv.l2 for m in config.t_multipliers]
+    t_grid = [m * dv.l2 for m in T_MULTIPLIERS]
     estimates = empirical_tail(model, g, t_grid, config.n_samples,
                                config.sweeps, config.seed)
     report.meta["mc_floor"] = binomial_ci99(0, config.n_samples)[1]
     report.meta["mean_shift"] = estimates[0].t - estimates[0].t_effective
     unclaimed = "" if applicable else "condition failed: exponential bound not claimed"
-    for mult, est in zip(config.t_multipliers, estimates):
+    for mult, est in zip(T_MULTIPLIERS, estimates):
         report.add(_mc_tail_row(
             model.name, g.name, "tail_exponential", {"t_multiplier": mult},
             bounds.exponential_bound(est.t, math.sqrt(prefactor), dv.l2), est,
@@ -584,6 +585,14 @@ def ell_observable(sites, rows: int, cols: int, theta: float) -> LocalFunction:
 # low-temperature experiment
 # ---------------------------------------------------------------------------
 
+#: `lowtemp`'s fixed levels: ell's path-average level THETA, the rank test's
+#: distances 1..SPEARMAN_DMAX, the factor KAPPA the fitted bound keeps over
+#: each split-A upper end, the profile rows' orders P_LIST and extra
+#: ell-moment exponent EPS, and the Luxembourg-norm rows' exponents RHO_GRID
+THETA, SPEARMAN_DMAX, KAPPA, EPS = 0.9, 3, 3.0, 0.5
+P_LIST, RHO_GRID = (1, 2, 3), (0.25, 0.5)
+
+
 @dataclass
 class LowtempConfig:
     """Low-temperature run: decay ranking, profile, held-out tail bound.
@@ -591,9 +600,10 @@ class LowtempConfig:
     Every chain starts all-plus.  The pair chain pins the model's first
     site, the spiral origin (the center of the rectangle), to + in one leg
     and - in the other.  The path statistic ell resolves where the minus
-    spins lie only when rows + cols - 1 >= 2 / (1 - theta); below that it
-    reads whether a grid has a minus spin (`ell_observable`), as on 8 x 8 at
-    theta = 0.9.
+    spins lie only when rows + cols - 1 >= 2 / (1 - THETA); below that it
+    reads whether a grid has a minus spin (`ell_observable`), as on 8 x 8.
+    The rank test, the fit and the profile and Orlicz rows read the fixed
+    levels above.
     """
 
     seed: int
@@ -605,13 +615,7 @@ class LowtempConfig:
     n_tail: int = 100000
     n_ell: int = 20000
     sweeps: int = 60
-    theta: float = 0.9
     quantiles: tuple = (0.5, 0.75, 0.9, 0.99, 0.999)
-    kappa: float = 3.0
-    spearman_dmax: int = 3
-    p_list: tuple = (1, 2, 3)
-    rho_grid: tuple = (0.25, 0.5)
-    eps: float = 0.5
 
 
 def _loglinear_fit(x: np.ndarray, y: np.ndarray):
@@ -638,14 +642,8 @@ def lowtemp_experiment(config: LowtempConfig) -> tuple[np.ndarray, np.ndarray, B
     A value out of its range is a ConfigError, and a replica count above
     `models.MAX_REPLICAS` a CapacityError, before the first sample.
     """
-    if min(config.rows, config.cols, config.n_pair, config.n_ell,
-           config.spearman_dmax, *config.p_list) < 1:
-        raise ConfigError("rows, cols, n_pair, n_ell, spearman_dmax and the "
-                          "p_list entries must be at least 1")
-    if min(config.kappa, config.eps, *config.rho_grid) <= 0.0:
-        raise ConfigError("kappa, eps and the rho_grid entries must be positive")
-    if not 0.0 < config.theta <= 1.0:
-        raise ConfigError("theta must lie in (0, 1]")
+    if min(config.rows, config.cols, config.n_pair, config.n_ell) < 1:
+        raise ConfigError("rows, cols, n_pair and n_ell must be at least 1")
     if not config.quantiles or not all(0.0 <= q <= 1.0 for q in config.quantiles):
         raise ConfigError("quantiles must be a nonempty list of values in [0, 1]")
     _check_replicas(n_pair=config.n_pair, n_ell=config.n_ell, n_tail=config.n_tail)
@@ -670,12 +668,12 @@ def lowtemp_experiment(config: LowtempConfig) -> tuple[np.ndarray, np.ndarray, B
     dists = np.array([l1_distance(model.sites[0], y) for y in model.sites])
     report.meta["monotone_violations"] = pair.monotone_violations
 
-    sel = (dists >= 1) & (dists <= config.spearman_dmax)
+    sel = (dists >= 1) & (dists <= SPEARMAN_DMAX)
     rho_s, p_s = sstats.spearmanr(dists[sel], pair.disagree[sel])
     observed_p = float(p_s) if rho_s < 0 else 1.0
     report.add(classify_tail_row(
         BoundRow(model.name, "disagreement", "decay_rank_test",
-                 {"n_sites": int(sel.sum()), "d_max": config.spearman_dmax,
+                 {"n_sites": int(sel.sum()), "d_max": SPEARMAN_DMAX,
                   "spearman_rho": float(rho_s)},
                  0.01, observed=observed_p, observed_lo=observed_p,
                  observed_hi=observed_p, observed_kind="mc",
@@ -691,7 +689,7 @@ def lowtemp_experiment(config: LowtempConfig) -> tuple[np.ndarray, np.ndarray, B
 
     # --- path-magnetization statistic ---------------------------------------
     ells = models.glauber_batch(
-        model, ell_observable(model.sites, config.rows, config.cols, config.theta),
+        model, ell_observable(model.sites, config.rows, config.cols, THETA),
         config.n_ell, config.sweeps, seed_ell)
     j_cap = config.rows + config.cols  # geometric bound on the statistic
     # ell <= j_cap and psi_hat holds every distance, so nothing is truncated
@@ -725,11 +723,11 @@ def lowtemp_experiment(config: LowtempConfig) -> tuple[np.ndarray, np.ndarray, B
             slope, r2, rho_hat = math.nan, math.nan, 1.0
         c_hat = min(
             (dv.l2 / e.t) ** rho_hat
-            * -math.log(min(config.kappa * e.hi, 3.999) / 4.0)
+            * -math.log(min(KAPPA * e.hi, 3.999) / 4.0)
             for e in fit_pts)
         report.add(BoundRow(model.name, g.name, "stretched_fit",
                             {"rho": rho_hat, "raw_slope": float(slope),
-                             "r_squared": r2, "kappa": config.kappa,
+                             "r_squared": r2, "kappa": KAPPA,
                              "n_points": len(fit_pts)},
                             c_hat, verdict="info",
                             note="split-A constants; theoretical column holds c"))
@@ -744,21 +742,19 @@ def lowtemp_experiment(config: LowtempConfig) -> tuple[np.ndarray, np.ndarray, B
                             note="degenerate: no resolvable split-A points"))
 
     # --- informational bound assemblies from the profile -------------------
-    for p in config.p_list:
+    for p in P_LIST:
         report.add(BoundRow(model.name, g.name, f"profile_norm_p{p}",
-                            {"p": int(p)},
-                            bounds.profile_norm_bound(int(p), ell_tail, psi_hat),
+                            {"p": p}, bounds.profile_norm_bound(p, ell_tail, psi_hat),
                             verdict="info",
                             note="tail-profile norm assembly (empirical inputs)"))
-        moment = float(np.mean(ells.astype(float) ** (2 * p * 2 + config.eps)))
+        moment = float(np.mean(ells.astype(float) ** (2 * p * 2 + EPS)))
         report.add(BoundRow(model.name, g.name, f"profile_moment_p{p}",
-                            {"p": int(p), "eps": config.eps,
-                             "ell_moment": moment},
-                            bounds.profile_moment_bound(int(p), config.eps, moment,
+                            {"p": p, "eps": EPS, "ell_moment": moment},
+                            bounds.profile_moment_bound(p, EPS, moment,
                                                         float(psi_hat.sum()), dv.l2),
                             verdict="info",
                             note="zeta-interpolated moment assembly (empirical inputs)"))
-    for rho in config.rho_grid:
+    for rho in RHO_GRID:
         lux = bounds.luxembourg_norm(dev_a, rho=rho)
         t_top = float(t_grid[-1])
         cheb = bounds.orlicz_chebyshev_bound(t_top, rho, lux) if t_top > 0 else math.inf

@@ -39,7 +39,7 @@ def test_battery_reproduces_committed_artifacts(tmp_path):
 def test_hightemp_reproduces_committed_artifacts(tmp_path):
     config = ROOT / "configs" / "hightemp_8x8.json"
     assert run(["hightemp", "--config", str(config), "--out", str(tmp_path)]) == 0
-    stem = "hightemp_84347924_s20260818"
+    stem = "hightemp_8d165955_s20260818"
     assert _files(tmp_path) == [f"{stem}.csv", f"{stem}.json"]
     for name in _files(tmp_path):
         assert filecmp.cmp(tmp_path / name, ROOT / "artifacts" / name, shallow=False)
@@ -122,8 +122,6 @@ def test_unknown_subcommand_is_exit_2(tmp_path, capsys):
     ("tail", {"seed": 1, "function": {"kind": "majority", "count": 0}}),
     # transport checks its ranges before the first LP
     ("transport", {"seed": 1, "n_instances": -3}),
-    ("transport", {"seed": 1, "support_cap": -4}),
-    ("transport", {"seed": 1, "support_cap": 3}),
     # numpy's generators take no negative seed
     ("battery", {"seed": -1}),
     ("tail", {"seed": -1}),
@@ -131,9 +129,6 @@ def test_unknown_subcommand_is_exit_2(tmp_path, capsys):
     ("transport", {"seed": -1}),
     ("hightemp", {"seed": -1}),
     ("lowtemp", {"seed": -1}),
-    # the exponential bound claims nothing at t <= 0
-    ("hightemp", {"seed": 1, "n_samples": 1000, "t_multipliers": [-1.0, 0.5]}),
-    ("hightemp", {"seed": 1, "n_samples": 1000, "t_multipliers": [0.0, 0.5]}),
     # a dict boundary names collar sites only: not an inside site, not a far one
     ("tail", {"seed": 1, "model": {"kind": "ising", "volume": [2, 2], "beta": 0.3,
                                    "boundary": {"0,0": "+"}}}),
@@ -183,11 +178,23 @@ def test_malformed_config_is_exit_2(tmp_path, capsys, monkeypatch, command, cfg)
     ("lowtemp", "start", "plus"),
     ("lowtemp", "frozen", 0),
     ("transport", "gibbs_pair", True),
+    # the levels every run left at one value are module constants now
+    ("lowtemp", "theta", 0.9),
+    ("lowtemp", "kappa", 3.0),
+    ("lowtemp", "spearman_dmax", 3),
+    ("lowtemp", "p_list", [1, 2, 3]),
+    ("lowtemp", "rho_grid", [0.25, 0.5]),
+    ("lowtemp", "eps", 0.5),
+    ("hightemp", "t_multipliers", [0.5, 1.0, 2.0, 4.0, 8.0]),
+    ("hightemp", "fit_rows", 4),
+    ("hightemp", "fit_cols", 4),
+    ("transport", "support_cap", 16),
 ])
 def test_retired_config_key_is_exit_2(tmp_path, capsys, monkeypatch, command, key, value):
-    # every chain starts all-plus, the pair chain pins the spiral origin and
-    # the transport suite always checks its Gibbs pair: a config that still
-    # sets one of these keys, even to the one value it had, names it and stops
+    # every chain starts all-plus, the pair chain pins the spiral origin, the
+    # transport suite always checks its Gibbs pair, and the levels above are
+    # fixed: a config that still sets one of these keys, even to the one
+    # value it had, names it and stops
     def no_sampling(*args, **kwargs):
         raise AssertionError("a config with a retired key reached a sampler or a joint")
 
@@ -215,15 +222,15 @@ def test_function_outside_the_model_is_exit_2(tmp_path, capsys):
     ("battery", "battery_small.json", [], "battery_0175aa03_s101"),
     ("tail", "tail_4x4.json", [], "tail_017154f5_s7"),
     ("coupling-matrix", "coupling_3x3.json", [], "couplingmatrix_19d9e2af_s0"),
-    ("transport", "transport_small.json", [], "transport_8f641227_s9"),
-    ("hightemp", "hightemp_8x8.json", [], "hightemp_84347924_s20260818"),
-    ("lowtemp", "lowtemp_16x16.json", [], "lowtemp_eaaf8674_s20260818"),
+    ("transport", "transport_small.json", [], "transport_91ce8641_s9"),
+    ("hightemp", "hightemp_8x8.json", [], "hightemp_8d165955_s20260818"),
+    ("lowtemp", "lowtemp_16x16.json", [], "lowtemp_304ececf_s20260818"),
     # --samples sets tail's n_samples and lowtemp's n_tail
     ("tail", "tail_4x4.json", ["--samples", "5000"], "tail_02997169_s7"),
-    ("lowtemp", "lowtemp_16x16.json", ["--samples", "5000"], "lowtemp_a3a2d046_s20260818"),
-    # --seed is applied before the digest, in the digested dict or beside it
+    ("lowtemp", "lowtemp_16x16.json", ["--samples", "5000"], "lowtemp_d34f1b2c_s20260818"),
+    # --seed is applied before the digest, which hashes it beside the config
     ("tail", "tail_4x4.json", ["--seed", "8"], "tail_432bada1_s8"),
-    ("hightemp", "hightemp_8x8.json", ["--seed", "8"], "hightemp_27e6bf87_s8"),
+    ("hightemp", "hightemp_8x8.json", ["--seed", "8"], "hightemp_80347ce8_s8"),
 ])
 def test_committed_config_stems(command, config, flags, stem):
     args = _parser().parse_args([command, "--config", str(ROOT / "configs" / config), *flags])
