@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special
 
+from spinconc import sums
 from spinconc.errors import ConvergenceError
 from spinconc.fields import LocalFunction
 from spinconc.models import ExactJoint
@@ -48,6 +49,12 @@ class MartingaleDecomposition:
     summing on down to coordinate i leaves E[V_j; sigma_{<=i}], whose dot
     product with V_i is E[V_i V_j].  Each check then costs about 2 k**m
     operations per observable, not one k**m pass per increment or pair.
+
+    Every sum keeps numpy's order: a sum over one coordinate is
+    `x.reshape(-1, k).sum(axis=1)` and a dot product `(v * b).sum()`, bit
+    for bit, taken by `sums.sum_last` and `np.add.reduce` in a few long
+    array operations (`orthogonality_error` takes all pairs (i, j > i) of
+    one i at once).
     """
 
     joint: ExactJoint
@@ -66,7 +73,7 @@ class MartingaleDecomposition:
         """E[V_j; sigma_{<j}]: P(sigma_{<=j}) V_j summed over coordinate j,
         flat over the k**j pasts."""
         weighted = self.joint.prefix_marginal(j).reshape(-1) * self.increments[j].reshape(-1)
-        return weighted.reshape(-1, self.joint.k).sum(axis=1)
+        return sums.sum_last(weighted.reshape(-1, self.joint.k))
 
     def conditional_mean_error(self) -> float:
         """max over i and positive-mass pasts sigma_{<i} of |E[V_i | F_{i-1}]|."""
@@ -80,34 +87,51 @@ class MartingaleDecomposition:
 
     def orthogonality_error(self) -> float:
         """max over pairs i < j of |E[V_i V_j]|, each V_i dotted with
-        E[V_j; sigma_{<=i}]."""
-        k = self.joint.k
+        E[V_j; sigma_{<=i}].
+
+        Going down from the last row, `past` holds E[V_j; sigma_{<=i}] for
+        every j > i, one row per j, so each V_i meets all of them in one
+        product and each step down sums them all over one coordinate.  Each
+        row's sums are the ones V_j alone would get: `.sum()` of a row, and
+        `.reshape(-1, k).sum(axis=1)` of a row, in numpy's order.
+        """
+        k, m = self.joint.k, self.joint.n_sites
         worst = 0.0
-        for j in range(1, self.joint.n_sites):
-            b = self._past_sums(j)
-            for v in self.increments[j - 1::-1]:
-                worst = max(worst, abs(float((v.reshape(-1) * b).sum())))
-                b = b.reshape(-1, k).sum(axis=1)
+        past = np.empty((0, k ** m))
+        for i in range(m - 2, -1, -1):
+            down = sums.sum_last(past.reshape(len(past), k ** (i + 1), k))
+            past = np.concatenate([self._past_sums(i + 1)[None], down])
+            dots = np.add.reduce(past * self.increments[i].reshape(-1), axis=1)
+            worst = max(worst, float(np.abs(dots).max()))
         return worst
 
 
 def martingale_decomposition(joint: ExactJoint, g: LocalFunction) -> MartingaleDecomposition:
+    """V_i from E[g | first i+1 coordinates] = sum(p g) / sum(p) over each
+    prefix's trailing block.
+
+    Both block sums are `x.sum(axis=(i+1, ..., m-1), keepdims=True)` bit
+    for bit: numpy adds each block's k**(m-i-1) entries pairwise, and
+    `sums.sum_last` does so across every block at once, on p and p g
+    stacked in one array.
+    """
     p = joint.probs
-    m = joint.n_sites
+    m, k = joint.n_sites, joint.k
     g_table = joint.function_table(g)
     mean = joint.expectation(g_table)
-    pg = p * g_table
+    stack = np.empty((2,) + p.shape)
+    stack[0] = p
+    np.multiply(p, g_table, out=stack[1])
     prev = mean
     increments = []
-    for i in range(m):
-        axes = tuple(range(i + 1, m))
-        num = pg.sum(axis=axes, keepdims=True)
-        den = p.sum(axis=axes, keepdims=True)
-        live = den > 0
-        with np.errstate(invalid="ignore", divide="ignore"):
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for i in range(m):
+            shape = (2,) + (k,) * (i + 1) + (1,) * (m - i - 1)
+            den, num = sums.sum_last(stack.reshape(2, k ** (i + 1), -1)).reshape(shape)
+            live = den > 0
             cond = np.where(live, num / np.where(live, den, 1.0), 0.0)
-        increments.append(np.where(live, cond - prev, 0.0))
-        prev = np.where(live, cond, prev)
+            increments.append(np.where(live, cond - prev, 0.0))
+            prev = np.where(live, cond, prev)
     return MartingaleDecomposition(joint, g_table, mean, increments, p > 0)
 
 

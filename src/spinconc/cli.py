@@ -125,7 +125,8 @@ def _run_coupling_matrix(config: CouplingMatrixConfig, digested: dict):
         raise ConfigError("p_orders entries must be at least 1")
     model = models.model_from_config(config.model)
     joint = models.exact_joint(model)
-    data = coupling.envelope_and_moment_matrices(joint, p_orders=config.p_orders)
+    data = coupling.envelope_and_moment_matrices(joint, p_orders=config.p_orders,
+                                                 lower=True)
     norms = {"envelope": bounds.operator_norm_l2(data.envelope)}
     tables = {"envelope.csv": _matrix_csv(data.envelope),
               "lower.csv": _matrix_csv(data.lower_envelope),

@@ -22,6 +22,7 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
+from spinconc import sums
 from spinconc.errors import CapacityError, ConfigError, ConvergenceError
 from spinconc.fields import LocalFunction, delta_vector
 from spinconc.lattice import Site
@@ -80,67 +81,26 @@ class CouplingRowBand:
     Each array has shape (k^i, n_sites); column j < i is zero, column i is 1.
     `value` is the disagreement probability of the canonical coupling
     (shared minimum, independent residuals); `lower` is the total-variation
-    distance of the coordinate-j marginals (no coupling does better);
-    `upper` is the total-variation distance of the full conditional futures.
-    All three take the worst case over symbol pairs at coordinate i.
+    distance of the coordinate-j marginals (no coupling does better), or
+    None when the band was built without it; `upper` is the total-variation
+    distance of the full conditional futures.  All three take the worst
+    case over symbol pairs at coordinate i.
     """
 
     value: np.ndarray
-    lower: np.ndarray
+    lower: np.ndarray | None
     upper: np.ndarray
     past_mass: np.ndarray
 
 
 #: run length from which numpy's own reduction of a row-major sum beats
-#: `_pairwise_sum`'s strided adds.  numpy pays about 60 ns per run, the adds
-#: about 1.5 us per call: on the 4x4 stack of 2^17 entries own against adds
-#: took 163 against 320 us for runs of 64, 266 against 246 us for 32 and
-#: 469 against 190 us for 16 (2-core x86-64, numpy 2.4).  On small joints
-#: the calls dominate, so numpy's own also serves up to 32 runs per entry of
-#: a run.
+#: `sums.pairwise_sum`'s strided adds.  numpy pays about 60 ns per run, the
+#: adds about 1.5 us per call: on the 4x4 stack of 2^17 entries own against
+#: adds took 163 against 320 us for runs of 64, 266 against 246 us for 32
+#: and 469 against 190 us for 16 (2-core x86-64, numpy 2.4).  On small
+#: joints the calls dominate, so numpy's own also serves up to 32 runs per
+#: entry of a run.
 _OWN_SUM_FROM = 64
-
-
-def _pairwise_sum(take, n: int, lo: int = 0):
-    """take(lo) + ... + take(lo + n - 1), elementwise, in numpy's order.
-
-    numpy sums n contiguous float64 entries pairwise: in order below 8; up
-    to 128 in 8 interleaved partial sums, added ((0+1)+(2+3))+((4+5)+(6+7)),
-    then the n % 8 left over in order; above that as two such sums split at
-    a multiple of 8 near n/2.  Here every entry is an array, so each add is
-    one long array operation and the sum is numpy's bit for bit.
-    """
-    if n < 8:
-        res = take(lo)
-        if n > 1:
-            res = res + take(lo + 1)
-            for r in range(lo + 2, lo + n):
-                res += take(r)
-        return res
-    if n <= 128:
-        blocks = n - n % 8
-        acc = [take(lo + j) for j in range(8)]
-        if blocks > 8:
-            acc = [a + take(lo + 8 + j) for j, a in enumerate(acc)]
-            for start in range(lo + 16, lo + blocks, 8):
-                for j, a in enumerate(acc):
-                    a += take(start + j)
-        res = (acc[0] + acc[1]) + (acc[2] + acc[3])
-        res += (acc[4] + acc[5]) + (acc[6] + acc[7])
-        for r in range(lo + blocks, lo + n):
-            res += take(r)
-        return res
-    half = n // 2 - (n // 2) % 8
-    res = _pairwise_sum(take, half, lo)
-    res += _pairwise_sum(take, n - half, lo + half)
-    return res
-
-
-def _sum_last(x: np.ndarray, past_inner: bool) -> np.ndarray:
-    """`x.sum(axis=-1)` of the row-major layout, bit for bit, in either layout."""
-    if past_inner:
-        return _pairwise_sum(lambda f: x[..., f], x.shape[-1])
-    return x.sum(axis=-1)
 
 
 def _future_marginals(rows: np.ndarray, k1: int, k: int, r: int,
@@ -148,15 +108,16 @@ def _future_marginals(rows: np.ndarray, k1: int, k: int, r: int,
     """`rows.reshape(-1, k1, k, r).sum(axis=(1, 3))` of the row-major layout.
 
     numpy's order for that sum: each run of r trailing entries pairwise,
-    then the k1 runs in sequence.  Stage 1 is `_pairwise_sum` over r slices,
-    or numpy's own reduction once runs are long.  Stage 2 is a cumulative
-    sum along k1, or, when the past index is innermost, one reduce over k1,
-    the outermost axis in memory.
+    then the k1 runs in sequence.  Stage 1 is `sums.pairwise_sum` over r
+    slices, or numpy's own reduction once runs are long.  Stage 2 is a
+    cumulative sum along k1, or, when the past index is innermost, one
+    reduce over k1, the outermost axis in memory.  Every entry is a sum of
+    probabilities, never -0.0, so numpy's start at 0.0 changes nothing.
     """
     x = rows.reshape(rows.shape[0], k1, k, r)
     if not past_inner and (r >= _OWN_SUM_FROM or rows.size <= 32 * r * r):
         return x.sum(axis=(1, 3))
-    part = _pairwise_sum(lambda s: x[..., s], r)
+    part = sums.pairwise_sum(lambda s: x[..., s], r)
     if k1 == 1:
         return part[:, 0]
     if past_inner:
@@ -164,14 +125,18 @@ def _future_marginals(rows: np.ndarray, k1: int, k: int, r: int,
     return np.cumsum(part, axis=1)[:, -1]
 
 
-def coupling_rows_all(joint: ExactJoint, i: int) -> CouplingRowBand:
+def coupling_rows_all(joint: ExactJoint, i: int, lower: bool = False) -> CouplingRowBand:
     """The band of row i: coupling statistics at every past of length i.
 
     For symbols a, b at coordinate i after past w, p1 and p2 are the laws
     of the future coordinates; r1 = p1 - min(p1, p2) and r2 likewise are
     the residuals, and their total mass is the TV of the futures (`upper`).
-    The marginals of p1, p2 at coordinate j = i + 1 + y give `lower`, those
-    of r1, r2 give `value`; see `CouplingRowBand`.
+    The marginals of r1, r2 at coordinate j = i + 1 + y give `value`, those
+    of p1, p2 give `lower`; see `CouplingRowBand`.  `lower` is built only
+    when the caller asks for it (the `coupling-matrix` command): the
+    battery and the decay fit read `value` alone, and without `lower` each
+    pair reduces two laws, not four.  `value` and `upper` do not depend on
+    the choice.
 
     Every sum is taken in the order of the formula this function first had
     (`tests/oracles.py`), `p.reshape(n_past, k**y, k, R).sum(axis=(1, 3))`
@@ -179,56 +144,63 @@ def coupling_rows_all(joint: ExactJoint, i: int) -> CouplingRowBand:
     pairwise, then the k**y runs in sequence.  Keeping that order keeps
     every band, envelope and artifact bit for bit what it was.  Reducing
     runs of 1-8 entries one numpy inner loop at a time cost most of the
-    time; here each stage is a few long array operations (`_pairwise_sum`,
-    `_future_marginals`).  The four laws of a pair sit in one stacked array.
-    With at least as many pasts as futures the arrays keep the past index
-    innermost in memory, so operations run along it; sums over the last
-    axis then go through `_pairwise_sum` (`_sum_last`).
+    time; here each stage is a few long array operations
+    (`sums.pairwise_sum`, `_future_marginals`).  The laws of a pair sit in
+    one stacked array.  With at least as many pasts as futures the arrays
+    keep the past index innermost in memory, so operations run along it;
+    `sums.sum_last` takes the sums over the last axis in either layout.
     """
     m, k = joint.n_sites, joint.k
     n_past = k ** i
     value = np.zeros((n_past, m))
-    lower = np.zeros((n_past, m))
     upper = np.zeros((n_past, m))
-    value[:, i] = lower[:, i] = upper[:, i] = 1.0
-    band = CouplingRowBand(value, lower, upper, joint.prefix_marginal(i - 1).reshape(-1))
+    value[:, i] = upper[:, i] = 1.0
+    low = None
+    if lower:
+        low = np.zeros((n_past, m))
+        low[:, i] = 1.0
+    band = CouplingRowBand(value, low, upper, joint.prefix_marginal(i - 1).reshape(-1))
     if i == m - 1:
         return band
     n_future = joint.probs.size // (n_past * k)
+    n_laws = 4 if lower else 2
     past_inner = n_past >= n_future
     if past_inner:
         t = np.ascontiguousarray(joint.probs.reshape(n_past, -1).T)
         t = t.reshape(k, n_future, n_past).transpose(2, 0, 1)
-        stack = np.empty((n_future, 4, n_past)).transpose(1, 2, 0)
+        stack = np.empty((n_future, n_laws, n_past)).transpose(1, 2, 0)
     else:
         t = joint.probs.reshape(n_past, k, n_future)
-        stack = np.empty((4, n_past, n_future))
-    sym_mass = _sum_last(t, past_inner)
+        stack = np.empty((n_laws, n_past, n_future))
+    sym_mass = sums.sum_last(t)
     cond = t / np.where(sym_mass > 0.0, sym_mass, 1.0)[:, :, None]
-    p1, p2, r1, r2 = stack
-    rows = stack.reshape(4 * n_past, n_future)  # a view in either layout
+    r1, r2 = stack[-2:]
+    rows = stack.reshape(n_laws * n_past, n_future)  # a view in either layout
     for a in range(k):
         for b in range(a + 1, k):
             ok = (sym_mass[:, a] > 0.0) & (sym_mass[:, b] > 0.0)
             if not ok.any():
                 continue
-            p1[...] = cond[:, a]
-            p2[...] = cond[:, b]
+            p1, p2 = cond[:, a], cond[:, b]
+            if lower:
+                stack[0] = p1
+                stack[1] = p2
             mn = np.minimum(p1, p2)
             np.subtract(p1, mn, out=r1)
             np.subtract(p2, mn, out=r2)
-            resid = _sum_last(r1, past_inner)  # = TV of the full futures
+            resid = sums.sum_last(r1)  # = TV of the full futures
             safe = np.where(resid > _RESID_TOL, resid, 1.0)
             for y in range(m - i - 1):
                 j = i + 1 + y
                 marginals = _future_marginals(rows, k ** y, k, n_future // k ** (y + 1),
                                               past_inner)
-                m1, m2, g1, g2 = marginals.reshape(4, n_past, k)
-                tv_j = 0.5 * _sum_last(np.abs(m1 - m2), past_inner)
-                val = resid - _sum_last(g1 * g2, past_inner) / safe
+                *m12, g1, g2 = marginals.reshape(n_laws, n_past, k)
+                val = resid - sums.sum_last(g1 * g2) / safe
                 val = np.clip(np.where(resid > _RESID_TOL, val, 0.0), 0.0, None)
                 value[:, j] = np.maximum(value[:, j], np.where(ok, val, 0.0))
-                lower[:, j] = np.maximum(lower[:, j], np.where(ok, tv_j, 0.0))
+                if lower:
+                    tv_j = 0.5 * sums.sum_last(np.abs(m12[0] - m12[1]))
+                    low[:, j] = np.maximum(low[:, j], np.where(ok, tv_j, 0.0))
             upper[:, i + 1:] = np.maximum(upper[:, i + 1:],
                                           np.where(ok, resid, 0.0)[:, None])
     return band
@@ -251,40 +223,51 @@ def _band_power(value: np.ndarray, i: int, p) -> np.ndarray:
 
 @dataclass
 class EnvelopeData:
-    """Worst-case and probability-weighted power means of the coupling rows."""
+    """Worst-case and probability-weighted power means of the coupling rows.
+
+    `lower_envelope` is None unless it was asked for."""
 
     sites: tuple[Site, ...]
     envelope: np.ndarray
-    lower_envelope: np.ndarray
+    lower_envelope: np.ndarray | None
     upper_envelope: np.ndarray
     moment: dict[int, np.ndarray] = field(default_factory=dict)
 
 
+def _masked_max(rows: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """`rows[mask].max(axis=0)`, without copying the rows `mask` keeps."""
+    return np.max(rows, axis=0, where=mask[:, None], initial=-np.inf)
+
+
 def envelope_and_moment_matrices(joint: ExactJoint, p_orders=(1, 2),
-                                 bands=None) -> EnvelopeData:
+                                 bands=None, lower: bool = False) -> EnvelopeData:
     """Enumerate every positive-probability past at every row.
 
     The moment matrix of order p holds (sum_w P(w) value(w)^p)^(1/p); the
-    envelope is the plain maximum over pasts.  `bands` yields the row bands
-    `coupling_rows_all(joint, i)` for i = 0..m-1 in order, for a caller that
-    shares them; a generator lets each band be dropped once reduced.  By
-    default they are computed here.
+    envelope is the plain maximum over pasts, and so are the upper envelope
+    and, when `lower` is set, the lower one.  `bands` yields the row bands
+    `coupling_rows_all(joint, i, lower)` for i = 0..m-1 in order, for a
+    caller that shares them; a generator lets each band be dropped once
+    reduced.  By default they are computed here.
 
     Each moment row is the float `past_mass @ value ** p` gives
-    (`tests/oracles.py`); `_band_power` takes the power.
+    (`tests/oracles.py`); `_band_power` takes the power.  Each maximum is
+    taken in place over the positive-mass pasts (`_masked_max`); a maximum
+    does not round, so it is the one over the copied rows.
     """
     m = joint.n_sites
     env = np.zeros((m, m))
-    lo_env = np.zeros((m, m))
+    lo_env = np.zeros((m, m)) if lower else None
     hi_env = np.zeros((m, m))
     mom = {p: np.zeros((m, m)) for p in p_orders}
     if bands is None:
-        bands = (coupling_rows_all(joint, i) for i in range(m))
+        bands = (coupling_rows_all(joint, i, lower) for i in range(m))
     for i, band in enumerate(bands):
         mask = band.past_mass > 0.0
-        env[i] = band.value[mask].max(axis=0)
-        lo_env[i] = band.lower[mask].max(axis=0)
-        hi_env[i] = band.upper[mask].max(axis=0)
+        env[i] = _masked_max(band.value, mask)
+        if lower:
+            lo_env[i] = _masked_max(band.lower, mask)
+        hi_env[i] = _masked_max(band.upper, mask)
         for p in p_orders:
             mom[p][i] = (band.past_mass @ _band_power(band.value, i, p)) ** (1.0 / p)
     return EnvelopeData(joint.sites, env, lo_env, hi_env, mom)

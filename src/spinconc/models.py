@@ -37,6 +37,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from spinconc import sums
 from spinconc.errors import (
     CapacityError,
     ConfigError,
@@ -110,7 +111,10 @@ class ExactJoint:
         """Marginal law of the first i+1 coordinates (an (k,)*(i+1) array).
 
         i = -1 is the empty prefix, whose mass is `np.array(1.0)`; any i
-        outside -1..n_sites-1 is an IndexError.
+        outside -1..n_sites-1 is an IndexError.  Each table sums the next
+        one over its last axis, `table.sum(axis=-1)` bit for bit, taken by
+        `sums.sum_last`: k - 1 adds across the table, not one numpy inner
+        loop per prefix.
         """
         if not -1 <= i < self.n_sites:
             raise IndexError(f"prefix index {i} outside -1..{self.n_sites - 1}")
@@ -118,8 +122,8 @@ class ExactJoint:
             return np.array(1.0)
         if not self._prefix_cache:
             tables = [self.probs]
-            for axis in range(self.n_sites - 1, 0, -1):
-                tables.append(tables[-1].sum(axis=axis))
+            for _ in range(self.n_sites - 1):
+                tables.append(sums.sum_last(tables[-1]))
             self._prefix_cache.extend(reversed(tables))
         return self._prefix_cache[i]
 

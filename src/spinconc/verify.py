@@ -122,6 +122,12 @@ def backbone_check(dec: bounds.MartingaleDecomposition, rhs: list[np.ndarray]):
 # exact battery
 # ---------------------------------------------------------------------------
 
+def _broadcast_base(table: np.ndarray) -> np.ndarray:
+    """The array a broadcast view `table` reads: its first entry along each
+    axis of stride 0, those axes kept with length 1."""
+    return table[tuple(slice(None) if st else slice(1) for st in table.strides)]
+
+
 def _observable_rows(model: GibbsModel, joint: ExactJoint, g: LocalFunction,
                      dv: fields.DeltaVector, rhs: list[np.ndarray], env_norm: float,
                      moment_norm: dict[int, float], t_points: int) -> list[BoundRow]:
@@ -169,9 +175,13 @@ def _observable_rows(model: GibbsModel, joint: ExactJoint, g: LocalFunction,
                                   "t_max": t_max, "t_points": t_points}))
 
     # pow runs once per distinct centered value; q is even, so merging -0.0
-    # with +0.0 changes nothing, and the product and sum see the full table
-    levels, where = np.unique(centered, return_inverse=True)
-    where = where.reshape(centered.shape)  # numpy < 2 returns it flat
+    # with +0.0 changes nothing.  The distinct values come from g's own value
+    # grid, which `dec.g_table` broadcasts and which holds every value of the
+    # table, so the levels are the table's; the product broadcasts from the
+    # grid, and the sum sees the full table
+    own = _broadcast_base(dec.g_table) - dec.mean
+    levels, where = np.unique(own, return_inverse=True)
+    where = where.reshape(own.shape)  # numpy < 2 returns it flat
     moment = {q: float((joint.probs * (levels ** q)[where]).sum()) for q in (2, 4, 6)}
     var = moment[2]
     norm2 = moment_norm[2]

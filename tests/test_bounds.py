@@ -196,6 +196,50 @@ def test_martingale_checks_match_the_dense_formulas_on_any_prefix_increments(nam
         assert got == pytest.approx(want, rel=1e-12, abs=0), i
 
 
+def _pair_by_pair_errors(dec):
+    """(conditional mean, orthogonality) errors by the loops these checks
+    had before the orthogonality check stacked its pairs: one
+    `.reshape(-1, k).sum(axis=1)` per past sum and one `.sum()` per pair."""
+    joint, k = dec.joint, dec.joint.k
+
+    def past_sums(j):
+        weighted = joint.prefix_marginal(j).reshape(-1) * dec.increments[j].reshape(-1)
+        return weighted.reshape(-1, k).sum(axis=1)
+
+    cond_mean = 0.0
+    for i in range(joint.n_sites):
+        den = joint.prefix_marginal(i - 1).reshape(-1)
+        live = den > 0
+        if live.any():
+            cond_mean = max(cond_mean, float(np.abs(past_sums(i)[live] / den[live]).max()))
+    ortho = 0.0
+    for j in range(1, joint.n_sites):
+        b = past_sums(j)
+        for v in dec.increments[j - 1::-1]:
+            ortho = max(ortho, abs(float((v.reshape(-1) * b).sum())))
+            b = b.reshape(-1, k).sum(axis=1)
+    return cond_mean, ortho
+
+
+@pytest.mark.parametrize("name", list(_MOMENT_JOINTS))
+def test_martingale_checks_equal_their_pair_by_pair_loops_bit_for_bit(name):
+    # on the true increments, which read about 1e-16, and on random
+    # prefix-shaped ones, which read O(1)
+    joint = _MOMENT_JOINTS[name]()
+    m, k = joint.n_sites, joint.k
+    rng = np.random.default_rng(28)
+    increments = []
+    for i in range(m):
+        v = rng.normal(size=(k,) * (i + 1) + (1,) * (m - i - 1))
+        v[joint.prefix_marginal(i).reshape(v.shape) == 0.0] = 0.0
+        increments.append(v)
+    for g in battery_functions(joint):
+        dec = martingale_decomposition(joint, g)
+        for d in (dec, dataclasses.replace(dec, increments=increments)):
+            assert (d.conditional_mean_error(), d.orthogonality_error()) == \
+                _pair_by_pair_errors(d), g.name
+
+
 def _sabotaged(dec, change):
     """A copy of `dec` whose increments went through `change`, in place."""
     increments = [v.copy() for v in dec.increments]

@@ -22,6 +22,7 @@ from spinconc.errors import CapacityError, ConfigError
 from spinconc.fields import SPIN, Alphabet, magnetization, single_spin
 from spinconc.lattice import rect_sites, segment_sites
 from spinconc.models import (
+    ExactJoint,
     GibbsModel,
     MarkovChainModel,
     exact_joint,
@@ -30,6 +31,7 @@ from spinconc.models import (
     ising_rect,
     ising_segment,
 )
+from spinconc.verify import battery_models
 
 from tests.oracles import naive_tv, reference_coupling_rows, transport_vertex_oracle
 
@@ -100,7 +102,7 @@ def _naive_row(joint, i, prefix):
 
 def _assert_bands_match_dictionary_oracle(joint, rows):
     for i in rows:
-        band = coupling_rows_all(joint, i)
+        band = coupling_rows_all(joint, i, lower=True)
         for prefix in itertools.product(range(joint.k), repeat=i):
             w = np.ravel_multi_index(prefix, (joint.k,) * i)
             mass = float(joint.probs[prefix].sum())
@@ -141,7 +143,7 @@ def _ternary_chain(n: int) -> GibbsModel:
 def test_bands_match_the_reference_formula_bit_for_bit(model):
     joint = exact_joint(model)
     for i in range(joint.n_sites):
-        band = coupling_rows_all(joint, i)
+        band = coupling_rows_all(joint, i, lower=True)
         want = reference_coupling_rows(joint, i)
         for name, w in zip(("value", "lower", "upper", "past_mass"), want):
             assert np.array_equal(getattr(band, name), w), (i, name)
@@ -159,14 +161,51 @@ def test_bands_match_the_dictionary_oracle(model):
     _assert_bands_match_dictionary_oracle(joint, range(joint.n_sites))
 
 
-def test_pairwise_sum_is_numpys_sum():
-    # every branch: in order, 8 partial sums with and without a remainder,
-    # and the split of the sum above 128 entries
-    rng = np.random.default_rng(2)
-    for n in (1, 2, 7, 8, 9, 15, 16, 27, 81, 128, 129, 243, 1000):
-        x = rng.random((n, 5)) ** 3
-        got = coupling._pairwise_sum(lambda r: x[r], n)
-        assert np.array_equal(got, np.ascontiguousarray(x.T).sum(axis=1)), n
+def _zero_mass_prefix_joint() -> ExactJoint:
+    probs = np.random.default_rng(5).random((2,) * 6) ** 2 + 1e-3
+    probs[0] = 0.0  # every past that starts with symbol 0 has mass zero
+    return ExactJoint(segment_sites(6), SPIN, probs / probs.sum())
+
+
+# every battery model, the three 4x4 volumes of the benchmark's `exact`
+# workload, and a joint with zero-mass pasts
+_LOWER_JOINTS = {m.name: (lambda m=m: exact_joint(m)) for m in battery_models(101)}
+_LOWER_JOINTS.update({
+    f"ising[4x4]_b{beta}_{boundary}": (lambda beta=beta, boundary=boundary:
+                                       exact_joint(ising_rect(4, 4, beta, boundary)))
+    for beta, boundary in ((0.1, "plus"), (0.2, "plus"), (0.25, "free"))})
+_LOWER_JOINTS["zero-mass-prefix"] = _zero_mass_prefix_joint
+
+
+def _same_bits(a, b) -> bool:
+    return a.shape == b.shape and np.array_equal(np.ascontiguousarray(a).view(np.uint64),
+                                                 np.ascontiguousarray(b).view(np.uint64))
+
+
+@pytest.mark.parametrize("name", list(_LOWER_JOINTS))
+def test_a_band_without_lower_is_the_full_band_bit_for_bit(name):
+    joint = _LOWER_JOINTS[name]()
+    for i in range(joint.n_sites):
+        full = coupling_rows_all(joint, i, lower=True)
+        bare = coupling_rows_all(joint, i)
+        assert isinstance(full.lower, np.ndarray) and bare.lower is None
+        for attr in ("value", "upper", "past_mass"):
+            assert _same_bits(getattr(bare, attr), getattr(full, attr)), (i, attr)
+    full = envelope_and_moment_matrices(joint, (1, 2, 3, 4, 6), lower=True)
+    bare = envelope_and_moment_matrices(joint, (1, 2, 3, 4, 6))
+    assert isinstance(full.lower_envelope, np.ndarray) and bare.lower_envelope is None
+    assert _same_bits(bare.envelope, full.envelope)
+    assert _same_bits(bare.upper_envelope, full.upper_envelope)
+    for p in (1, 2, 3, 4, 6):
+        assert _same_bits(bare.moment[p], full.moment[p]), p
+
+
+def test_reading_lower_that_was_not_built_fails():
+    joint = exact_joint(ising_rect(2, 3, 0.5, "plus"))
+    with pytest.raises(TypeError):
+        coupling_rows_all(joint, 1).lower[0, 2]
+    with pytest.raises(TypeError):
+        envelope_and_moment_matrices(joint).lower_envelope[0, 1]
 
 
 def test_markov_first_superdiagonal_is_two_q_minus_one():
@@ -185,7 +224,7 @@ def test_matrix_shape_and_bands():
     joint = exact_joint(ising_rect(2, 3, beta=0.5, boundary="plus"))
     sigma = (1, 0, 1, 1, 0, 1)
     m = joint.n_sites
-    bands = [coupling_rows_all(joint, i) for i in range(m)]
+    bands = [coupling_rows_all(joint, i, lower=True) for i in range(m)]
     rows = [np.ravel_multi_index(sigma[:i], (2,) * i) for i in range(m)]
     value, lower, upper = (np.array([getattr(b, name)[w] for b, w in zip(bands, rows)])
                            for name in ("value", "lower", "upper"))
@@ -205,7 +244,7 @@ def test_iid_rows_are_identity():
 
 def test_envelope_dominates_and_moments_are_monotone():
     joint = exact_joint(ising_rect(2, 3, beta=0.4, boundary="free"))
-    data = envelope_and_moment_matrices(joint, p_orders=(1, 2, 3))
+    data = envelope_and_moment_matrices(joint, p_orders=(1, 2, 3), lower=True)
     assert np.all(data.moment[1] <= data.moment[2] + 1e-12)
     assert np.all(data.moment[2] <= data.moment[3] + 1e-12)
     assert np.all(data.moment[3] <= data.envelope + 1e-12)
@@ -222,9 +261,9 @@ def test_envelope_dominates_and_moments_are_monotone():
 
 def test_envelope_from_shared_bands_matches_default():
     joint = exact_joint(ising_rect(2, 3, beta=0.4, boundary="plus"))
-    data = envelope_and_moment_matrices(joint, p_orders=(2, 4))
-    bands = (coupling_rows_all(joint, i) for i in range(joint.n_sites))
-    shared = envelope_and_moment_matrices(joint, p_orders=(2, 4), bands=bands)
+    data = envelope_and_moment_matrices(joint, p_orders=(2, 4), lower=True)
+    bands = (coupling_rows_all(joint, i, lower=True) for i in range(joint.n_sites))
+    shared = envelope_and_moment_matrices(joint, p_orders=(2, 4), bands=bands, lower=True)
     for a, b in [(data.envelope, shared.envelope),
                  (data.lower_envelope, shared.lower_envelope),
                  (data.upper_envelope, shared.upper_envelope),
@@ -259,7 +298,7 @@ def test_tree_disagreement_dominates_marginal_tv():
     joint = exact_joint(ising_rect(2, 3, beta=0.45, boundary="free"))
     tree = sequential_coupling_tree(joint.conditional_future((1,)),
                                     joint.conditional_future((0,)))
-    band = coupling_rows_all(joint, 0)
+    band = coupling_rows_all(joint, 0, lower=True)
     assert np.all(tree.disagree >= band.lower[0, 1:] - 1e-12)
 
 
@@ -307,7 +346,7 @@ def test_pair_glauber_estimates_marginal_tv():
     # single-site total variation, which the enumerated band gives exactly
     model = ising_rect(3, 3, beta=0.3, boundary="plus")
     joint = exact_joint(model)
-    band = coupling_rows_all(joint, 0)
+    band = coupling_rows_all(joint, 0, lower=True)
     res = coupled_glauber_disagreement(model, n_samples=4000, sweeps=60, seed=4)
     assert res.monotone_violations == 0
     assert res.disagree[0] == 1.0

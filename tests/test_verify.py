@@ -108,16 +108,19 @@ def test_exact_rows_do_not_depend_on_blas_threads():
 
 
 def test_battery_computes_each_band_once(monkeypatch):
+    # and builds no band's `lower`, which no battery row reads
     calls = []
     original = coupling.coupling_rows_all
 
-    def counted(joint, i):
-        calls.append(i)
-        return original(joint, i)
+    def counted(joint, i, lower=False):
+        band = original(joint, i, lower)
+        calls.append((i, lower, band.lower is None))
+        return band
 
     monkeypatch.setattr(coupling, "coupling_rows_all", counted)
     exact_battery(battery_models(101), 20)
     assert len(calls) == sum(m.n_sites for m in battery_models(101)) == 70
+    assert all(not lower and bare for _, lower, bare in calls)
 
 
 def _band_values(joint):
