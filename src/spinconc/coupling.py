@@ -26,7 +26,7 @@ from spinconc import sums
 from spinconc.errors import CapacityError, ConfigError, ConvergenceError
 from spinconc.fields import LocalFunction, delta_vector
 from spinconc.lattice import Site
-from spinconc.models import ExactJoint, GibbsModel, _heat_bath
+from spinconc.models import Batch, ExactJoint, GibbsModel, _heat_bath, stream
 
 _RESID_TOL = 1e-15
 
@@ -396,6 +396,35 @@ class PairGlauberResult:
     monotone_violations: int
 
 
+def _leg_sums(legs: list[np.ndarray]) -> np.ndarray:
+    """One chunk of the pair chain reduced to int64 (2 m + 1,): each site's
+    plus count in the upper leg, then in the lower leg, then the number of
+    sites where the upper leg is below the lower one."""
+    up, dn = legs
+    return np.concatenate([up.sum(axis=1), dn.sum(axis=1), [(up < dn).sum()]])
+
+
+def pair_batch(model: GibbsModel, n_samples: int, sweeps: int, seed: int) -> Batch:
+    """The chunk jobs of `coupled_glauber_disagreement`, each reduced on the
+    thread that ran it by `_leg_sums`; `pair_result` reads their sum.  An
+    antiferromagnet is a ConfigError, raised before the kernel is built."""
+    if model.beta < 0:
+        raise ConfigError("monotone coupling needs a ferromagnetic interaction")
+    return _heat_bath(model, n_samples, sweeps, seed, frozen=(0, (1, 0)), reduce=_leg_sums)
+
+
+def pair_result(model: GibbsModel, n_samples: int, sweeps: int,
+                totals: np.ndarray) -> PairGlauberResult:
+    """The pair chain's estimates from the sum of its chunks' `_leg_sums`."""
+    m = model.n_sites
+    up_sum, dn_sum = totals[:m], totals[m:2 * m]
+    p_hat = (up_sum - dn_sum) / n_samples
+    se = np.sqrt(np.clip(p_hat * (1.0 - p_hat), 0.0, None) / n_samples)
+    return PairGlauberResult(model.sites, n_samples, sweeps, p_hat, se,
+                             2.0 * up_sum / n_samples - 1.0,
+                             2.0 * dn_sum / n_samples - 1.0, int(totals[-1]))
+
+
 def coupled_glauber_disagreement(model: GibbsModel, n_samples: int, sweeps: int,
                                  seed: int) -> PairGlauberResult:
     """Two heat-bath chains sharing every uniform, from all-plus, whose
@@ -405,23 +434,13 @@ def coupled_glauber_disagreement(model: GibbsModel, n_samples: int, sweeps: int,
     Requires a ferromagnetic binary nearest-neighbor model, on any site set:
     the shared-uniform update then preserves the pointwise order of the two
     legs, so per-site disagreement is upper minus lower in symbol indices.
+    The batch runs on its own `models.stream`; `pair_batch` gives its jobs,
+    for a stream shared with other batches.
     """
-    if model.beta < 0:
-        raise ConfigError("monotone coupling needs a ferromagnetic interaction")
-    chunks = _heat_bath(model, n_samples, sweeps, seed, frozen=(0, (1, 0)))
-    m = model.n_sites
-    up_sum = np.zeros(m, dtype=np.int64)
-    dn_sum = np.zeros(m, dtype=np.int64)
-    violations = 0
-    for _, _, (up, dn) in chunks:
-        violations += int((up < dn).sum())
-        up_sum += up.sum(axis=1)
-        dn_sum += dn.sum(axis=1)
-    p_hat = (up_sum - dn_sum) / n_samples
-    se = np.sqrt(np.clip(p_hat * (1.0 - p_hat), 0.0, None) / n_samples)
-    return PairGlauberResult(model.sites, n_samples, sweeps, p_hat, se,
-                             2.0 * up_sum / n_samples - 1.0,
-                             2.0 * dn_sum / n_samples - 1.0, violations)
+    totals = np.zeros(2 * model.n_sites + 1, dtype=np.int64)
+    for *_, part in stream([pair_batch(model, n_samples, sweeps, seed)]):
+        totals += part
+    return pair_result(model, n_samples, sweeps, totals)
 
 
 # ---------------------------------------------------------------------------

@@ -9,12 +9,14 @@ terms are negated log marginals, or a negated log initial law and log
 transitions.  Small volumes are handled exactly through `ExactJoint`;
 `glauber_batch` draws product and Markov models exactly and runs binary
 nearest-neighbor Gibbs models through one heat-bath kernel, and returns an
-observable g on each replica.  The kernel's chunks of replicas run in
-parallel on `os.cpu_count()` threads (`ordered_map`) when the larger parity
-class has at least `POOL_MIN_ROWS` rows, and serially below that, where the
-pool does not pay; they come back in order, so the output does not depend
-on the thread count.  Working memory is up to one chunk per worker plus 8
-bytes per replica.
+observable g on each replica.  A sampled batch is a `Batch` of chunk jobs,
+each of which draws its chunk of replicas and reduces it on the thread that
+ran it; `stream` chains the jobs of several batches on one `ordered_map`
+pool of `os.cpu_count()` threads when some batch's larger parity class has
+at least `POOL_MIN_ROWS` rows, and runs them serially below that, where the
+pool does not pay.  Parts come back in order, so the output does not depend
+on the thread count.  Working memory is up to one chunk per job in flight
+plus what the caller keeps of the parts.
 
 Importing this module sets numpy's bundled OpenBLAS to one thread: spinconc's
 own pools take the cores, and its BLAS calls, all small, run inside them.  A
@@ -32,8 +34,9 @@ import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import islice
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -407,12 +410,14 @@ CHUNK = 1024
 #: the largest replica count one sampled batch may ask for (`tail` and
 #: `hightemp`'s n_samples, `lowtemp`'s n_pair, n_ell and n_tail); the
 #: experiments raise CapacityError above it, before their first sample.
-#: Peak `tracemalloc` grows by 8.7 B per replica of `lowtemp`'s n_tail (4x4,
+#: Peak `tracemalloc` grows by 8.8 B per replica of `lowtemp`'s n_tail (4x4,
 #: 5*10^4 -> 2*10^5: split A, 0.4 of n_tail in float64, and the Luxembourg
-#: norm's two arrays of its size) and by 8.5 B per replica of `tail`'s
-#: n_samples (4x4, 10^5 -> 4*10^5), and `_chunks` spawns one 376 B
-#: `SeedSequence` child per CHUNK replicas up front.  At the cap that is at
-#: most 0.45 GB, under a sixteenth of an 8 GB box.
+#: norm's two arrays of its size; split B is counted chunk by chunk) and by
+#: 2.3 B per replica of `tail`'s n_samples (4x4, 8*10^4 -> 3.2*10^5: the
+#: mean batch, 0.2 of n_samples in float64; the main batch is counted chunk
+#: by chunk), and `_chunks` spawns one 376 B `SeedSequence` child per CHUNK
+#: replicas of a batch when its first job is read.  At the cap that is at
+#: most 0.46 GB, under a sixteenth of an 8 GB box.
 MAX_REPLICAS = 50_000_000
 
 #: `_heat_bath` runs its chunks serially when its larger parity class has
@@ -428,11 +433,13 @@ def ordered_map(fn: Callable, items: Iterable):
     """fn(item) for each item, yielded in item order, computed on a pool of
     `os.cpu_count()` threads, or serially in the calling thread on one core.
 
-    At most `workers` calls are in flight beyond the result last yielded, so
-    a slow consumer bounds the memory, and items are read only as slots free
-    up.  Closing the generator early cancels the calls not yet started,
-    waits for the running ones and joins every worker thread.  An exception
-    from fn is raised when its result's turn comes.
+    At most `workers + 1` calls are in flight beyond the result last
+    yielded, so a slow consumer bounds the memory, and items are read only
+    as slots free up.  The one call beyond the worker count stays queued,
+    so a worker that finishes while the consumer handles a result starts
+    the next call at once.  Closing the generator early cancels the calls
+    not yet started, waits for the running ones and joins every worker
+    thread.  An exception from fn is raised when its result's turn comes.
     """
     workers = os.cpu_count() or 1
     if workers == 1:
@@ -441,13 +448,45 @@ def ordered_map(fn: Callable, items: Iterable):
     items = iter(items)
     pool = ThreadPoolExecutor(max_workers=workers)
     try:
-        pending = deque(pool.submit(fn, item) for item in islice(items, workers))
+        pending = deque(pool.submit(fn, item) for item in islice(items, workers + 1))
         while pending:
             result = pending.popleft().result()
             pending.extend(pool.submit(fn, item) for item in islice(items, 1))
             yield result
     finally:
         pool.shutdown(cancel_futures=True)
+
+
+class Batch(NamedTuple):
+    """One sampled batch as chunk jobs, in replica order.
+
+    Each job, called with no argument, draws its chunk and returns
+    (lo, hi, part): replicas lo..hi-1 reduced to `part` on the thread that
+    ran it.  `pooled` says whether the jobs pay for `ordered_map`'s pool.
+    """
+
+    jobs: Iterator[Callable[[], tuple]]
+    pooled: bool
+
+
+def stream(batches: Sequence[Batch]):
+    """(k, lo, hi, part) for every chunk of every batch k, batches in order
+    and chunks in replica order, on one `ordered_map` stream.
+
+    The jobs of all batches share the pool, so no batch drains before the
+    next one starts.  The stream runs serially in the calling thread when
+    no batch is pooled.  Every job reads its own generator, so the parts do
+    not depend on the thread count or on which batches share the stream.
+    Each batch was checked when it was built, so a bad model in any batch
+    has raised before the stream starts a thread.
+    """
+    tagged = ((k, job) for k, batch in enumerate(batches) for job in batch.jobs)
+
+    def run(item):
+        k, job = item
+        return (k, *job())
+
+    return ordered_map(run, tagged) if any(b.pooled for b in batches) else map(run, tagged)
 
 
 def _chunks(n_samples: int, seed: int):
@@ -474,23 +513,96 @@ def _halves(bit_generator, n: int, carry: np.ndarray):
     return words, halves[need:].copy()
 
 
+class _Plan(NamedTuple):
+    """What `_heat_bath`'s chunk jobs read: `row` maps a model site to its
+    kernel row; `nbr[r]` lists row r's neighbor rows, spare slots on the
+    ghosts m (0) and m + 1 (plus); `classes` holds each parity class's
+    (first row, end row) and `runs` its runs of equal threshold rows as
+    (first row, end row, cuts), rows counted from the class's first."""
+
+    row: np.ndarray
+    nbr: np.ndarray
+    classes: list[tuple[int, int]]
+    runs: list[list[tuple[int, int, list]]]
+    compare: Callable
+
+
+def _plan(model: GibbsModel, pinned: int | None) -> _Plan:
+    """The kernel's rows, neighbor slots, thresholds and runs; see
+    `_heat_bath`.  A model the kernel cannot run is a ConfigError."""
+    if model.alphabet.size != 2 or model.nn_index is None:
+        raise ConfigError("heat-bath sampling needs a binary nearest-neighbor Gibbs model")
+    m = model.n_sites
+    parity = np.array([sum(s) & 1 for s in model.sites])
+    free = np.arange(m) != pinned
+    order = np.concatenate([np.flatnonzero(free & (parity == 0)),
+                            np.flatnonzero(free & (parity == 1)),
+                            np.flatnonzero(~free)])
+    row = np.empty(m, dtype=np.intp)  # model site index -> kernel row
+    row[order] = np.arange(m)
+    deg = max(1, max(len(nb) for nb in model.nn_index))
+    nbr = np.full((m, deg), m, dtype=np.intp)  # row m is the ghost that holds 0
+    for i, nb in enumerate(model.nn_index):
+        nbr[row[i], :len(nb)] = row[nb]
+    degree = [len(model.nn_index[i]) for i in order]
+    field = 2 * np.arange(deg + 1) - np.array(degree)[:, None]
+    field = field + model.boundary_field[order][:, None]
+    p_plus = 0.5 * (1.0 + np.tanh(model.beta * field))
+    q = np.round(p_plus * 2.0**24).astype(np.uint32).tolist()
+    # a row of degree d < deg whose reachable thresholds q[0..d] equal a
+    # full-degree row's q[o..o+d] takes that row's thresholds and points o
+    # spare slots at row m + 1, the ghost that holds plus: its count becomes
+    # c + o, and U < q_full[c + o] = q[c], so the spin is unchanged
+    full = list(dict.fromkeys(tuple(x) for x, d in zip(q, degree) if d == deg))
+    for r, d in enumerate(degree):
+        reach = tuple(q[r][:d + 1])
+        shifts = [(t, o) for t in full if d < deg
+                  for o in range(deg - d + 1) if t[o:o + d + 1] == reach]
+        if shifts:
+            target, o = shifts[0]
+            q[r] = list(target)
+            nbr[r, d:d + o] = m + 1
+    compare = np.greater_equal if model.beta >= 0 else np.less
+    n0 = int((free & (parity == 0)).sum())
+    classes = [(0, n0), (n0, int(free.sum()))]
+    # per class, (first row, end row, cuts) for each run of equal threshold
+    # rows.  A cut is q << 8 as a 0-d uint32 array, or None for q = 2^24,
+    # whose compare is constant.  A short run's compares are mostly call
+    # overhead: with 0-d arrays and `out` passed by position a call on one
+    # row of 1024 takes about 0.6 us instead of 1.0 us (2-core x86-64,
+    # numpy 2.4).
+    runs = []
+    for a, b in classes:
+        rows = q[a:b]
+        edges = [r for r in range(1, b - a) if rows[r] != rows[r - 1]]
+        runs.append([(r0, r1, [None if x == 2**24 else np.array(x << 8, dtype=np.uint32)
+                               for x in rows[r0]])
+                     for r0, r1 in zip([0] + edges, edges + [b - a]) if r1 > r0])
+    return _Plan(row, nbr, classes, runs, compare)
+
+
 def _heat_bath(model: GibbsModel, n_samples: int, sweeps: int, seed: int,
-               frozen: tuple[int, tuple[int, ...]] | None = None):
+               frozen: tuple[int, tuple[int, ...]] | None = None,
+               reduce: Callable[[list[np.ndarray]], object] = lambda legs: legs) -> Batch:
     """The heat-bath kernel for binary nearest-neighbor Gibbs models.
 
-    Returns an iterator of (lo, hi, legs), one per chunk of CHUNK replicas:
-    each leg is a site-major int8 array (n_sites, hi - lo) of symbol indices
+    Returns the `Batch` of chunk jobs, one per chunk of CHUNK replicas; each
+    job returns (lo, hi, reduce(legs)), reduced on the thread that ran it.
+    Each leg is a site-major int8 array (n_sites, hi - lo) of symbol indices
     after `sweeps` sweeps from the all-plus configuration, in the model's
     site order.  There is one leg, or with `frozen=(site, symbols)` one leg
     per entry of `symbols`: leg k starts with `site` set to symbols[k] and
     never updates it.  All legs of a chunk read the same uniforms, which for
     a ferromagnet is the monotone coupling: the update is increasing in the
     neighbor configuration, so the pointwise order of the legs persists.
+    The model is checked and the plan built here, at call time, before any
+    job runs or thread starts.
 
     Any finite site set works.  Nearest neighbors have opposite coordinate
     parity, so each parity class is resampled at once from its exact
-    single-site conditionals; missing neighbors point at a ghost row that
-    holds 0, so a leg's neighbor sum is its number c of plus neighbors.
+    single-site conditionals.  A row's neighbor slots beyond its degree
+    point at ghost rows: row m holds 0, so a leg's neighbor sum is its
+    number c of plus neighbors, and row m + 1 holds plus (see below).
 
     Uniforms are 24-bit integers U, the values of `random(dtype=float32)`
     times 2^24, so the stream is the float32 one bit for bit.  The
@@ -504,78 +616,53 @@ def _heat_bath(model: GibbsModel, n_samples: int, sweeps: int, seed: int,
     non-increasing; the kernel counts T = #{c : U < q[s, c]} =
     deg + 1 - #{c : U >= q[s, c]} and the spin is plus iff c < T.  One ufunc,
     `compare`, serves both counts and both comparisons.  Each leg then only
-    counts its plus neighbors and compares.
+    counts its plus neighbors and compares.  Either way the spin is plus iff
+    U < q[s, c]: only the row's entry at the leg's own count matters.
 
     The count reads the raw 32-bit halves H that U is taken from (`_halves`),
     U = H >> 8: for q < 2^24, U >= q iff H >= q 2^8, so no shift pass is
     needed.  A threshold q = 2^24 is a constant term of the count: U >= q
     never holds and U < q always does.  Within a class, rows in site order
-    fall into runs of equal threshold rows (on the committed rectangles: the
-    interior, then edges broken by corners, 5-6 runs per class), and each
-    run's compares take its thresholds as scalars, which numpy runs 2-3x
-    faster per element than a broadcast column.  The (deg + 1) compares
-    fill a bool buffer that one `np.add.reduce` sums into T.  A site set
-    whose rows rarely repeat makes one compare call per row and threshold.
+    fall into runs of equal threshold rows, and each run's compares take its
+    thresholds as scalars, which numpy runs 2-3x faster per element than a
+    broadcast column.  The (deg + 1) compares fill a bool buffer that one
+    `np.add.reduce` sums into T.  A site set whose rows rarely repeat makes
+    one compare call per row and threshold.
 
-    Chunks run in parallel on `ordered_map`'s pool of `os.cpu_count()`
-    threads when the larger parity class has at least `POOL_MIN_ROWS` rows;
-    numpy releases the interpreter lock in `random_raw` and the ufuncs,
-    where the time goes.  With fewer rows (8x8 has 32) every call is short,
-    the workers mostly trade the lock, and chunks run serially in the
-    calling thread.  Each chunk keeps its own generator, carry and buffers,
-    and chunks are yielded in order, so the output does not depend on the
-    thread count.  Working memory is up to one chunk per worker thread,
-    whatever n_samples is: at 16x16 one chunk peaks at about 3.1 MiB, of
-    which the (deg + 1, rows, CHUNK) compare buffer takes 0.63 MiB.  The
-    model is checked here, at call time, before any thread starts.
+    Edge and corner rows join the interior's run where their thresholds are
+    the interior's shifted.  A row s of degree d < deg whose reachable
+    thresholds q[s, 0..d] equal, bit for bit, a full-degree row's
+    q_full[o..o+d] points o spare slots at the plus ghost and takes q_full:
+    its count is c + o, the row q_full is monotone like every row, and
+    U < q_full[c + o] = q[s, c], so every leg is unchanged.  Under a plus
+    boundary an edge row is the interior's shifted by one and a corner by
+    two, under a minus boundary both equal it, so each class of a rectangle
+    is one run: deg + 1 compare calls per class and sweep.  Free and dict
+    boundaries and external fields keep the runs that do not merge.
+
+    Jobs run in parallel on `ordered_map`'s pool of `os.cpu_count()`
+    threads (`stream`) when the larger parity class has at least
+    `POOL_MIN_ROWS` rows; numpy releases the interpreter lock in
+    `random_raw` and the ufuncs, where the time goes.  With fewer rows (8x8
+    has 32) every call is short, the workers mostly trade the lock, and the
+    batch is not `pooled`.  Each job keeps its own generator, carry and
+    buffers, so the output does not depend on the thread count.  One job's
+    working memory at 16x16 peaks at about 3.1 MiB, of which the
+    (deg + 1, rows, CHUNK) compare buffer takes 0.63 MiB.
     """
-    if model.alphabet.size != 2 or model.nn_index is None:
-        raise ConfigError("heat-bath sampling needs a binary nearest-neighbor Gibbs model")
-    m = model.n_sites
     pinned, symbols = frozen if frozen is not None else (None, (None,))
-    parity = np.array([sum(s) & 1 for s in model.sites])
-    free = np.arange(m) != pinned
-    order = np.concatenate([np.flatnonzero(free & (parity == 0)),
-                            np.flatnonzero(free & (parity == 1)),
-                            np.flatnonzero(~free)])
-    row = np.empty(m, dtype=np.intp)  # model site index -> kernel row
-    row[order] = np.arange(m)
-    deg = max(1, max(len(nb) for nb in model.nn_index))
-    nbr = np.full((m, deg), m, dtype=np.intp)  # row m is the ghost
-    for i, nb in enumerate(model.nn_index):
-        nbr[row[i], :len(nb)] = row[nb]
-    n_plus = np.arange(deg + 1)
-    degree = np.array([len(nb) for nb in model.nn_index])[order]
-    field = (2 * n_plus - degree[:, None]) + model.boundary_field[order][:, None]
-    p_plus = 0.5 * (1.0 + np.tanh(model.beta * field))
-    q = np.round(p_plus * 2.0**24).astype(np.uint32)
-    compare = np.greater_equal if model.beta >= 0 else np.less
-    n0 = int((free & (parity == 0)).sum())
-    classes = [(0, n0), (n0, int(free.sum()))]
+    row, nbr, classes, runs, compare = _plan(model, pinned)
+    m, deg = nbr.shape
     nbr_cols = [[np.ascontiguousarray(nbr[a:b, j]) for j in range(deg)] for a, b in classes]
-    # per class, (first row, end row, cuts) for each run of equal threshold
-    # rows.  A cut is q << 8 as a 0-d uint32 array, or None for q = 2^24,
-    # whose compare is constant (`always`).  A short run's compares are
-    # mostly call overhead: with 0-d arrays and `out` passed by position a
-    # call on one row of 1024 takes about 0.6 us instead of 1.0 us (2-core
-    # x86-64, numpy 2.4).
-    runs = []
-    for a, b in classes:
-        rows = q[a:b].tolist()
-        edges = [r for r in range(1, b - a) if rows[r] != rows[r - 1]]
-        runs.append([(r0, r1, [None if x == 2**24 else np.array(x << 8, dtype=np.uint32)
-                               for x in rows[r0]])
-                     for r0, r1 in zip([0] + edges, edges + [b - a]) if r1 > r0])
     always = compare is np.less
     n_rows = max(b - a for a, b in classes)
 
-    def run(chunk) -> tuple[int, int, list[np.ndarray]]:
-        lo, hi, rng = chunk
+    def run(lo: int, hi: int, rng: np.random.Generator) -> tuple[int, int, object]:
         size = hi - lo
         legs = []
         for sym in symbols:
-            spins = np.ones((m + 1, size), dtype=np.int8)
-            spins[m] = 0  # the ghost row
+            spins = np.ones((m + 2, size), dtype=np.int8)
+            spins[m] = 0  # the ghost that holds 0; row m + 1 holds plus
             if pinned is not None:
                 spins[row[pinned]] = sym
             legs.append(spins)
@@ -605,10 +692,10 @@ def _heat_bath(model: GibbsModel, n_samples: int, sweeps: int, seed: int,
                     for j in cols[1:]:
                         count += spins[j]
                     compare(count, t, spins[a:b].view(bool))
-        return lo, hi, [spins[row] for spins in legs]
+        return lo, hi, reduce([spins[row] for spins in legs])
 
-    chunks = _chunks(n_samples, seed)
-    return map(run, chunks) if n_rows < POOL_MIN_ROWS else ordered_map(run, chunks)
+    jobs = (partial(run, *chunk) for chunk in _chunks(n_samples, seed))
+    return Batch(jobs, n_rows >= POOL_MIN_ROWS)
 
 
 def _inverse_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -616,10 +703,13 @@ def _inverse_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     return (u[..., None] >= cdf[..., :-1]).sum(axis=-1)
 
 
-def _exact_draws(model: ProductModel | MarkovChainModel, n_samples: int, seed: int):
-    """(lo, hi, [ids]) chunks of exact draws; ids is site-major like a leg."""
+def _exact_draws(model: ProductModel | MarkovChainModel, n_samples: int, seed: int,
+                 reduce: Callable[[list[np.ndarray]], object]) -> Batch:
+    """Chunk jobs of exact draws, run serially; each returns
+    (lo, hi, reduce([ids])), where ids is site-major like a leg."""
     m = model.n_sites
-    for lo, hi, rng in _chunks(n_samples, seed):
+
+    def run(lo: int, hi: int, rng: np.random.Generator) -> tuple[int, int, object]:
         u = rng.random((hi - lo, m))
         if isinstance(model, ProductModel):
             ids = _inverse_cdf(np.cumsum(model.marginals, axis=1), u)
@@ -629,7 +719,27 @@ def _exact_draws(model: ProductModel | MarkovChainModel, n_samples: int, seed: i
             ids[:, 0] = _inverse_cdf(np.cumsum(model.initial), u[:, 0])
             for i in range(1, m):
                 ids[:, i] = _inverse_cdf(step[ids[:, i - 1]], u[:, i])
-        yield lo, hi, [ids.T]
+        return lo, hi, reduce([ids.T])
+
+    return Batch((partial(run, *chunk) for chunk in _chunks(n_samples, seed)), False)
+
+
+def observable_batch(model: GibbsModel, g: LocalFunction, n_samples: int, sweeps: int,
+                     seed: int) -> Batch:
+    """The chunk jobs of `glauber_batch`: each returns (lo, hi, g's values on
+    replicas lo..hi-1), with `g.fn` applied on the thread that ran the job.
+    A model the kernel cannot run is a ConfigError, raised here."""
+    values = np.asarray(model.alphabet.values)
+    cols = [model.sites.index(tuple(s)) for s in g.sites]
+
+    def on_g(legs: list[np.ndarray]) -> np.ndarray:
+        # gathered through a C-contiguous index, the values come out
+        # C-contiguous: one float64 array per chunk, not two
+        return g.fn(values[np.ascontiguousarray(legs[0][cols].T)])
+
+    if isinstance(model, (ProductModel, MarkovChainModel)):
+        return _exact_draws(model, n_samples, seed, on_g)
+    return _heat_bath(model, n_samples, sweeps, seed, reduce=on_g)
 
 
 def glauber_batch(model: GibbsModel, g: LocalFunction, n_samples: int, sweeps: int,
@@ -639,20 +749,16 @@ def glauber_batch(model: GibbsModel, g: LocalFunction, n_samples: int, sweeps: i
     Product models are drawn exactly site by site and Markov chains exactly
     by ancestral sampling (`sweeps` does not enter); every other model goes
     to the heat-bath kernel `_heat_bath`, whose chains start all-plus.  A
-    model the kernel cannot run is a ConfigError.
-    `g.fn` sees one chunk at a time, in the calling thread, as C-contiguous
-    rows of the values at `g.sites`, so working memory is up to one
-    heat-bath chunk per worker thread plus the n_samples values returned.
+    model the kernel cannot run is a ConfigError.  The batch runs on its
+    own `stream`; `observable_batch` gives its jobs, for a stream shared
+    with other batches.  `g.fn` sees one chunk at a time as C-contiguous
+    rows of the values at `g.sites`, on whichever thread ran the chunk, so
+    it must be thread-safe.  Working memory is up to one heat-bath chunk
+    per job in flight plus the n_samples values returned.
     """
-    if isinstance(model, (ProductModel, MarkovChainModel)):
-        chunks = _exact_draws(model, n_samples, seed)
-    else:
-        chunks = _heat_bath(model, n_samples, sweeps, seed)
-    values = np.asarray(model.alphabet.values)
-    cols = [model.sites.index(tuple(s)) for s in g.sites]
     out = np.empty(n_samples)
-    for lo, hi, legs in chunks:
-        out[lo:hi] = g.fn(np.ascontiguousarray(values[legs[0][cols].T]))
+    for _, lo, hi, vals in stream([observable_batch(model, g, n_samples, sweeps, seed)]):
+        out[lo:hi] = vals
     return out
 
 
@@ -665,7 +771,7 @@ def glauber_block_batch(model: GibbsModel, n_samples: int, sweeps: int,
     and its precision.
     """
     out = np.empty((model.n_sites, n_samples), dtype=np.int8)
-    for lo, hi, legs in _heat_bath(model, n_samples, sweeps, seed):
+    for _, lo, hi, legs in stream([_heat_bath(model, n_samples, sweeps, seed)]):
         out[:, lo:hi] = legs[0]
     return out
 

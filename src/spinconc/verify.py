@@ -8,7 +8,7 @@ high-temperature run checks the exponential bound with an exactly computed
 decay constant, a low-temperature run measures the disagreement and path
 profiles and checks a stretched exponential fitted and judged on held-out
 splits.  The path statistic, like the magnetization, is an observable
-that `models.glauber_batch` reads chunk by chunk, 8 bytes per replica.
+that the samplers reduce chunk by chunk, 8 bytes per replica.
 
 Every Monte Carlo verdict uses the conservative end of a 99% confidence
 interval; exact-path results never touch a random number generator.
@@ -336,49 +336,70 @@ def _mean_batch(vals: np.ndarray) -> tuple[float, float]:
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(len(vals)))
 
 
-def _tail_estimates(dev: np.ndarray, t_grid, se_mean: float) -> list[TailEstimate]:
-    """Tail points of one batch's deviations |g - mean|: each t counts
-    dev >= max(t - 3 se_mean, 0), with a 99% binomial interval."""
+def _tail_points(t_grid, se_mean: float) -> list[tuple[float, float]]:
+    """(t, t_eff) for each t in `t_grid`: t_eff = max(t - 3 se_mean, 0), the
+    level a deviation must reach to count at t."""
+    return [(float(t), max(float(t) - 3.0 * se_mean, 0.0))
+            for t in np.asarray(t_grid, dtype=float)]
+
+
+def _tail_counts(dev: np.ndarray, points) -> np.ndarray:
+    """How many of the deviations `dev` reach each point's t_eff: int64,
+    so a batch counted chunk by chunk sums to its whole count."""
+    return np.array([(dev >= t_eff).sum() for _, t_eff in points], dtype=np.int64)
+
+
+def _tail_estimates(points, counts: np.ndarray, n: int) -> list[TailEstimate]:
+    """Tail points of a batch of n deviations |g - mean| from their counts
+    at each (t, t_eff) of `points`, with a 99% binomial interval."""
     out = []
-    for t in np.asarray(t_grid, dtype=float):
-        t_eff = max(float(t) - 3.0 * se_mean, 0.0)
-        k = int((dev >= t_eff).sum())
-        lo, hi = binomial_ci99(k, len(dev))
-        out.append(TailEstimate(float(t), t_eff, k / len(dev), len(dev), lo, hi))
+    for (t, t_eff), k in zip(points, counts.tolist()):
+        lo, hi = binomial_ci99(k, n)
+        out.append(TailEstimate(t, t_eff, k / n, n, lo, hi))
     return out
 
 
-def _deviations(model: GibbsModel, g: LocalFunction, n: int, sweeps: int, seed: int,
-                m_hat: float) -> np.ndarray:
-    """|g - m_hat| on n replicas from `models.glauber_batch`, centred in
-    place, so the batch holds 8 bytes per replica."""
-    dev = models.glauber_batch(model, g, n, sweeps, seed)
-    dev -= m_hat
-    return np.abs(dev, out=dev)
+def _deviate(vals: np.ndarray, m_hat: float) -> np.ndarray:
+    """|g - m_hat| on sampled values of g, in place."""
+    vals -= m_hat
+    return np.abs(vals, out=vals)
 
 
 def empirical_tail(model: GibbsModel, g: LocalFunction, t_grid, n_samples: int,
                    sweeps: int, seed: int) -> list[TailEstimate]:
     """Replicated tail estimates at each t in `t_grid`.
 
-    Replicas come from `models.glauber_batch`: exact draws for product and
-    Markov models, independent heat-bath chains from all-plus for Gibbs
-    models, reduced to g chunk by chunk, so working memory is up to one
-    chunk per worker thread plus 8 bytes per replica.  The mean batch
+    Replicas come from `models.observable_batch`: exact draws for product
+    and Markov models, independent heat-bath chains from all-plus for Gibbs
+    models, reduced to g chunk by chunk.  The mean batch
     (`_mean_size(n_samples)` replicas) and the main batch each get their own
-    seed, both drawn from `seed`.  An empty `t_grid`, or an entry that is
-    negative or NaN, is a ConfigError, and more than `models.MAX_REPLICAS`
-    replicas a CapacityError, before the first sample.
+    seed, both drawn from `seed`, and run on one `models.stream`, mean
+    batch first.  The mean batch is reduced to (m_hat, se) once its last
+    chunk lands, and the main batch is counted chunk by chunk, so working
+    memory is up to one chunk per job in flight plus 8 bytes per replica of
+    the mean batch.  An empty `t_grid`, or an entry that is negative or
+    NaN, is a ConfigError, and more than `models.MAX_REPLICAS` replicas a
+    CapacityError, before the first sample.
     """
     _check_batch(n_samples, sweeps)
     if len(t_grid) == 0 or not all(t >= 0.0 for t in t_grid):
         raise ConfigError("t_grid must be a nonempty list of values >= 0")
     rng = np.random.default_rng(seed)
     seed_mean, seed_main = (int(s) for s in rng.integers(2 ** 63, size=2))
-    m_hat, se_mean = _mean_batch(models.glauber_batch(
-        model, g, _mean_size(n_samples), sweeps, seed_mean))
-    return _tail_estimates(_deviations(model, g, n_samples, sweeps, seed_main, m_hat),
-                           t_grid, se_mean)
+    n_mean = _mean_size(n_samples)
+    mean_vals = np.empty(n_mean)
+    batches = [models.observable_batch(model, g, n_mean, sweeps, seed_mean),
+               models.observable_batch(model, g, n_samples, sweeps, seed_main)]
+    for k, lo, hi, vals in models.stream(batches):
+        if k == 0:
+            mean_vals[lo:hi] = vals
+            if hi == n_mean:
+                m_hat, se_mean = _mean_batch(mean_vals)
+                points = _tail_points(t_grid, se_mean)
+                counts = np.zeros(len(points), dtype=np.int64)
+        else:
+            counts += _tail_counts(_deviate(vals, m_hat), points)
+    return _tail_estimates(points, counts, n_samples)
 
 
 def _mc_tail_row(model: str, function: str, label: str, params: dict,
@@ -639,11 +660,14 @@ def _loglinear_fit(x: np.ndarray, y: np.ndarray):
 def lowtemp_experiment(config: LowtempConfig) -> tuple[np.ndarray, np.ndarray, BoundReport]:
     """Decay and tail study in the ordered phase; all estimates labeled mc.
 
-    Three independent sample streams: a synchronized pair chain for the
-    disagreement field, equilibrium replicas of the path-magnetization
-    statistic (`ell_observable`, read through `glauber_batch` like the
-    magnetization), and two equal tail splits (fit on A, verdict on B) plus
-    a mean batch.  Returns `(ell_tail, psi_hat, report)`: the profile
+    Five independently seeded batches run on one `models.stream`, in this
+    order: a synchronized pair chain for the disagreement field (reduced
+    chunk by chunk to leg sums), equilibrium replicas of the
+    path-magnetization statistic (`ell_observable`, an observable like the
+    magnetization), a mean batch, and two equal tail splits (fit on A,
+    verdict on B).  The mean batch is reduced to (m_hat, se) once its last
+    chunk lands and split B is counted chunk by chunk; split A is held.
+    Returns `(ell_tail, psi_hat, report)`: the profile
     `ell_tail[j-1]` = P(ell >= j) for j = 1..rows + cols and `psi_hat[j-1]`,
     the largest disagreement at distance j from the pinned site.  It feeds
     the `profile_*` assemblies as measured; no curve is fitted to it.  A
@@ -672,9 +696,42 @@ def lowtemp_experiment(config: LowtempConfig) -> tuple[np.ndarray, np.ndarray, B
         "delta_l2": dv.l2,
     })
 
+    # --- the five batches, on one stream -----------------------------------
+    # chunks land in batch order, so the mean batch is reduced and split A
+    # is complete when split B's first chunk lands; split B is counted as it
+    # lands, and split A, which the Orlicz rows read below, is the one
+    # split held
+    n_mean = _mean_size(config.n_tail)
+    ell_g = ell_observable(model.sites, config.rows, config.cols, THETA)
+    batches = [
+        coupling.pair_batch(model, config.n_pair, config.sweeps, seed_pair),
+        models.observable_batch(model, ell_g, config.n_ell, config.sweeps, seed_ell),
+        models.observable_batch(model, g, n_mean, config.sweeps, seed_mean),
+        models.observable_batch(model, g, n_split, config.sweeps, seed_a),
+        models.observable_batch(model, g, n_split, config.sweeps, seed_b)]
+    pair_totals = np.zeros(2 * model.n_sites + 1, dtype=np.int64)
+    ells, mean_vals, dev_a = np.empty(config.n_ell), np.empty(n_mean), np.empty(n_split)
+    for k, lo, hi, part in models.stream(batches):
+        if k == 0:
+            pair_totals += part
+        elif k == 1:
+            ells[lo:hi] = part
+        elif k == 2:
+            mean_vals[lo:hi] = part
+            if hi == n_mean:
+                m_hat, se_mean = _mean_batch(mean_vals)
+                mean_vals = None
+        elif k == 3:
+            dev_a[lo:hi] = _deviate(part, m_hat)
+            if hi == n_split:
+                t_grid = np.quantile(dev_a, config.quantiles)
+                points = _tail_points(t_grid, se_mean)
+                counts_b = np.zeros(len(points), dtype=np.int64)
+        else:
+            counts_b += _tail_counts(_deviate(part, m_hat), points)
+    pair = coupling.pair_result(model, config.n_pair, config.sweeps, pair_totals)
+
     # --- disagreement field from the synchronized pair chain ---------------
-    pair = coupling.coupled_glauber_disagreement(model, config.n_pair, config.sweeps,
-                                                 seed_pair)
     dists = np.array([l1_distance(model.sites[0], y) for y in model.sites])
     report.meta["monotone_violations"] = pair.monotone_violations
 
@@ -698,25 +755,15 @@ def lowtemp_experiment(config: LowtempConfig) -> tuple[np.ndarray, np.ndarray, B
         psi_hat[j - 1] = float(on_shell.max()) if on_shell.size else 0.0
 
     # --- path-magnetization statistic ---------------------------------------
-    ells = models.glauber_batch(
-        model, ell_observable(model.sites, config.rows, config.cols, THETA),
-        config.n_ell, config.sweeps, seed_ell)
     j_cap = config.rows + config.cols  # geometric bound on the statistic
     # ell <= j_cap and psi_hat holds every distance, so nothing is truncated
     ell_tail = np.array([(ells >= j).mean() for j in range(1, j_cap + 1)])
 
     # --- held-out stretched-exponential tail bound -------------------------
-    m_hat, se_mean = _mean_batch(models.glauber_batch(
-        model, g, _mean_size(config.n_tail), config.sweeps, seed_mean))
-    # split B lives only while it is counted: split A, which the Orlicz rows
-    # read below, is the one split held
-    dev_a = _deviations(model, g, n_split, config.sweeps, seed_a, m_hat)
-    t_grid = np.quantile(dev_a, config.quantiles)
     report.meta["t_grid"] = [float(t) for t in t_grid]
     report.meta["mean_se"] = se_mean
-    tails_a = _tail_estimates(dev_a, t_grid, se_mean)
-    tails_b = _tail_estimates(_deviations(model, g, n_split, config.sweeps, seed_b, m_hat),
-                              t_grid, se_mean)
+    tails_a = _tail_estimates(points, _tail_counts(dev_a, points), n_split)
+    tails_b = _tail_estimates(points, counts_b, n_split)
 
     fit_pts = [e for e in tails_a if 0.0 < e.estimate < 1.0 and e.t > 0.0]
     if fit_pts:

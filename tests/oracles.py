@@ -317,14 +317,16 @@ def reference_moment_row(past_mass, value, p):
     return (past_mass @ value ** p) ** (1.0 / p)
 
 
-def reference_heat_bath(model, n_samples, sweeps, seed, frozen=None):
+def reference_heat_bath(model, n_samples, sweeps, seed, frozen=None, chunk=1024):
     """Float32 heat bath with a gathered p_+ table, leg by leg, from all-plus.
 
     Returns one site-major int8 array (n_legs, n_sites, n_samples) of symbol
-    indices.  Same chunks, seeds and site classes as the package kernel;
-    each class update draws `random(dtype=float32)` and sets
-    the spin to [u < p_+(site, plus neighbors)] read from a float32 table on
-    the 2^-24 grid.  The package kernel must match it bit for bit.
+    indices.  Same chunks of `chunk` replicas (the package's CHUNK), seeds
+    and site classes as the package kernel; missing neighbors count 0, and
+    every site reads its own threshold row.  Each class update draws
+    `random(dtype=float32)` and sets the spin to [u < p_+(site, plus
+    neighbors)] read from a float32 table on the 2^-24 grid.  The package
+    kernel must match it bit for bit.
     """
     m = model.n_sites
     pinned, symbols = frozen if frozen is not None else (None, (None,))
@@ -347,9 +349,9 @@ def reference_heat_bath(model, n_samples, sweeps, seed, frozen=None):
     n0 = int((free & (parity == 0)).sum())
     classes = [(0, n0), (n0, int(free.sum()))]
     out = np.empty((len(symbols), m, n_samples), dtype=np.int8)
-    children = np.random.SeedSequence(seed).spawn(-(-n_samples // 1024))
+    children = np.random.SeedSequence(seed).spawn(-(-n_samples // chunk))
     for j, child in enumerate(children):
-        lo, hi = j * 1024, min(j * 1024 + 1024, n_samples)
+        lo, hi = j * chunk, min(j * chunk + chunk, n_samples)
         rng = np.random.default_rng(child)
         size = hi - lo
         legs = []

@@ -163,8 +163,9 @@ def test_malformed_config_is_exit_2(tmp_path, capsys, monkeypatch, command, cfg)
         raise AssertionError("a malformed config reached a sampler or a joint")
 
     for module, name in ((models, "glauber_batch"), (models, "glauber_block_batch"),
-                         (coupling, "coupled_glauber_disagreement"),
-                         (coupling, "kr_optimal_coupling"), (models, "exact_joint")):
+                         (coupling, "coupled_glauber_disagreement"), (models, "_heat_bath"),
+                         (coupling, "_heat_bath"), (coupling, "kr_optimal_coupling"),
+                         (models, "exact_joint")):
         monkeypatch.setattr(module, name, no_sampling)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
@@ -199,8 +200,8 @@ def test_retired_config_key_is_exit_2(tmp_path, capsys, monkeypatch, command, ke
         raise AssertionError("a config with a retired key reached a sampler or a joint")
 
     for module, name in ((models, "glauber_batch"), (models, "exact_joint"),
-                         (coupling, "coupled_glauber_disagreement"),
-                         (coupling, "kr_optimal_coupling")):
+                         (coupling, "coupled_glauber_disagreement"), (models, "_heat_bath"),
+                         (coupling, "_heat_bath"), (coupling, "kr_optimal_coupling")):
         monkeypatch.setattr(module, name, no_sampling)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"seed": 1, key: value}))

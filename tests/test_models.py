@@ -43,8 +43,12 @@ from spinconc.models import (
     ising_rect,
     ising_segment,
     model_from_config,
+    observable_batch,
+    ordered_map,
+    stream,
     _heat_bath,
     _halves,
+    _plan,
 )
 from spinconc.verify import battery_models, ell_observable, empirical_tail
 
@@ -351,9 +355,9 @@ def test_uniforms24_continue_the_float32_stream():
 
 
 def _kernel_legs(model, n, sweeps, seed, frozen):
-    chunks = list(_heat_bath(model, n, sweeps, seed, frozen))
-    return np.stack([np.concatenate([legs[k] for _, _, legs in chunks], axis=1)
-                     for k in range(len(chunks[0][2]))])
+    parts = [legs for *_, legs in stream([_heat_bath(model, n, sweeps, seed, frozen)])]
+    return np.stack([np.concatenate([legs[k] for legs in parts], axis=1)
+                     for k in range(len(parts[0]))])
 
 
 # a mixed boundary: minus on the left, plus on part of the top and bottom,
@@ -368,10 +372,14 @@ MIXED_BOUNDARY = {**{(-3, y): "-" for y in range(-2, 4)},
 # at beta = +-9 thresholds reach 0 and 2^24, the constant terms of the count
 @pytest.mark.parametrize("beta", [0.0, 0.1, 1.0, -0.4, 9.0, -9.0])
 @pytest.mark.parametrize("model_of", [lambda b: ising_rect(5, 3, b, "plus"),
+                                      lambda b: ising_rect(4, 5, b, "minus"),
+                                      lambda b: ising_rect(5, 4, b, "free"),
+                                      lambda b: ising_rect(4, 4, b, "plus", 0.3),
                                       lambda b: ising_model(L_SHAPE, b, "free"),
                                       lambda b: ising_segment(9, b, "minus"),
                                       lambda b: ising_rect(6, 5, b, MIXED_BOUNDARY, 0.5)],
-                         ids=["rectangle", "L-shape", "segment", "mixed-rectangle"])
+                         ids=["rectangle", "minus-rectangle", "free-rectangle", "field-rectangle",
+                              "L-shape", "segment", "mixed-rectangle"])
 def test_heat_bath_matches_float32_reference_bit_for_bit(model_of, beta, monkeypatch):
     model = model_of(beta)
     # every volume here is below the pool's threshold; pooled, four chunks
@@ -390,18 +398,109 @@ def test_heat_bath_matches_float32_reference_bit_for_bit(model_of, beta, monkeyp
             assert np.array_equal(got, want), (frozen, n)
 
 
-def test_heat_bath_closed_early_joins_its_threads(monkeypatch):
+# plus, minus, free, dict and h = 0.3 boundaries, beta < 0, a segment and
+# the pinned pair, at chunk sizes that leave every chunk and class an odd
+# number of halves
+@pytest.mark.parametrize("chunk", [333, 1001])
+@pytest.mark.parametrize("model", [ising_rect(6, 5, 1.0, "plus"), ising_rect(6, 5, 1.0, "minus"),
+                                   ising_rect(5, 4, 0.7, "free"),
+                                   ising_rect(6, 5, 0.6, MIXED_BOUNDARY, 0.3),
+                                   ising_rect(4, 5, 1.0, "plus", 0.3),
+                                   ising_rect(5, 5, -0.4, "plus"), ising_segment(7, 0.8, "plus")],
+                         ids=lambda m: m.name)
+def test_heat_bath_at_odd_chunk_sizes_matches_the_reference(model, chunk, monkeypatch):
+    monkeypatch.setattr(models, "CHUNK", chunk)
     monkeypatch.setattr(models, "POOL_MIN_ROWS", 0)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    for frozen in (None, (0, (1, 0))):
+        got = _kernel_legs(model, 2500, 3, chunk, frozen)
+        want = reference_heat_bath(model, 2500, 3, chunk, frozen, chunk=chunk)
+        assert np.array_equal(got, want), frozen
+
+
+@pytest.mark.parametrize("side", [8, 16])
+@pytest.mark.parametrize("boundary", ["plus", "minus"])
+def test_plus_and_minus_plans_have_one_threshold_run_per_class(side, boundary):
+    # every edge and corner row joins the interior's run, so a class step
+    # makes deg + 1 = 5 compare calls, pinned pair or not
+    model = ising_rect(side, side, 1.0, boundary)
+    for pinned in (None, 0):
+        assert [len(runs) for runs in _plan(model, pinned).runs] == [1, 1]
+    # a free boundary's edges keep their own runs
+    assert all(len(runs) > 1 for runs in _plan(ising_rect(side, side, 1.0, "free"), None).runs)
+
+
+def test_a_row_shifted_by_one_more_ghost_fails_the_reference(monkeypatch):
+    # a free corner's thresholds are the interior's shifted by one, so it
+    # takes one plus-ghost slot and keeps one 0-ghost slot; pointing that
+    # slot at the plus ghost too adds 1 to its count, which the reference
+    # must catch
+    model = ising_rect(5, 4, 1.0, "free")
+    plan = _plan(model, None)
+    m = model.n_sites
+    shifted = [r for r in range(m) if {m, m + 1} <= set(plan.nbr[r].tolist())]
+    assert shifted
+    nbr = plan.nbr.copy()
+    r = shifted[0]
+    nbr[r, nbr[r].tolist().index(m)] = m + 1
+    monkeypatch.setattr(models, "_plan", lambda *args: plan._replace(nbr=nbr))
+    got = _kernel_legs(model, 700, 3, 5, None)
+    assert not np.array_equal(got, reference_heat_bath(model, 700, 3, 5))
+
+
+def test_stream_closed_early_cancels_its_jobs_and_joins_its_threads(monkeypatch):
+    # two batches on one stream: closing it after the first chunk cancels
+    # the queued jobs of both and joins every worker
+    monkeypatch.setattr(models, "POOL_MIN_ROWS", 0)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    ran = []
+
+    def record(legs):
+        ran.append(legs)
+        return None
+
     before = threading.active_count()
-    chunks = _heat_bath(ising_rect(5, 3, 1.0, "plus"), 6 * CHUNK, 3, seed=1)
-    lo, hi, _ = next(chunks)
-    assert (lo, hi) == (0, CHUNK)
+    chunks = stream([_heat_bath(ising_rect(5, 3, 1.0, "plus"), 3 * CHUNK, 3, 1, reduce=record),
+                     _heat_bath(ising_rect(4, 4, 0.5, "minus"), 3 * CHUNK, 3, 2, reduce=record)])
+    assert next(chunks)[:3] == (0, 0, CHUNK)
     closer = threading.Thread(target=chunks.close)
     closer.start()
     closer.join(timeout=30)
     assert not closer.is_alive()
     assert threading.active_count() == before
+    # the first chunk, and at most the workers + 1 jobs in flight beyond it
+    assert len(ran) <= 1 + 3 < 6
+
+
+def test_a_bad_model_in_any_batch_raises_before_a_thread_starts(monkeypatch):
+    # a Gibbs model given by its terms alone has no neighbor tables
+    monkeypatch.setattr(models, "POOL_MIN_ROWS", 0)
+    generic = GibbsModel(segment_sites(2), [((0, 1), np.eye(2))], beta=0.5)
+    good = ising_rect(5, 3, 1.0, "plus")
+    g = magnetization(good.sites)
+    before = threading.active_count()
+    with pytest.raises(ConfigError):
+        stream([observable_batch(good, g, 3 * CHUNK, 3, 1),
+                observable_batch(generic, magnetization(generic.sites), 10, 3, 2)])
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("cores", [1, 2, 4])
+def test_ordered_map_reads_at_most_workers_plus_one_items_ahead(cores, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    read = []
+
+    def items():
+        for i in range(12):
+            read.append(i)
+            yield i
+
+    ahead = 0 if cores == 1 else cores + 1
+    results = ordered_map(lambda i: i * i, items())
+    assert read == []  # nothing is read before the first result is asked for
+    for j, value in enumerate(results):
+        assert value == j * j
+        assert len(read) == min(12, j + 1 + ahead)
 
 
 @pytest.mark.parametrize("side, pooled", [(8, False), (16, True)])
@@ -444,13 +543,14 @@ def test_importing_spinconc_leaves_openblas_on_one_thread():
 
 
 def test_sampler_working_memory_is_one_chunk_per_worker():
-    # a tail batch keeps up to one chunk of replicas per worker thread and 8
-    # bytes per replica: the peak may grow by at most 16 bytes for each
-    # replica added.  The chunks' fixed memory grows with the volume and,
-    # on 16x16, still sets the peak at 3.2e5 replicas; on 4x4 the
-    # per-replica arrays set it from 8e4 up, so a regression of 16 bytes
-    # per replica shows.  The path statistic is read the same way, chunk by
-    # chunk, so it meets the same bound.
+    # a tail batch keeps up to one chunk of replicas per job in flight and
+    # the mean batch's 8 bytes per replica of 0.2 n_samples, and counts the
+    # main batch chunk by chunk: about 2.3 bytes per replica on 4x4.  The
+    # peak may grow by at most 16 bytes for each replica added.  The chunks'
+    # fixed memory grows with the volume and, on 16x16, still sets the peak
+    # at 3.2e5 replicas; on 4x4 the per-replica arrays set it from 8e4 up,
+    # so a regression of 16 bytes per replica shows.  The path statistic is
+    # read the same way, chunk by chunk, so it meets the same bound.
     model = ising_rect(4, 4, 1.0)
     sizes = (80_000, 320_000)
     for g in (magnetization(model.sites), ell_observable(model.sites, 4, 4, 0.9)):

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinconc import coupling, models, verify
+from spinconc import bounds, coupling, models, verify
 from spinconc.bounds import martingale_decomposition
 from spinconc.errors import ConfigError
 from spinconc.fields import delta_vector, magnetization, total_spin
@@ -18,6 +19,7 @@ from spinconc.models import (CHUNK, exact_joint, glauber_batch, glauber_block_ba
 from spinconc.verify import (
     HightempConfig,
     LowtempConfig,
+    TailEstimate,
     _config_from_dict,
     backbone_check,
     battery_functions,
@@ -534,11 +536,12 @@ def test_lowtemp_fit_rows_are_annotated(lowtemp_small):
 
 
 def test_lowtemp_working_memory_per_tail_replica():
-    # lowtemp holds split A (0.4 n_tail float64, centred in place) and counts
-    # split B as it is drawn; the Luxembourg norm adds two arrays of split
-    # A's size: |z| and one buffer for z / lambda and phi in place on it.
-    # That is about 8.7 bytes per replica of n_tail on 4x4, where the
-    # chunks' fixed memory does not set the peak
+    # lowtemp holds split A (0.4 n_tail float64, centred as it lands) and
+    # the mean batch (0.2 n_tail) until its last chunk, and counts split B
+    # chunk by chunk; the Luxembourg norm adds two arrays of split A's size:
+    # |z| and one buffer for z / lambda and phi in place on it.  That is
+    # about 8.8 bytes per replica of n_tail on 4x4, where the chunks' fixed
+    # memory does not set the peak
     counts = dict(seed=3, rows=4, cols=4, n_pair=1000, n_ell=1000, sweeps=5)
     sizes = (50_000, 200_000)
     peaks = []
@@ -550,6 +553,105 @@ def test_lowtemp_working_memory_per_tail_replica():
         finally:
             tracemalloc.stop()
     assert peaks[1] - peaks[0] <= 10 * (sizes[1] - sizes[0])
+
+
+_STREAM = models.stream
+
+
+def _one_batch_at_a_time(batches):
+    """`models.stream`, with each batch drained on a stream of its own
+    before the next one starts."""
+    for k, batch in enumerate(batches):
+        for _, lo, hi, part in list(_STREAM([batch])):
+            yield k, lo, hi, part
+
+
+def _lowtemp_draws(cfg):
+    """lowtemp's five batches, drawn one at a time by the public samplers
+    with the seeds lowtemp draws: the pair chain's result, the ell values,
+    the mean batch and the deviations of splits A and B."""
+    model = ising_rect(cfg.rows, cfg.cols, cfg.beta, cfg.boundary)
+    g = magnetization(model.sites, normalized=True)
+    seed_pair, seed_mean, seed_a, seed_b, seed_ell = (
+        int(s) for s in np.random.default_rng(cfg.seed).integers(2 ** 63, size=5))
+    n_mean = max(1000, cfg.n_tail // 5)
+    n_split = (cfg.n_tail - n_mean) // 2
+    pair = coupling.coupled_glauber_disagreement(model, cfg.n_pair, cfg.sweeps, seed_pair)
+    ells = glauber_batch(model, ell_observable(model.sites, cfg.rows, cfg.cols, 0.9),
+                         cfg.n_ell, cfg.sweeps, seed_ell)
+    mean = glauber_batch(model, g, n_mean, cfg.sweeps, seed_mean)
+    dev_a, dev_b = (np.abs(glauber_batch(model, g, n_split, cfg.sweeps, s) - mean.mean())
+                    for s in (seed_a, seed_b))
+    return model, pair, ells, mean, dev_a, dev_b
+
+
+# 8x8 at beta = 1: 2500 pair replicas, 1500 ell replicas, a mean batch of
+# 1200 and splits of 2400 each end in a partial chunk
+LOWTEMP_8X8 = LowtempConfig(seed=5, rows=8, cols=8, n_pair=2500, n_tail=6000, n_ell=1500,
+                            sweeps=20)
+
+
+def test_lowtemp_on_one_stream_equals_one_batch_at_a_time(monkeypatch):
+    monkeypatch.setattr(models, "POOL_MIN_ROWS", 0)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    ell_tail, psi_hat, report = lowtemp_experiment(LOWTEMP_8X8)
+    monkeypatch.setattr(models, "stream", _one_batch_at_a_time)
+    alone = lowtemp_experiment(LOWTEMP_8X8)
+    assert report.to_json() == alone[2].to_json()
+    assert report.to_csv() == alone[2].to_csv()
+    assert ell_tail.tobytes() == alone[0].tobytes()
+    assert psi_hat.tobytes() == alone[1].tobytes()
+
+    # each quantity read from the samples is the one-batch samplers' value
+    model, pair, ells, mean, dev_a, dev_b = _lowtemp_draws(LOWTEMP_8X8)
+    assert report.meta["monotone_violations"] == pair.monotone_violations
+    assert report.meta["mean_se"] == float(mean.std(ddof=1) / math.sqrt(len(mean)))
+    assert report.meta["t_grid"] == np.quantile(dev_a, LOWTEMP_8X8.quantiles).tolist()
+    assert ell_tail.tolist() == [(ells >= j).mean() for j in range(1, 17)]
+    dists = np.array([abs(x) + abs(y) for x, y in model.sites])
+    assert psi_hat.tolist() == [pair.disagree[dists == j].max()
+                                for j in range(1, dists.max() + 1)]
+    held = [r for r in report.rows if r.bound == "tail_stretched_heldout"]
+    assert len(held) == len(LOWTEMP_8X8.quantiles)
+    for r in held:
+        assert r.observed == int((dev_b >= r.params["t_effective"]).sum()) / len(dev_b)
+    for rho in (0.25, 0.5):
+        row = next(r for r in report.rows if r.bound == f"orlicz_norm_rho{rho:g}")
+        assert row.theoretical == bounds.luxembourg_norm(dev_a, rho=rho)
+
+
+@pytest.mark.parametrize("model", [ising_rect(8, 8, 1.0), iid_spins(6, 0.3)],
+                         ids=lambda m: m.name)
+def test_empirical_tail_on_one_stream_equals_one_batch_at_a_time(model, monkeypatch):
+    monkeypatch.setattr(models, "POOL_MIN_ROWS", 0)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    g = magnetization(model.sites)
+    t_grid = [0.0, 0.05, 0.2, 0.5]
+    got = empirical_tail(model, g, t_grid, 2500, 20, seed=9)
+    # the parent path: the mean batch, then the main batch, each drawn by
+    # its own glauber_batch call and the main batch counted whole
+    seed_mean, seed_main = (int(s) for s in np.random.default_rng(9).integers(2 ** 63, size=2))
+    mean = glauber_batch(model, g, 1000, 20, seed_mean)
+    se = float(mean.std(ddof=1) / math.sqrt(len(mean)))
+    dev = np.abs(glauber_batch(model, g, 2500, 20, seed_main) - float(mean.mean()))
+    want = []
+    for t in t_grid:
+        t_eff = max(t - 3.0 * se, 0.0)
+        k = int((dev >= t_eff).sum())
+        want.append(TailEstimate(t, t_eff, k / 2500, 2500, *binomial_ci99(k, 2500)))
+    assert got == want
+
+
+def test_lowtemp_refuses_an_antiferromagnet_before_any_stream(monkeypatch):
+    # the pair chain's check runs while the batches are built
+    def no_stream(batches):
+        raise AssertionError("a stream started")
+
+    monkeypatch.setattr(models, "stream", no_stream)
+    before = threading.active_count()
+    with pytest.raises(ConfigError):
+        lowtemp_experiment(dataclasses.replace(LOWTEMP_8X8, beta=-0.3))
+    assert threading.active_count() == before
 
 
 def test_lowtemp_rejects_tiny_splits():
