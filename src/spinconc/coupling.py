@@ -17,6 +17,7 @@ reported by the solver is part of the result so callers can assert on it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 from scipy import sparse
@@ -406,7 +407,7 @@ def _leg_sums(legs: list[np.ndarray]) -> np.ndarray:
 
 def pair_batch(model: GibbsModel, n_samples: int, sweeps: int, seed: int) -> Batch:
     """The chunk jobs of `coupled_glauber_disagreement`, each reduced on the
-    thread that ran it by `_leg_sums`; `pair_result` reads their sum.  An
+    thread that ran it by `_leg_sums`; `pair_result` sums their parts.  An
     antiferromagnet is a ConfigError, raised before the kernel is built."""
     if model.beta < 0:
         raise ConfigError("monotone coupling needs a ferromagnetic interaction")
@@ -414,9 +415,11 @@ def pair_batch(model: GibbsModel, n_samples: int, sweeps: int, seed: int) -> Bat
 
 
 def pair_result(model: GibbsModel, n_samples: int, sweeps: int,
-                totals: np.ndarray) -> PairGlauberResult:
-    """The pair chain's estimates from the sum of its chunks' `_leg_sums`."""
+                parts: Iterable[np.ndarray]) -> PairGlauberResult:
+    """The pair chain's estimates from its chunks' `_leg_sums` parts, which
+    it reads to their end and sums."""
     m = model.n_sites
+    totals = sum(parts)
     up_sum, dn_sum = totals[:m], totals[m:2 * m]
     p_hat = (up_sum - dn_sum) / n_samples
     se = np.sqrt(np.clip(p_hat * (1.0 - p_hat), 0.0, None) / n_samples)
@@ -437,10 +440,8 @@ def coupled_glauber_disagreement(model: GibbsModel, n_samples: int, sweeps: int,
     The batch runs on its own `models.stream`; `pair_batch` gives its jobs,
     for a stream shared with other batches.
     """
-    totals = np.zeros(2 * model.n_sites + 1, dtype=np.int64)
-    for *_, part in stream([pair_batch(model, n_samples, sweeps, seed)]):
-        totals += part
-    return pair_result(model, n_samples, sweeps, totals)
+    [parts] = stream([pair_batch(model, n_samples, sweeps, seed)])
+    return pair_result(model, n_samples, sweeps, parts)
 
 
 # ---------------------------------------------------------------------------

@@ -9,14 +9,14 @@ terms are negated log marginals, or a negated log initial law and log
 transitions.  Small volumes are handled exactly through `ExactJoint`;
 `glauber_batch` draws product and Markov models exactly and runs binary
 nearest-neighbor Gibbs models through one heat-bath kernel, and returns an
-observable g on each replica.  A sampled batch is a `Batch` of chunk jobs,
-each of which draws its chunk of replicas and reduces it on the thread that
-ran it; `stream` chains the jobs of several batches on one `ordered_map`
-pool of `os.cpu_count()` threads when some batch's larger parity class has
-at least `POOL_MIN_ROWS` rows, and runs them serially below that, where the
-pool does not pay.  Parts come back in order, so the output does not depend
-on the thread count.  Working memory is up to one chunk per job in flight
-plus what the caller keeps of the parts.
+observable g on each replica.  A sampled batch is a `Batch` of chunk jobs
+built by `_batch`, each of which draws its chunk of replicas and reduces it
+on the thread that ran it; `stream` runs the jobs of several batches on one
+`ordered_map` pool of `os.cpu_count()` threads when some batch's larger
+parity class has at least `POOL_MIN_ROWS` rows, serially below that, and
+returns one iterator of parts per batch.  Parts come back in order, so the
+output does not depend on the thread count.  Working memory is up to one
+chunk per job in flight plus what the caller keeps of the parts.
 
 Importing this module sets numpy's bundled OpenBLAS to one thread: spinconc's
 own pools take the cores, and its BLAS calls, all small, run inside them.  A
@@ -415,7 +415,7 @@ CHUNK = 1024
 #: norm's two arrays of its size; split B is counted chunk by chunk) and by
 #: 2.3 B per replica of `tail`'s n_samples (4x4, 8*10^4 -> 3.2*10^5: the
 #: mean batch, 0.2 of n_samples in float64; the main batch is counted chunk
-#: by chunk), and `_chunks` spawns one 376 B `SeedSequence` child per CHUNK
+#: by chunk), and `_batch` spawns one 376 B `SeedSequence` child per CHUNK
 #: replicas of a batch when its first job is read.  At the cap that is at
 #: most 0.46 GB, under a sixteenth of an 8 GB box.
 MAX_REPLICAS = 50_000_000
@@ -458,20 +458,40 @@ def ordered_map(fn: Callable, items: Iterable):
 
 
 class Batch(NamedTuple):
-    """One sampled batch as chunk jobs, in replica order.
+    """One sampled batch as chunk jobs, in replica order (see `_batch`).
 
-    Each job, called with no argument, draws its chunk and returns
-    (lo, hi, part): replicas lo..hi-1 reduced to `part` on the thread that
-    ran it.  `pooled` says whether the jobs pay for `ordered_map`'s pool.
+    Each job, called with no argument, draws its chunk and returns it
+    reduced to a part on the thread that ran it.  `n_chunks` is the number
+    of jobs, and `pooled` says whether they pay for `ordered_map`'s pool.
     """
 
-    jobs: Iterator[Callable[[], tuple]]
+    jobs: Iterator[Callable[[], object]]
+    n_chunks: int
     pooled: bool
 
 
-def stream(batches: Sequence[Batch]):
-    """(k, lo, hi, part) for every chunk of every batch k, batches in order
-    and chunks in replica order, on one `ordered_map` stream.
+def _batch(run: Callable[[int, np.random.Generator], object], n_samples: int, seed: int,
+           pooled: bool) -> Batch:
+    """The `Batch` of jobs run(size, rng), one per CHUNK replicas (the last
+    may be short); chunk j's generator is on the j-th `SeedSequence` child of
+    `seed`, spawned when the first job is read."""
+    n_chunks = -(-n_samples // CHUNK)
+
+    def jobs():
+        for j, child in enumerate(np.random.SeedSequence(seed).spawn(n_chunks)):
+            yield partial(run, min(CHUNK, n_samples - j * CHUNK), np.random.default_rng(child))
+
+    return Batch(jobs(), n_chunks, pooled)
+
+
+def _run(job: Callable[[], object]) -> object:
+    """One chunk job, run on the thread that `stream` hands it to."""
+    return job()
+
+
+def stream(batches: Sequence[Batch]) -> list[Iterator]:
+    """One iterator per batch, each yielding that batch's parts in replica
+    order, all read from one `ordered_map` stream of every batch's jobs.
 
     The jobs of all batches share the pool, so no batch drains before the
     next one starts.  The stream runs serially in the calling thread when
@@ -479,22 +499,25 @@ def stream(batches: Sequence[Batch]):
     not depend on the thread count or on which batches share the stream.
     Each batch was checked when it was built, so a bad model in any batch
     has raised before the stream starts a thread.
+
+    The iterators share that one source, so read them in batch order, each
+    to its end: batches of one size read out of order swap their parts with
+    no error, which only a comparison with one stream per batch shows.
+    Reading the last to its end joins the threads; dropping the list early
+    cancels the jobs not yet started and joins them too.
     """
-    tagged = ((k, job) for k, batch in enumerate(batches) for job in batch.jobs)
-
-    def run(item):
-        k, job = item
-        return (k, *job())
-
-    return ordered_map(run, tagged) if any(b.pooled for b in batches) else map(run, tagged)
+    jobs = (job for batch in batches for job in batch.jobs)
+    parts = ordered_map(_run, jobs) if any(b.pooled for b in batches) else map(_run, jobs)
+    return [islice(parts, batch.n_chunks) for batch in batches]
 
 
-def _chunks(n_samples: int, seed: int):
-    """(lo, hi, generator) for each chunk of replicas lo..hi-1."""
-    children = np.random.SeedSequence(seed).spawn(-(-n_samples // CHUNK))
-    for j, child in enumerate(children):
-        lo = j * CHUNK
-        yield lo, min(lo + CHUNK, n_samples), np.random.default_rng(child)
+def gather(parts: Iterable[np.ndarray], out: np.ndarray) -> np.ndarray:
+    """`out`, filled along its last axis by `parts` in order."""
+    lo = 0
+    for part in parts:
+        out[..., lo:lo + part.shape[-1]] = part
+        lo += part.shape[-1]
+    return out
 
 
 def _halves(bit_generator, n: int, carry: np.ndarray):
@@ -586,11 +609,11 @@ def _heat_bath(model: GibbsModel, n_samples: int, sweeps: int, seed: int,
                reduce: Callable[[list[np.ndarray]], object] = lambda legs: legs) -> Batch:
     """The heat-bath kernel for binary nearest-neighbor Gibbs models.
 
-    Returns the `Batch` of chunk jobs, one per chunk of CHUNK replicas; each
-    job returns (lo, hi, reduce(legs)), reduced on the thread that ran it.
-    Each leg is a site-major int8 array (n_sites, hi - lo) of symbol indices
-    after `sweeps` sweeps from the all-plus configuration, in the model's
-    site order.  There is one leg, or with `frozen=(site, symbols)` one leg
+    Returns the `Batch` of chunk jobs (`_batch`); each job returns
+    reduce(legs), reduced on the thread that ran it.  Each leg is a
+    site-major int8 array (n_sites, chunk size) of symbol indices after
+    `sweeps` sweeps from the all-plus configuration, in the model's site
+    order.  There is one leg, or with `frozen=(site, symbols)` one leg
     per entry of `symbols`: leg k starts with `site` set to symbols[k] and
     never updates it.  All legs of a chunk read the same uniforms, which for
     a ferromagnet is the monotone coupling: the update is increasing in the
@@ -657,8 +680,7 @@ def _heat_bath(model: GibbsModel, n_samples: int, sweeps: int, seed: int,
     always = compare is np.less
     n_rows = max(b - a for a, b in classes)
 
-    def run(lo: int, hi: int, rng: np.random.Generator) -> tuple[int, int, object]:
-        size = hi - lo
+    def run(size: int, rng: np.random.Generator) -> object:
         legs = []
         for sym in symbols:
             spins = np.ones((m + 2, size), dtype=np.int8)
@@ -692,10 +714,9 @@ def _heat_bath(model: GibbsModel, n_samples: int, sweeps: int, seed: int,
                     for j in cols[1:]:
                         count += spins[j]
                     compare(count, t, spins[a:b].view(bool))
-        return lo, hi, reduce([spins[row] for spins in legs])
+        return reduce([spins[row] for spins in legs])
 
-    jobs = (partial(run, *chunk) for chunk in _chunks(n_samples, seed))
-    return Batch(jobs, n_rows >= POOL_MIN_ROWS)
+    return _batch(run, n_samples, seed, n_rows >= POOL_MIN_ROWS)
 
 
 def _inverse_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -705,29 +726,29 @@ def _inverse_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 def _exact_draws(model: ProductModel | MarkovChainModel, n_samples: int, seed: int,
                  reduce: Callable[[list[np.ndarray]], object]) -> Batch:
-    """Chunk jobs of exact draws, run serially; each returns
-    (lo, hi, reduce([ids])), where ids is site-major like a leg."""
+    """The `Batch` of exact draws (`_batch`), run serially; each job returns
+    reduce([ids]), where ids is site-major like a leg."""
     m = model.n_sites
 
-    def run(lo: int, hi: int, rng: np.random.Generator) -> tuple[int, int, object]:
-        u = rng.random((hi - lo, m))
+    def run(size: int, rng: np.random.Generator) -> object:
+        u = rng.random((size, m))
         if isinstance(model, ProductModel):
             ids = _inverse_cdf(np.cumsum(model.marginals, axis=1), u)
         else:  # ancestral sampling along the chain
             step = np.cumsum(model.transition, axis=1)
-            ids = np.empty((hi - lo, m), dtype=np.intp)
+            ids = np.empty((size, m), dtype=np.intp)
             ids[:, 0] = _inverse_cdf(np.cumsum(model.initial), u[:, 0])
             for i in range(1, m):
                 ids[:, i] = _inverse_cdf(step[ids[:, i - 1]], u[:, i])
-        return lo, hi, reduce([ids.T])
+        return reduce([ids.T])
 
-    return Batch((partial(run, *chunk) for chunk in _chunks(n_samples, seed)), False)
+    return _batch(run, n_samples, seed, False)
 
 
 def observable_batch(model: GibbsModel, g: LocalFunction, n_samples: int, sweeps: int,
                      seed: int) -> Batch:
-    """The chunk jobs of `glauber_batch`: each returns (lo, hi, g's values on
-    replicas lo..hi-1), with `g.fn` applied on the thread that ran the job.
+    """The chunk jobs of `glauber_batch`: each returns g's values on its
+    chunk's replicas, with `g.fn` applied on the thread that ran the job.
     A model the kernel cannot run is a ConfigError, raised here."""
     values = np.asarray(model.alphabet.values)
     cols = [model.sites.index(tuple(s)) for s in g.sites]
@@ -756,10 +777,8 @@ def glauber_batch(model: GibbsModel, g: LocalFunction, n_samples: int, sweeps: i
     it must be thread-safe.  Working memory is up to one heat-bath chunk
     per job in flight plus the n_samples values returned.
     """
-    out = np.empty(n_samples)
-    for _, lo, hi, vals in stream([observable_batch(model, g, n_samples, sweeps, seed)]):
-        out[lo:hi] = vals
-    return out
+    [parts] = stream([observable_batch(model, g, n_samples, sweeps, seed)])
+    return gather(parts, np.empty(n_samples))
 
 
 def glauber_block_batch(model: GibbsModel, n_samples: int, sweeps: int,
@@ -770,10 +789,8 @@ def glauber_block_batch(model: GibbsModel, n_samples: int, sweeps: int,
     in the model's site order, 0 for minus; see `_heat_bath` for the update
     and its precision.
     """
-    out = np.empty((model.n_sites, n_samples), dtype=np.int8)
-    for _, lo, hi, legs in stream([_heat_bath(model, n_samples, sweeps, seed)]):
-        out[:, lo:hi] = legs[0]
-    return out
+    [parts] = stream([_heat_bath(model, n_samples, sweeps, seed, reduce=lambda legs: legs[0])])
+    return gather(parts, np.empty((model.n_sites, n_samples), dtype=np.int8))
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,12 @@ Two kinds of work live here.  The exact battery enumerates small models and
 checks every identity and bound against brute-force truth (decomposition,
 row-sum inequality, exponential and moment bounds).  The Monte Carlo
 experiments estimate tails on volumes far beyond enumeration: a
-high-temperature run checks the exponential bound with an exactly computed
-decay constant, a low-temperature run measures the disagreement and path
-profiles and checks a stretched exponential fitted and judged on held-out
-splits.  The path statistic, like the magnetization, is an observable
-that the samplers reduce chunk by chunk, 8 bytes per replica.
+high-temperature run checks the exponential bound with a decay constant
+fitted on an enumerated 4x4 volume, a low-temperature run measures the
+disagreement and path profiles and checks a stretched exponential fitted
+and judged on held-out splits.  The path statistic, like the
+magnetization, is an observable that the samplers reduce chunk by chunk,
+8 bytes per replica.
 
 Every Monte Carlo verdict uses the conservative end of a 99% confidence
 interval; exact-path results never touch a random number generator.
@@ -374,8 +375,8 @@ def empirical_tail(model: GibbsModel, g: LocalFunction, t_grid, n_samples: int,
     models, reduced to g chunk by chunk.  The mean batch
     (`_mean_size(n_samples)` replicas) and the main batch each get their own
     seed, both drawn from `seed`, and run on one `models.stream`, mean
-    batch first.  The mean batch is reduced to (m_hat, se) once its last
-    chunk lands, and the main batch is counted chunk by chunk, so working
+    batch first.  The mean batch is gathered, reduced to (m_hat, se) and
+    dropped, and the main batch is counted chunk by chunk, so working
     memory is up to one chunk per job in flight plus 8 bytes per replica of
     the mean batch.  An empty `t_grid`, or an entry that is negative or
     NaN, is a ConfigError, and more than `models.MAX_REPLICAS` replicas a
@@ -387,18 +388,11 @@ def empirical_tail(model: GibbsModel, g: LocalFunction, t_grid, n_samples: int,
     rng = np.random.default_rng(seed)
     seed_mean, seed_main = (int(s) for s in rng.integers(2 ** 63, size=2))
     n_mean = _mean_size(n_samples)
-    mean_vals = np.empty(n_mean)
-    batches = [models.observable_batch(model, g, n_mean, sweeps, seed_mean),
-               models.observable_batch(model, g, n_samples, sweeps, seed_main)]
-    for k, lo, hi, vals in models.stream(batches):
-        if k == 0:
-            mean_vals[lo:hi] = vals
-            if hi == n_mean:
-                m_hat, se_mean = _mean_batch(mean_vals)
-                points = _tail_points(t_grid, se_mean)
-                counts = np.zeros(len(points), dtype=np.int64)
-        else:
-            counts += _tail_counts(_deviate(vals, m_hat), points)
+    mean, main = models.stream([models.observable_batch(model, g, n_mean, sweeps, seed_mean),
+                                models.observable_batch(model, g, n_samples, sweeps, seed_main)])
+    m_hat, se_mean = _mean_batch(models.gather(mean, np.empty(n_mean)))
+    points = _tail_points(t_grid, se_mean)
+    counts = sum(_tail_counts(_deviate(vals, m_hat), points) for vals in main)
     return _tail_estimates(points, counts, n_samples)
 
 
@@ -665,8 +659,8 @@ def lowtemp_experiment(config: LowtempConfig) -> tuple[np.ndarray, np.ndarray, B
     chunk by chunk to leg sums), equilibrium replicas of the
     path-magnetization statistic (`ell_observable`, an observable like the
     magnetization), a mean batch, and two equal tail splits (fit on A,
-    verdict on B).  The mean batch is reduced to (m_hat, se) once its last
-    chunk lands and split B is counted chunk by chunk; split A is held.
+    verdict on B), read in that order.  The mean batch is gathered, reduced
+    to (m_hat, se) and dropped; split A is held, split B counted by chunk.
     Returns `(ell_tail, psi_hat, report)`: the profile
     `ell_tail[j-1]` = P(ell >= j) for j = 1..rows + cols and `psi_hat[j-1]`,
     the largest disagreement at distance j from the pinned site.  It feeds
@@ -696,40 +690,23 @@ def lowtemp_experiment(config: LowtempConfig) -> tuple[np.ndarray, np.ndarray, B
         "delta_l2": dv.l2,
     })
 
-    # --- the five batches, on one stream -----------------------------------
-    # chunks land in batch order, so the mean batch is reduced and split A
-    # is complete when split B's first chunk lands; split B is counted as it
-    # lands, and split A, which the Orlicz rows read below, is the one
-    # split held
+    # --- the five batches, on one stream, read in batch order --------------
+    # split A, which the Orlicz rows read below, is the one split held
     n_mean = _mean_size(config.n_tail)
     ell_g = ell_observable(model.sites, config.rows, config.cols, THETA)
-    batches = [
+    pair_parts, ell_parts, mean, split_a, split_b = models.stream([
         coupling.pair_batch(model, config.n_pair, config.sweeps, seed_pair),
         models.observable_batch(model, ell_g, config.n_ell, config.sweeps, seed_ell),
         models.observable_batch(model, g, n_mean, config.sweeps, seed_mean),
         models.observable_batch(model, g, n_split, config.sweeps, seed_a),
-        models.observable_batch(model, g, n_split, config.sweeps, seed_b)]
-    pair_totals = np.zeros(2 * model.n_sites + 1, dtype=np.int64)
-    ells, mean_vals, dev_a = np.empty(config.n_ell), np.empty(n_mean), np.empty(n_split)
-    for k, lo, hi, part in models.stream(batches):
-        if k == 0:
-            pair_totals += part
-        elif k == 1:
-            ells[lo:hi] = part
-        elif k == 2:
-            mean_vals[lo:hi] = part
-            if hi == n_mean:
-                m_hat, se_mean = _mean_batch(mean_vals)
-                mean_vals = None
-        elif k == 3:
-            dev_a[lo:hi] = _deviate(part, m_hat)
-            if hi == n_split:
-                t_grid = np.quantile(dev_a, config.quantiles)
-                points = _tail_points(t_grid, se_mean)
-                counts_b = np.zeros(len(points), dtype=np.int64)
-        else:
-            counts_b += _tail_counts(_deviate(part, m_hat), points)
-    pair = coupling.pair_result(model, config.n_pair, config.sweeps, pair_totals)
+        models.observable_batch(model, g, n_split, config.sweeps, seed_b)])
+    pair = coupling.pair_result(model, config.n_pair, config.sweeps, pair_parts)
+    ells = models.gather(ell_parts, np.empty(config.n_ell))
+    m_hat, se_mean = _mean_batch(models.gather(mean, np.empty(n_mean)))
+    dev_a = _deviate(models.gather(split_a, np.empty(n_split)), m_hat)
+    t_grid = np.quantile(dev_a, config.quantiles)
+    points = _tail_points(t_grid, se_mean)
+    counts_b = sum(_tail_counts(_deviate(part, m_hat), points) for part in split_b)
 
     # --- disagreement field from the synchronized pair chain ---------------
     dists = np.array([l1_distance(model.sites[0], y) for y in model.sites])

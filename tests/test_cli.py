@@ -157,14 +157,15 @@ def test_unknown_subcommand_is_exit_2(tmp_path, capsys):
                                    "boundry": "minus"}}),
     ("tail", {"seed": 1, "model": {"kind": "ising", "volume": [3, 3, 7], "beta": 0.2}}),
     ("tail", {"seed": 1, "function": {"kind": "magnetization", "normalised": False}}),
+    # a bad t_grid on a product model, which draws exactly, not through the kernel
+    ("tail", {"seed": 1, "model": {"kind": "iid", "n_sites": 4}, "t_grid": [-1.0]}),
 ])
 def test_malformed_config_is_exit_2(tmp_path, capsys, monkeypatch, command, cfg):
     def no_sampling(*args, **kwargs):
         raise AssertionError("a malformed config reached a sampler or a joint")
 
-    for module, name in ((models, "glauber_batch"), (models, "glauber_block_batch"),
-                         (coupling, "coupled_glauber_disagreement"), (models, "_heat_bath"),
-                         (coupling, "_heat_bath"), (coupling, "kr_optimal_coupling"),
+    # every sampler builds its chunk jobs through models._batch
+    for module, name in ((models, "_batch"), (coupling, "kr_optimal_coupling"),
                          (models, "exact_joint")):
         monkeypatch.setattr(module, name, no_sampling)
     path = tmp_path / "cfg.json"
@@ -199,9 +200,8 @@ def test_retired_config_key_is_exit_2(tmp_path, capsys, monkeypatch, command, ke
     def no_sampling(*args, **kwargs):
         raise AssertionError("a config with a retired key reached a sampler or a joint")
 
-    for module, name in ((models, "glauber_batch"), (models, "exact_joint"),
-                         (coupling, "coupled_glauber_disagreement"), (models, "_heat_bath"),
-                         (coupling, "_heat_bath"), (coupling, "kr_optimal_coupling")):
+    for module, name in ((models, "_batch"), (models, "exact_joint"),
+                         (coupling, "kr_optimal_coupling")):
         monkeypatch.setattr(module, name, no_sampling)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"seed": 1, key: value}))

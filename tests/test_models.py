@@ -355,9 +355,8 @@ def test_uniforms24_continue_the_float32_stream():
 
 
 def _kernel_legs(model, n, sweeps, seed, frozen):
-    parts = [legs for *_, legs in stream([_heat_bath(model, n, sweeps, seed, frozen)])]
-    return np.stack([np.concatenate([legs[k] for legs in parts], axis=1)
-                     for k in range(len(parts[0]))])
+    [parts] = stream([_heat_bath(model, n, sweeps, seed, frozen)])
+    return np.concatenate([np.stack(legs) for legs in parts], axis=-1)
 
 
 # a mixed boundary: minus on the left, plus on part of the top and bottom,
@@ -448,28 +447,49 @@ def test_a_row_shifted_by_one_more_ghost_fails_the_reference(monkeypatch):
     assert not np.array_equal(got, reference_heat_bath(model, 700, 3, 5))
 
 
+def _two_batch_stream(reduce):
+    """A pooled stream of two kernel batches, of 3 chunks and of 2 chunks,
+    the last one short."""
+    return stream([_heat_bath(ising_rect(5, 3, 1.0, "plus"), 3 * CHUNK, 3, 1, reduce=reduce),
+                   _heat_bath(ising_rect(4, 4, 0.5, "minus"), CHUNK + 5, 3, 2, reduce=reduce)])
+
+
 def test_stream_closed_early_cancels_its_jobs_and_joins_its_threads(monkeypatch):
-    # two batches on one stream: closing it after the first chunk cancels
-    # the queued jobs of both and joins every worker
+    # two batches on one stream: dropping the iterators after the first
+    # chunk, from another thread, cancels the queued jobs of both and joins
+    # every worker
     monkeypatch.setattr(models, "POOL_MIN_ROWS", 0)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     ran = []
 
     def record(legs):
         ran.append(legs)
-        return None
+        return legs[0].shape[1]
 
     before = threading.active_count()
-    chunks = stream([_heat_bath(ising_rect(5, 3, 1.0, "plus"), 3 * CHUNK, 3, 1, reduce=record),
-                     _heat_bath(ising_rect(4, 4, 0.5, "minus"), 3 * CHUNK, 3, 2, reduce=record)])
-    assert next(chunks)[:3] == (0, 0, CHUNK)
-    closer = threading.Thread(target=chunks.close)
+    held = [_two_batch_stream(record)]
+    assert next(held[0][0]) == CHUNK
+    closer = threading.Thread(target=held.clear)
     closer.start()
     closer.join(timeout=30)
     assert not closer.is_alive()
     assert threading.active_count() == before
     # the first chunk, and at most the workers + 1 jobs in flight beyond it
-    assert len(ran) <= 1 + 3 < 6
+    assert len(ran) <= 1 + 3 < 5
+
+
+def test_stream_joins_its_threads_once_its_last_batch_is_read(monkeypatch):
+    # the list of iterators stays referenced: reading the last one to its
+    # end is what ends the stream
+    monkeypatch.setattr(models, "POOL_MIN_ROWS", 0)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    before = threading.active_count()
+    parts = _two_batch_stream(lambda legs: legs[0].shape[1])
+    assert list(parts[0]) == [CHUNK] * 3
+    assert threading.active_count() > before  # the second batch is in flight
+    assert list(parts[1]) == [CHUNK, 5]
+    assert threading.active_count() == before
+    assert len(parts) == 2
 
 
 def test_a_bad_model_in_any_batch_raises_before_a_thread_starts(monkeypatch):

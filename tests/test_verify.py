@@ -561,9 +561,7 @@ _STREAM = models.stream
 def _one_batch_at_a_time(batches):
     """`models.stream`, with each batch drained on a stream of its own
     before the next one starts."""
-    for k, batch in enumerate(batches):
-        for _, lo, hi, part in list(_STREAM([batch])):
-            yield k, lo, hi, part
+    return [iter(list(_STREAM([batch])[0])) for batch in batches]
 
 
 def _lowtemp_draws(cfg):
