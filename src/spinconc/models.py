@@ -157,10 +157,26 @@ class ExactJoint:
     def expectation(self, table: np.ndarray) -> float:
         return float((self.probs * table).sum())
 
+    def law(self, table: np.ndarray, mean: float) -> tuple[np.ndarray, np.ndarray]:
+        """(levels, weights): the distinct values of g - mean, ascending, and
+        their probabilities, from g's broadcast or full function table.
+
+        The levels come from the array a broadcast `table` reads (its first
+        entry along each axis of stride 0), so `np.unique` sees each value
+        of g's own grid once.  Each weight is one pairwise sum, in numpy's
+        order, over its level's configurations in enumeration order.
+        """
+        base = table[tuple(slice(None) if st else slice(1) for st in table.strides)]
+        levels, where = np.unique(base - mean, return_inverse=True)
+        where = np.broadcast_to(where.reshape(base.shape), self.probs.shape).reshape(-1)
+        order = np.argsort(where, kind="stable")
+        starts = np.searchsorted(where[order], np.arange(levels.size))
+        return levels, np.add.reduceat(self.probs.reshape(-1)[order], starts)
+
     def exact_tail(self, table: np.ndarray, t: float) -> float:
         """P(|g - Eg| >= t), exactly."""
-        centered = table - self.expectation(table)
-        return float(self.probs[np.abs(centered) >= t].sum())
+        levels, weights = self.law(table, self.expectation(table))
+        return float(weights[np.abs(levels) >= t].sum())
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ numpy reduces each run of contiguous float64 entries by its own pairwise
 scheme, starting from 0.0, in one inner loop per run.  When the runs are
 short and many, those per-run loops cost more than the adds.  Here every
 add is one array operation across all runs, in numpy's order, so each sum
-is the one numpy gives, bit for bit.  The exact layer (`models.ExactJoint`,
-`coupling`, `bounds`) keeps its artifacts by keeping that order.
+is the one numpy gives, bit for bit.  The joint's prefix marginals
+(`models.ExactJoint`), `coupling` and `bounds` keep their outputs by keeping
+that order; an observable's tails and moments read `ExactJoint.law` instead.
 """
 
 from __future__ import annotations

@@ -123,12 +123,6 @@ def backbone_check(dec: bounds.MartingaleDecomposition, rhs: list[np.ndarray]):
 # exact battery
 # ---------------------------------------------------------------------------
 
-def _broadcast_base(table: np.ndarray) -> np.ndarray:
-    """The array a broadcast view `table` reads: its first entry along each
-    axis of stride 0, those axes kept with length 1."""
-    return table[tuple(slice(None) if st else slice(1) for st in table.strides)]
-
-
 def _observable_rows(model: GibbsModel, joint: ExactJoint, g: LocalFunction,
                      dv: fields.DeltaVector, rhs: list[np.ndarray], env_norm: float,
                      moment_norm: dict[int, float], t_points: int) -> list[BoundRow]:
@@ -159,31 +153,21 @@ def _observable_rows(model: GibbsModel, joint: ExactJoint, g: LocalFunction,
                           params={"witness_row": witness[0],
                                   "witness_config": witness[1]}))
 
-    # centered once for the whole tail grid and every moment; each tail sum
-    # is the one ExactJoint.exact_tail makes, term for term
-    centered = dec.g_table - dec.mean
-    distance = np.abs(centered)
-    t_max = float(distance[dec.support].max()) if dec.support.any() else 0.0
-    grid = np.linspace(0.0, t_max, t_points)
-    worst_gap = -math.inf
-    for t in grid:
-        tail = float(joint.probs[distance >= float(t)].sum())
-        worst_gap = max(worst_gap,
-                        tail - bounds.exponential_bound(float(t), env_norm, dv.l2))
+    # one law for the whole tail grid and every moment, as ExactJoint.exact_tail
+    # reads it; t_max skips levels of zero probability
+    levels, weights = joint.law(dec.g_table, dec.mean)
+    distance = np.abs(levels)
+    t_max = float(distance[weights > 0.0].max(initial=0.0))
+    worst_gap = max(float(weights[distance >= t].sum())
+                    - bounds.exponential_bound(t, env_norm, dv.l2)
+                    for t in map(float, np.linspace(0.0, t_max, t_points)))
     rows.append(exact_row("tail_exponential_grid", 0.0, worst_gap,
                           _TOLERANCES["tail_grid"],
                           params={"envelope_norm": env_norm, "delta_l2": dv.l2,
                                   "t_max": t_max, "t_points": t_points}))
 
-    # pow runs once per distinct centered value; q is even, so merging -0.0
-    # with +0.0 changes nothing.  The distinct values come from g's own value
-    # grid, which `dec.g_table` broadcasts and which holds every value of the
-    # table, so the levels are the table's; the product broadcasts from the
-    # grid, and the sum sees the full table
-    own = _broadcast_base(dec.g_table) - dec.mean
-    levels, where = np.unique(own, return_inverse=True)
-    where = where.reshape(own.shape)  # numpy < 2 returns it flat
-    moment = {q: float((joint.probs * (levels ** q)[where]).sum()) for q in (2, 4, 6)}
+    # q is even, so the law's merging of -0.0 with +0.0 changes nothing
+    moment = {q: float(weights @ levels ** q) for q in (2, 4, 6)}
     var = moment[2]
     norm2 = moment_norm[2]
     rows.append(exact_row("variance", bounds.variance_bound(norm2, dv.l2), var,
@@ -763,7 +747,7 @@ def lowtemp_experiment(config: LowtempConfig) -> tuple[np.ndarray, np.ndarray, B
                             {"rho": rho_hat, "raw_slope": float(slope),
                              "r_squared": r2, "kappa": KAPPA,
                              "n_points": len(fit_pts)},
-                            c_hat, verdict="info",
+                            c_hat, observed_kind="mc", verdict="info",
                             note="split-A constants; theoretical column holds c"))
         for alpha, est in zip(config.quantiles, tails_b):
             report.add(_mc_tail_row(
@@ -772,21 +756,21 @@ def lowtemp_experiment(config: LowtempConfig) -> tuple[np.ndarray, np.ndarray, B
                 bounds.stretched_bound(est.t, rho_hat, c_hat, dv.l2), est))
     else:
         report.add(BoundRow(model.name, g.name, "stretched_fit",
-                            {"n_points": 0}, math.nan, verdict="info",
+                            {"n_points": 0}, math.nan, observed_kind="mc", verdict="info",
                             note="degenerate: no resolvable split-A points"))
 
     # --- informational bound assemblies from the profile -------------------
     for p in P_LIST:
         report.add(BoundRow(model.name, g.name, f"profile_norm_p{p}",
                             {"p": p}, bounds.profile_norm_bound(p, ell_tail, psi_hat),
-                            verdict="info",
+                            observed_kind="mc", verdict="info",
                             note="tail-profile norm assembly (empirical inputs)"))
         moment = float(np.mean(ells.astype(float) ** (2 * p * 2 + EPS)))
         report.add(BoundRow(model.name, g.name, f"profile_moment_p{p}",
                             {"p": p, "eps": EPS, "ell_moment": moment},
                             bounds.profile_moment_bound(p, EPS, moment,
                                                         float(psi_hat.sum()), dv.l2),
-                            verdict="info",
+                            observed_kind="mc", verdict="info",
                             note="zeta-interpolated moment assembly (empirical inputs)"))
     for rho in RHO_GRID:
         lux = bounds.luxembourg_norm(dev_a, rho=rho)
@@ -794,7 +778,7 @@ def lowtemp_experiment(config: LowtempConfig) -> tuple[np.ndarray, np.ndarray, B
         cheb = bounds.orlicz_chebyshev_bound(t_top, rho, lux) if t_top > 0 else math.inf
         report.add(BoundRow(model.name, g.name, f"orlicz_norm_rho{rho:g}",
                             {"rho": rho, "t": t_top, "chebyshev_bound": cheb},
-                            lux, verdict="info",
+                            lux, observed_kind="mc", verdict="info",
                             note="split-A Luxembourg norm; theoretical column holds it"))
     return ell_tail, psi_hat, report
 

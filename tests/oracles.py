@@ -305,9 +305,17 @@ def reference_backbone(joint, increments, values, per_site):
 
 def reference_central_moment(joint, g_table, mean, q):
     """E(g - Eg)^q by the battery's first formula, `pow` on every entry of
-    the centered table.  `verify._observable_rows` must match it bit for
-    bit."""
+    the centered table.  `verify._observable_rows` reads it from the law
+    (`ExactJoint.law`) and matches it to rounding."""
     return float((joint.probs * (g_table - mean) ** q).sum())
+
+
+def reference_tail(joint, g_table, t):
+    """P(|g - Eg| >= t) by the first formula, a compare over the full table,
+    a boolean gather and a sum.  `ExactJoint.exact_tail` reads it from the
+    law and matches it to rounding."""
+    centered = g_table - float((joint.probs * g_table).sum())
+    return float(joint.probs[np.abs(centered) >= t].sum())
 
 
 def reference_moment_row(past_mass, value, p):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from spinconc import bounds
 from spinconc.bounds import (
     BoundReport,
     BoundRow,
@@ -35,7 +36,8 @@ from spinconc.verify import (_TOLERANCES, _observable_rows, backbone_check,
 
 from tests.oracles import (dict_joint, naive_increments, reference_backbone,
                            reference_central_moment, reference_decomposition,
-                           reference_decomposition_errors, reference_moment_row)
+                           reference_decomposition_errors, reference_moment_row,
+                           reference_tail)
 
 
 def _random_joint(m, seed, zero_slab=False):
@@ -147,7 +149,7 @@ _MOMENT_JOINTS = {
 
 
 @pytest.mark.parametrize("name", list(_MOMENT_JOINTS))
-def test_moment_rows_and_moment_matrices_match_the_pow_formulas_bit_for_bit(name):
+def test_moment_matrices_match_the_pow_formulas_bit_for_bit_and_moment_rows_to_rounding(name):
     joint = _MOMENT_JOINTS[name]()
     bands = [coupling_rows_all(joint, i) for i in range(joint.n_sites)]
     # the battery's orders, and the odd ones a coupling-matrix config may ask for
@@ -163,8 +165,82 @@ def test_moment_rows_and_moment_matrices_match_the_pow_formulas_bit_for_bit(name
                                 {2: 1.0, 4: 1.0, 6: 1.0}, 2)
         observed = {r.bound: r.observed for r in rows if r.bound in labels}
         dec = martingale_decomposition(joint, g)
-        assert observed == {label: reference_central_moment(joint, dec.g_table, dec.mean, q)
-                            for label, q in labels.items()}, g.name
+        # the rows sum each level of the law apart, then across levels: the
+        # largest relative change seen on these joints is 4.1e-16
+        assert observed == {label: pytest.approx(
+            reference_central_moment(joint, dec.g_table, dec.mean, q), rel=2e-15, abs=0)
+            for label, q in labels.items()}, g.name
+
+
+# the exact benchmark workload's 4x4 volumes, where a level's weight sums
+# up to 2^16 configurations
+_LAW_JOINTS = {
+    **_MOMENT_JOINTS,
+    "ising[4x4]_b0.1_plus": lambda: exact_joint(ising_rect(4, 4, 0.1, "plus")),
+    "ising[4x4]_b0.25_free": lambda: exact_joint(ising_rect(4, 4, 0.25, "free")),
+}
+
+
+@pytest.mark.parametrize("name", list(_LAW_JOINTS))
+def test_law_tails_and_moments_match_exactly_rounded_sums(name):
+    # math.fsum over the joint is the tail and the moment to within one
+    # rounding of each term.  The law sums each level pairwise: 2.2e-16 on
+    # the tails and 3.7e-16 on the moments.  Summing each level in order, as
+    # np.bincount(where, probs) does, misses by up to 2.6e-13 on the 4x4 volumes
+    joint = _LAW_JOINTS[name]()
+    for g in battery_functions(joint):
+        table = joint.function_table(g)
+        mean = joint.expectation(table)
+        levels, weights = joint.law(table, mean)
+        distance = np.abs(table - mean)
+        assert np.array_equal(levels, np.unique(table - mean)), g.name
+        for t in np.abs(levels):
+            want = math.fsum(joint.probs[distance >= t])
+            assert abs(joint.exact_tail(table, t) - want) <= 1e-14, (g.name, t)
+        for q in (2, 4, 6):
+            want = math.fsum((joint.probs * distance ** q).reshape(-1))
+            assert float(weights @ levels ** q) == pytest.approx(want, rel=1e-14, abs=0), \
+                (g.name, q)
+
+
+@pytest.mark.parametrize("name", list(_MOMENT_JOINTS))
+def test_exact_tail_matches_the_full_table_formula_on_broadcast_and_full_tables(name):
+    joint = _MOMENT_JOINTS[name]()
+    for g in battery_functions(joint):
+        table = joint.function_table(g)
+        full = np.array(table)
+        assert 0 not in full.strides
+        for t in np.unique(np.abs(full - joint.expectation(full))):
+            want = reference_tail(joint, full, t)
+            assert abs(joint.exact_tail(table, t) - want) <= 1e-15, (g.name, t)
+            assert abs(joint.exact_tail(full, t) - want) <= 1e-15, (g.name, t)
+
+
+@pytest.mark.parametrize("name", list(_MOMENT_JOINTS))
+def test_tail_grid_ends_at_the_largest_level_of_positive_probability(name, monkeypatch):
+    # t_max is the largest |g - Eg| on the support, bit for bit.  A bound of
+    # 0 at t_max and 1 below it makes the grid's worst gap the tail at t_max
+    joint = _MOMENT_JOINTS[name]()
+    bands = [coupling_rows_all(joint, i) for i in range(joint.n_sites)]
+    unmasked = []
+    for g in battery_functions(joint):
+        dec = martingale_decomposition(joint, g)
+        distance = np.abs(dec.g_table - dec.mean)
+        t_max = float(distance[dec.support].max())
+        unmasked.append(float(distance.max()) > t_max)
+        monkeypatch.setattr(bounds, "exponential_bound",
+                            lambda t, *_: 0.0 if t == t_max else 1.0)
+        dv = delta_vector(g, joint.sites, joint.alphabet)
+        rows = _observable_rows(SimpleNamespace(name=name), joint, g, dv,
+                                [b.value @ dv.per_site for b in bands], 1.0,
+                                {2: 1.0, 4: 1.0, 6: 1.0}, 3)
+        grid = next(r for r in rows if r.bound == "tail_exponential_grid")
+        assert grid.params["t_max"] == t_max, g.name
+        assert abs(grid.observed - reference_tail(joint, dec.g_table, t_max)) <= 1e-15
+    # here total_spin and spin(0,) take their largest |level| only where the
+    # joint has no mass
+    assert unmasked == ([True, True, False, False] if name == "zero-mass-prefix"
+                        else [False] * 4)
 
 
 @pytest.mark.parametrize("name", list(_MOMENT_JOINTS))

@@ -505,6 +505,8 @@ def test_lowtemp_no_refutations(lowtemp_small):
     _, _, rep = lowtemp_small
     assert rep.meta["experiment"] == "low_temperature_tail"
     assert rep.n_failures == 0
+    # every input of every row, the info rows' too, is sampled
+    assert {r.observed_kind for r in rep.rows} == {"mc"}
     rank = next(r for r in rep.rows if r.bound == "decay_rank_test")
     assert rank.verdict == "pass"        # disagreement decays with distance
     assert rank.observed <= 0.01
