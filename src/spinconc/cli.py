@@ -99,10 +99,12 @@ def _run_tail(config: TailConfig, digested: dict):
         raise ConfigError(f"bad function config: {exc}") from exc
     if not set(g.sites) <= set(model.sites):
         raise ConfigError(f"function {g.name} reads sites outside the model volume")
-    estimates = verify.empirical_tail(model, g, config.t_grid, config.n_samples,
-                                      config.sweeps, config.seed)
+    estimates, cert = verify.empirical_tail(model, g, config.t_grid, config.n_samples,
+                                            config.sweeps, config.seed)
     meta = {"experiment": "empirical_tail", "model": model.name,
             "function": g.name, "config": digested, "seed": config.seed}
+    if cert is not None:
+        meta["mixing_certificate"] = vars(cert)
     blob = json.dumps({"meta": meta,
                        "estimates": [vars(e) for e in estimates]},
                       sort_keys=True, separators=(",", ":"))
@@ -110,6 +112,9 @@ def _run_tail(config: TailConfig, digested: dict):
     lines = [f"experiment: empirical_tail  model: {model.name}  function: {g.name}"]
     lines += [f"  t={e.t:<10.6g} tail={e.estimate:<12.6g} ci99=[{e.lo:.6g}, {e.hi:.6g}]"
               for e in estimates]
+    if cert is not None:
+        lines.append(f"  mixing: {cert.apart} of {cert.pairs} pairs apart after "
+                     f"{cert.sweeps} sweeps, d_TV <= {cert.hi:.6g} (widens every interval)")
     return None, tables, lines
 
 

@@ -8,7 +8,8 @@ Three layers, by volume:
   an exact pair-state recursion (small volumes) or as a shared-uniform
   sampler (any volume whose prefix tables fit in memory);
 * a synchronized monotone pair of heat-bath chains for nearest-neighbor
-  ferromagnets at scales where nothing can be enumerated.
+  ferromagnets at scales where nothing can be enumerated, and the grand
+  coupling from all-plus and all-minus that certifies the sampler's mixing.
 
 Transport problems are solved as explicit linear programs; the duality gap
 reported by the solver is part of the result so callers can assert on it.
@@ -411,7 +412,28 @@ def pair_batch(model: GibbsModel, n_samples: int, sweeps: int, seed: int) -> Bat
     antiferromagnet is a ConfigError, raised before the kernel is built."""
     if model.beta < 0:
         raise ConfigError("monotone coupling needs a ferromagnetic interaction")
-    return _heat_bath(model, n_samples, sweeps, seed, frozen=(0, (1, 0)), reduce=_leg_sums)
+    return _heat_bath(model, n_samples, sweeps, seed, starts=(1, 1), frozen=(0, (1, 0)),
+                      reduce=_leg_sums)
+
+
+def _apart(legs: list[np.ndarray]) -> int:
+    """One chunk of the grand coupling reduced to its number of pairs whose
+    legs still differ at some site."""
+    top, bottom = legs
+    return int((top != bottom).any(axis=0).sum())
+
+
+def coalescence_batch(model: GibbsModel, n_pairs: int, sweeps: int, seed: int) -> Batch:
+    """The grand coupling's chunk jobs: n_pairs pairs of heat-bath legs on
+    shared uniforms, one leg from all-plus and one from all-minus, each chunk
+    reduced by `_apart` to its count of pairs still apart after `sweeps`
+    sweeps.  Every chain on the same uniforms lies between the two legs, so
+    that count estimates P(tau > sweeps), where tau is the sweep at which the
+    legs meet.  An antiferromagnet's legs are not ordered: a ConfigError,
+    raised before the kernel is built."""
+    if model.beta < 0:
+        raise ConfigError("monotone coupling needs a ferromagnetic interaction")
+    return _heat_bath(model, n_pairs, sweeps, seed, starts=(1, 0), reduce=_apart)
 
 
 def pair_result(model: GibbsModel, n_samples: int, sweeps: int,

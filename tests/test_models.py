@@ -354,9 +354,15 @@ def test_uniforms24_continue_the_float32_stream():
         assert np.array_equal(halves >> 8, ref.random(n, dtype=np.float32) * 2.0**24)
 
 
-def _kernel_legs(model, n, sweeps, seed, frozen):
-    [parts] = stream([_heat_bath(model, n, sweeps, seed, frozen)])
+def _kernel_legs(model, n, sweeps, seed, starts=(1,), frozen=None):
+    [parts] = stream([_heat_bath(model, n, sweeps, seed, starts, frozen)])
     return np.concatenate([np.stack(legs) for legs in parts], axis=-1)
+
+
+# one leg from all-plus; the pinned pair chain, both legs from all-plus; the
+# grand coupling, one leg from all-plus and one from all-minus
+def _leg_sets(pinned, symbols):
+    return [((1,), None), ((1, 1), (pinned, symbols)), ((1, 0), None)]
 
 
 # a mixed boundary: minus on the left, plus on part of the top and bottom,
@@ -390,16 +396,16 @@ def test_heat_bath_matches_float32_reference_bit_for_bit(model_of, beta, monkeyp
     if model.name == "ising[5x3]_b1_plus":
         monkeypatch.setattr(models, "POOL_MIN_ROWS", 0)
         window = (3 * CHUNK + 5,)
-    for frozen in (None, (model.n_sites // 2, (0, 1))):
+    for starts, frozen in _leg_sets(model.n_sites // 2, (0, 1)):
         for n in (1, 7, CHUNK + 1) + window:
-            got = _kernel_legs(model, n, 3, 100 + n, frozen)
-            want = reference_heat_bath(model, n, 3, 100 + n, frozen)
-            assert np.array_equal(got, want), (frozen, n)
+            got = _kernel_legs(model, n, 3, 100 + n, starts, frozen)
+            want = reference_heat_bath(model, n, 3, 100 + n, starts, frozen)
+            assert np.array_equal(got, want), (starts, frozen, n)
 
 
-# plus, minus, free, dict and h = 0.3 boundaries, beta < 0, a segment and
-# the pinned pair, at chunk sizes that leave every chunk and class an odd
-# number of halves
+# plus, minus, free, dict and h = 0.3 boundaries, beta < 0, a segment, the
+# pinned pair and the all-minus leg, at chunk sizes that leave every chunk
+# and class an odd number of halves
 @pytest.mark.parametrize("chunk", [333, 1001])
 @pytest.mark.parametrize("model", [ising_rect(6, 5, 1.0, "plus"), ising_rect(6, 5, 1.0, "minus"),
                                    ising_rect(5, 4, 0.7, "free"),
@@ -411,10 +417,27 @@ def test_heat_bath_at_odd_chunk_sizes_matches_the_reference(model, chunk, monkey
     monkeypatch.setattr(models, "CHUNK", chunk)
     monkeypatch.setattr(models, "POOL_MIN_ROWS", 0)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    for frozen in (None, (0, (1, 0))):
-        got = _kernel_legs(model, 2500, 3, chunk, frozen)
-        want = reference_heat_bath(model, 2500, 3, chunk, frozen, chunk=chunk)
-        assert np.array_equal(got, want), frozen
+    for starts, frozen in _leg_sets(0, (1, 0)):
+        got = _kernel_legs(model, 2500, 3, chunk, starts, frozen)
+        want = reference_heat_bath(model, 2500, 3, chunk, starts, frozen, chunk=chunk)
+        assert np.array_equal(got, want), (starts, frozen)
+
+
+@pytest.mark.parametrize("model", [ising_rect(5, 3, 0.4, "plus"), ising_rect(4, 5, 1.0, "minus"),
+                                   ising_rect(5, 4, 0.7, "free"),
+                                   ising_rect(6, 5, 0.6, MIXED_BOUNDARY, 0.3),
+                                   ising_rect(4, 4, 1.0, "plus", 0.3), ising_model(L_SHAPE, 0.5)],
+                         ids=lambda m: m.name)
+def test_grand_coupling_legs_stay_ordered_after_every_sweep(model):
+    # a run of s sweeps replays the first s sweeps of a longer one on the
+    # same uniforms, so each s shows the legs after sweep s; they start
+    # apart everywhere and must meet in some replicas
+    met = []
+    for sweeps in range(13):
+        top, bottom = _kernel_legs(model, 1500, sweeps, 21, (1, 0))
+        assert (top >= bottom).all(), sweeps
+        met.append(int((top == bottom).all(axis=0).sum()))
+    assert met[0] == 0 and met == sorted(met) and met[-1] > 0
 
 
 @pytest.mark.parametrize("side", [8, 16])
@@ -443,7 +466,7 @@ def test_a_row_shifted_by_one_more_ghost_fails_the_reference(monkeypatch):
     r = shifted[0]
     nbr[r, nbr[r].tolist().index(m)] = m + 1
     monkeypatch.setattr(models, "_plan", lambda *args: plan._replace(nbr=nbr))
-    got = _kernel_legs(model, 700, 3, 5, None)
+    got = _kernel_legs(model, 700, 3, 5)
     assert not np.array_equal(got, reference_heat_bath(model, 700, 3, 5))
 
 

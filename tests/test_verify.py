@@ -275,7 +275,8 @@ def test_empirical_tail_matches_exact_binomial():
     # independent fair coins: |sum| tail has a closed form to compare against
     model = iid_spins(16, 0.5)
     g = total_spin(model.sites)
-    ests = empirical_tail(model, g, [0.0, 0.5, 3.5, 7.5], 10000, 6, seed=42)
+    ests, cert = empirical_tail(model, g, [0.0, 0.5, 3.5, 7.5], 10000, 6, seed=42)
+    assert cert is None  # exact draws need no certificate
     assert ests[0].estimate == 1.0  # t=0 events are certain
     counts = np.array([math.comb(16, b) for b in range(17)], dtype=float)
     pmf = counts / counts.sum()
@@ -288,8 +289,8 @@ def test_empirical_tail_matches_exact_binomial():
 def test_empirical_tail_interval_narrows_with_n():
     model = iid_spins(16, 0.5)
     g = total_spin(model.sites)
-    small = empirical_tail(model, g, [0.5], 4000, 6, seed=3)[0]
-    large = empirical_tail(model, g, [0.5], 16000, 6, seed=3)[0]
+    small = empirical_tail(model, g, [0.5], 4000, 6, seed=3)[0][0]
+    large = empirical_tail(model, g, [0.5], 16000, 6, seed=3)[0][0]
     assert 1.6 <= small.half_width / large.half_width <= 2.5
 
 
@@ -299,10 +300,18 @@ def test_empirical_tail_gibbs_mean_agrees_with_enumeration():
     g = magnetization(model.sites)
     table = joint.function_table(g)
     mean = joint.expectation(table)
-    ests = empirical_tail(model, g, [0.05], 30000, 30, seed=8)
-    # P(|g - Eg| >= t) from enumeration, at the effective threshold
-    exact = joint.exact_tail(table, ests[0].t_effective)
-    assert abs(ests[0].estimate - exact) <= 2.5 * ests[0].half_width
+    # every level of g - Eg lies at least 0.0528 from 0, so t = 0.05 alone
+    # reads 1 on both sides; the larger t fall between levels
+    ests, cert = empirical_tail(model, g, [0.05, 0.1, 0.25, 0.5], 30000, 30, seed=8)
+    assert cert.apart == 0
+    for est in ests:
+        # P(|g - Eg| >= t) from enumeration, at the effective threshold,
+        # within the binomial width alone: the certificate's widening is
+        # not spent here
+        exact = joint.exact_tail(table, est.t_effective)
+        lo, hi = binomial_ci99(round(est.estimate * est.n_samples), est.n_samples)
+        assert abs(est.estimate - exact) <= 2.5 * max(hi - est.estimate, est.estimate - lo)
+    assert 0.0 < ests[-1].estimate < ests[1].estimate < 1.0
 
 
 def test_empirical_tail_rejects_tiny_runs():
@@ -317,7 +326,7 @@ def test_empirical_tail_is_deterministic():
     a = empirical_tail(model, g, [1.0, 2.0], 2000, 5, seed=77)
     b = empirical_tail(model, g, [1.0, 2.0], 2000, 5, seed=77)
     assert a == b
-    assert tails_to_csv(a) == tails_to_csv(b)
+    assert tails_to_csv(a[0]) == tails_to_csv(b[0])
 
 
 # ---------------------------------------------------------------------------
@@ -375,6 +384,78 @@ def test_hightemp_refuses_when_condition_fails():
     tail_rows = [r for r in rep.rows if r.bound == "tail_exponential"]
     assert tail_rows and all(r.verdict == "info" for r in tail_rows)
     assert all("condition failed" in r.note for r in tail_rows)
+
+
+def _hightemp_8x8(sweeps):
+    report = hightemp_experiment(HightempConfig(seed=20260818, n_samples=4000, sweeps=sweeps))
+    [mix] = [r for r in report.rows if r.bound == "mixing_certificate"]
+    return mix, [r for r in report.rows if r.bound == "tail_exponential"]
+
+
+def test_mixing_certificate_passes_at_the_committed_sweeps():
+    mix, tails = _hightemp_8x8(10)
+    assert mix.verdict == "pass" and mix.params["apart"] == 0
+    assert mix.observed_hi == binomial_ci99(0, verify.MIXING_PAIRS)[1] <= verify.MIXING_BOUND
+    assert all(r.verdict == "pass" for r in tails if r.params["resolvable"])
+
+
+def test_mixing_certificate_fails_with_no_sweeps():
+    # every pair starts apart everywhere: d = 1, so every interval is [0, 1]
+    # and a tail bound below 1 cannot be resolved
+    mix, tails = _hightemp_8x8(0)
+    assert mix.verdict == "fail" and mix.params["apart"] == verify.MIXING_PAIRS
+    assert mix.observed_hi == 1.0
+    for r in tails:
+        assert (r.observed_lo, r.observed_hi) == (0.0, 1.0)
+        assert r.verdict == ("pass" if r.theoretical >= 1.0 else "unresolved")
+        assert r.params["t_effective"] == 0.0
+
+
+def test_mixing_certificate_fails_at_two_sweeps():
+    mix, _ = _hightemp_8x8(2)
+    assert mix.verdict == "fail" and mix.observed_lo > verify.MIXING_BOUND
+
+
+def test_mixing_certificate_reads_the_all_minus_leg(monkeypatch):
+    # a lower leg started all-plus never parts from the upper one, so the
+    # certificate would pass at two sweeps: the failure above comes from the
+    # minus start, which the kernel tests pin against the reference
+    heat_bath = coupling._heat_bath
+
+    def both_plus(model, n, sweeps, seed, starts=(1,), **kwargs):
+        return heat_bath(model, n, sweeps, seed, (1,) * len(starts), **kwargs)
+
+    monkeypatch.setattr(coupling, "_heat_bath", both_plus)
+    mix, _ = _hightemp_8x8(2)
+    assert mix.verdict == "pass" and mix.params["apart"] == 0
+
+
+def test_resolvable_floor_carries_the_mixing_bound():
+    # a bound above the binomial floor but below floor + d cannot be
+    # resolved once the interval is widened by d
+    floor = binomial_ci99(0, 10000)[1]
+    est = TailEstimate(1.0, 1.0, 0.0, 10000, 0.0, floor + 1e-3)
+    row = verify._mc_tail_row("m", "g", "tail", {}, floor + 5e-4, est, mixing=1e-3)
+    assert not row.params["resolvable"] and row.verdict == "unresolved"
+    assert "floor" in row.note
+    assert verify._mc_tail_row("m", "g", "tail", {}, floor + 5e-4, est).params["resolvable"]
+
+
+def test_third_seed_keeps_the_mean_and_main_seeds():
+    # the certificate's seed is drawn third, so exact draws keep their streams
+    for seed in (0, 7, 9, 42, 77, 20260818):
+        three = np.random.default_rng(seed).integers(2 ** 63, size=3)
+        assert three[:2].tolist() == np.random.default_rng(seed).integers(2 ** 63, size=2).tolist()
+
+
+def test_empirical_tail_refuses_an_antiferromagnet_before_any_stream(monkeypatch):
+    def no_stream(batches):
+        raise AssertionError("a stream started")
+
+    monkeypatch.setattr(models, "stream", no_stream)
+    model = ising_rect(3, 3, -0.3)
+    with pytest.raises(ConfigError):
+        empirical_tail(model, magnetization(model.sites), [0.1], 1000, 5, seed=1)
 
 
 # ---------------------------------------------------------------------------
@@ -628,18 +709,31 @@ def test_empirical_tail_on_one_stream_equals_one_batch_at_a_time(model, monkeypa
     g = magnetization(model.sites)
     t_grid = [0.0, 0.05, 0.2, 0.5]
     got = empirical_tail(model, g, t_grid, 2500, 20, seed=9)
-    # the parent path: the mean batch, then the main batch, each drawn by
-    # its own glauber_batch call and the main batch counted whole
-    seed_mean, seed_main = (int(s) for s in np.random.default_rng(9).integers(2 ** 63, size=2))
+    monkeypatch.setattr(models, "stream", _one_batch_at_a_time)
+    assert empirical_tail(model, g, t_grid, 2500, 20, seed=9) == got
+    # each batch drawn by its own public sampler: the certificate's pairs
+    # (a Gibbs model's only), the mean batch, then the main batch counted whole
+    seed_mean, seed_main, seed_mix = (
+        int(s) for s in np.random.default_rng(9).integers(2 ** 63, size=3))
+    d = 0.0
+    if isinstance(model, models.ProductModel):
+        assert got[1] is None
+    else:
+        [pairs] = _STREAM([coupling.coalescence_batch(model, verify.MIXING_PAIRS, 20, seed_mix)])
+        apart = sum(pairs)
+        lo, d = binomial_ci99(apart, verify.MIXING_PAIRS)
+        assert got[1] == verify.MixingCertificate(verify.MIXING_PAIRS, 20, apart, lo, d)
+    bias = d * 2.0  # the normalized magnetization spans [-1, 1]
     mean = glauber_batch(model, g, 1000, 20, seed_mean)
     se = float(mean.std(ddof=1) / math.sqrt(len(mean)))
     dev = np.abs(glauber_batch(model, g, 2500, 20, seed_main) - float(mean.mean()))
     want = []
     for t in t_grid:
-        t_eff = max(t - 3.0 * se, 0.0)
+        t_eff = max(t - 3.0 * se - bias, 0.0)
         k = int((dev >= t_eff).sum())
-        want.append(TailEstimate(t, t_eff, k / 2500, 2500, *binomial_ci99(k, 2500)))
-    assert got == want
+        lo, hi = binomial_ci99(k, 2500)
+        want.append(TailEstimate(t, t_eff, k / 2500, 2500, max(lo - d, 0.0), min(hi + d, 1.0)))
+    assert got[0] == want
 
 
 def test_lowtemp_refuses_an_antiferromagnet_before_any_stream(monkeypatch):
