@@ -22,6 +22,7 @@ from typing import Iterable
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg import block_diag
 from scipy.optimize import linprog
 
 from spinconc import sums
@@ -95,36 +96,11 @@ class CouplingRowBand:
     past_mass: np.ndarray
 
 
-#: run length from which numpy's own reduction of a row-major sum beats
-#: `sums.pairwise_sum`'s strided adds.  numpy pays about 60 ns per run, the
-#: adds about 1.5 us per call: on the 4x4 stack of 2^17 entries own against
-#: adds took 163 against 320 us for runs of 64, 266 against 246 us for 32
-#: and 469 against 190 us for 16 (2-core x86-64, numpy 2.4).  On small
-#: joints the calls dominate, so numpy's own also serves up to 32 runs per
-#: entry of a run.
-_OWN_SUM_FROM = 64
-
-
-def _future_marginals(rows: np.ndarray, k1: int, k: int, r: int,
-                      past_inner: bool) -> np.ndarray:
-    """`rows.reshape(-1, k1, k, r).sum(axis=(1, 3))` of the row-major layout.
-
-    numpy's order for that sum: each run of r trailing entries pairwise,
-    then the k1 runs in sequence.  Stage 1 is `sums.pairwise_sum` over r
-    slices, or numpy's own reduction once runs are long.  Stage 2 is a
-    cumulative sum along k1, or, when the past index is innermost, one
-    reduce over k1, the outermost axis in memory.  Every entry is a sum of
-    probabilities, never -0.0, so numpy's start at 0.0 changes nothing.
-    """
-    x = rows.reshape(rows.shape[0], k1, k, r)
-    if not past_inner and (r >= _OWN_SUM_FROM or rows.size <= 32 * r * r):
-        return x.sum(axis=(1, 3))
-    part = sums.pairwise_sum(lambda s: x[..., s], r)
-    if k1 == 1:
-        return part[:, 0]
-    if past_inner:
-        return np.add.reduce(part, axis=1)
-    return np.cumsum(part, axis=1)[:, -1]
+def _digits(n: int, k: int) -> np.ndarray:
+    """The (k^n, n k) indicator of the base-k digits of 0..k^n - 1: entry
+    [f, y k + s] is 1.0 when digit y of f, most significant first, is s."""
+    digit = np.arange(k ** n)[:, None] // k ** np.arange(n - 1, -1, -1) % k
+    return (digit[:, :, None] == np.arange(k)).reshape(k ** n, n * k).astype(float)
 
 
 def coupling_rows_all(joint: ExactJoint, i: int, lower: bool = False) -> CouplingRowBand:
@@ -133,24 +109,24 @@ def coupling_rows_all(joint: ExactJoint, i: int, lower: bool = False) -> Couplin
     For symbols a, b at coordinate i after past w, p1 and p2 are the laws
     of the future coordinates; r1 = p1 - min(p1, p2) and r2 likewise are
     the residuals, and their total mass is the TV of the futures (`upper`).
-    The marginals of r1, r2 at coordinate j = i + 1 + y give `value`, those
-    of p1, p2 give `lower`; see `CouplingRowBand`.  `lower` is built only
-    when the caller asks for it (the `coupling-matrix` command): the
-    battery and the decay fit read `value` alone, and without `lower` each
-    pair reduces two laws, not four.  `value` and `upper` do not depend on
+    The marginals g1, g2 of r1, r2 at coordinate j = i + 1 + y give
+    `value`.  Since p1 - p2 = r1 - r2, half the l1 distance of g1 and g2 is
+    the TV of the coordinate-j marginals of p1, p2, `lower`; see
+    `CouplingRowBand`.  `lower` is built only when the caller asks for it
+    (the `coupling-matrix` command); `value` and `upper` do not depend on
     the choice.
 
-    Every sum is taken in the order of the formula this function first had
-    (`tests/oracles.py`), `p.reshape(n_past, k**y, k, R).sum(axis=(1, 3))`
-    with R = k**(m - i - 2 - y): numpy adds each run of R trailing entries
-    pairwise, then the k**y runs in sequence.  Keeping that order keeps
-    every band, envelope and artifact bit for bit what it was.  Reducing
-    runs of 1-8 entries one numpy inner loop at a time cost most of the
-    time; here each stage is a few long array operations
-    (`sums.pairwise_sum`, `_future_marginals`).  The laws of a pair sit in
-    one stacked array.  With at least as many pasts as futures the arrays
-    keep the past index innermost in memory, so operations run along it;
-    `sums.sum_last` takes the sums over the last axis in either layout.
+    The marginals of every later coordinate come from one product per
+    pair.  The future index splits into its high and low base-k digits;
+    r1 and r2 summed over the low half, beside them summed over the high
+    half, times the block-diagonal pair of the halves' digit indicators
+    (`_digits`) give every marginal at once.  One indicator of the whole
+    future index would hold (m - i - 1) k^(m - i) floats: 152 MiB at row 0
+    of a binary 2^20-state joint, where the pair holds 456 KiB.
+    Each marginal is a few blocked or pairwise sums, not k^y runs added in
+    sequence, so the bands meet a long-double evaluation of the formula
+    within 1e-15 (`tests/oracles.py`).  The sums over a short last axis
+    are `sums.sum_last`, numpy's own bits.
     """
     m, k = joint.n_sites, joint.k
     n_past = k ** i
@@ -164,47 +140,31 @@ def coupling_rows_all(joint: ExactJoint, i: int, lower: bool = False) -> Couplin
     band = CouplingRowBand(value, low, upper, joint.prefix_marginal(i - 1).reshape(-1))
     if i == m - 1:
         return band
-    n_future = joint.probs.size // (n_past * k)
-    n_laws = 4 if lower else 2
-    past_inner = n_past >= n_future
-    if past_inner:
-        t = np.ascontiguousarray(joint.probs.reshape(n_past, -1).T)
-        t = t.reshape(k, n_future, n_past).transpose(2, 0, 1)
-        stack = np.empty((n_future, n_laws, n_past)).transpose(1, 2, 0)
-    else:
-        t = joint.probs.reshape(n_past, k, n_future)
-        stack = np.empty((n_laws, n_past, n_future))
+    n_digits = m - i - 1
+    n_hi = n_digits // 2
+    digits = block_diag(_digits(n_hi, k), _digits(n_digits - n_hi, k))
+    t = joint.probs.reshape(n_past, k, -1)
     sym_mass = sums.sum_last(t)
     cond = t / np.where(sym_mass > 0.0, sym_mass, 1.0)[:, :, None]
-    r1, r2 = stack[-2:]
-    rows = stack.reshape(n_laws * n_past, n_future)  # a view in either layout
     for a in range(k):
         for b in range(a + 1, k):
             ok = (sym_mass[:, a] > 0.0) & (sym_mass[:, b] > 0.0)
             if not ok.any():
                 continue
             p1, p2 = cond[:, a], cond[:, b]
+            x = np.stack((p1, p2)) - np.minimum(p1, p2)  # r1, r2
+            resid = sums.sum_last(x[0])  # = TV of the full futures
+            x = x.reshape(2, n_past, k ** n_hi, -1)
+            halves = np.concatenate((sums.sum_last(x), x.sum(axis=2)), axis=-1)
+            g1, g2 = (halves @ digits).reshape(2, n_past, n_digits, k)
+            live = ok & (resid > _RESID_TOL)
+            val = resid[:, None] - sums.sum_last(g1 * g2) / np.where(live, resid, 1.0)[:, None]
+            val = np.where(live[:, None], val, 0.0).clip(0.0)
+            value[:, i + 1:] = np.maximum(value[:, i + 1:], val)
             if lower:
-                stack[0] = p1
-                stack[1] = p2
-            mn = np.minimum(p1, p2)
-            np.subtract(p1, mn, out=r1)
-            np.subtract(p2, mn, out=r2)
-            resid = sums.sum_last(r1)  # = TV of the full futures
-            safe = np.where(resid > _RESID_TOL, resid, 1.0)
-            for y in range(m - i - 1):
-                j = i + 1 + y
-                marginals = _future_marginals(rows, k ** y, k, n_future // k ** (y + 1),
-                                              past_inner)
-                *m12, g1, g2 = marginals.reshape(n_laws, n_past, k)
-                val = resid - sums.sum_last(g1 * g2) / safe
-                val = np.clip(np.where(resid > _RESID_TOL, val, 0.0), 0.0, None)
-                value[:, j] = np.maximum(value[:, j], np.where(ok, val, 0.0))
-                if lower:
-                    tv_j = 0.5 * sums.sum_last(np.abs(m12[0] - m12[1]))
-                    low[:, j] = np.maximum(low[:, j], np.where(ok, tv_j, 0.0))
-            upper[:, i + 1:] = np.maximum(upper[:, i + 1:],
-                                          np.where(ok, resid, 0.0)[:, None])
+                tv = 0.5 * sums.sum_last(np.abs(g1 - g2))
+                low[:, i + 1:] = np.maximum(low[:, i + 1:], np.where(ok[:, None], tv, 0.0))
+            upper[:, i + 1:] = np.maximum(upper[:, i + 1:], np.where(ok, resid, 0.0)[:, None])
     return band
 
 

@@ -5,8 +5,11 @@ scheme, starting from 0.0, in one inner loop per run.  When the runs are
 short and many, those per-run loops cost more than the adds.  Here every
 add is one array operation across all runs, in numpy's order, so each sum
 is the one numpy gives, bit for bit.  The joint's prefix marginals
-(`models.ExactJoint`), `coupling` and `bounds` keep their outputs by keeping
-that order; an observable's tails and moments read `ExactJoint.law` instead.
+(`models.ExactJoint`) and `bounds` keep their outputs by keeping that order.
+`coupling` takes its sums over a short last axis here, but no longer keeps
+the order of the bands' first formula: their marginals come from
+digit-indicator products.  An observable's tails and moments read
+`ExactJoint.law`.
 """
 
 from __future__ import annotations

@@ -131,24 +131,6 @@ def _ternary_chain(n: int) -> GibbsModel:
     return GibbsModel(segment_sites(n), terms, 0.8, Alphabet(("a", "b", "c"), (0.0, 0.5, 2.0)))
 
 
-# runs of R = 3^5, 3^4, ... entries are not multiples of 8; the chain that
-# never leaves minus has pasts of probability zero
-@pytest.mark.parametrize("model", [
-    ising_rect(4, 4, 0.2, "plus"),
-    ising_rect(2, 3, 0.5, "plus"),
-    ising_rect(3, 3, 0.3, "free"),
-    _ternary_chain(7),
-    MarkovChainModel(6, [0.5, 0.5], [[1.0, 0.0], [0.5, 0.5]]),
-], ids=["ising-4x4", "ising-2x3", "ising-3x3", "ternary-chain-7", "absorbing-markov-6"])
-def test_bands_match_the_reference_formula_bit_for_bit(model):
-    joint = exact_joint(model)
-    for i in range(joint.n_sites):
-        band = coupling_rows_all(joint, i, lower=True)
-        want = reference_coupling_rows(joint, i)
-        for name, w in zip(("value", "lower", "upper", "past_mass"), want):
-            assert np.array_equal(getattr(band, name), w), (i, name)
-
-
 # 4x4 is left out: its dictionaries take too long
 @pytest.mark.parametrize("model", [
     ising_rect(2, 3, 0.5, "plus"),
@@ -180,6 +162,33 @@ _LOWER_JOINTS["zero-mass-prefix"] = _zero_mass_prefix_joint
 def _same_bits(a, b) -> bool:
     return a.shape == b.shape and np.array_equal(np.ascontiguousarray(a).view(np.uint64),
                                                  np.ascontiguousarray(b).view(np.uint64))
+
+
+# the joints above, a ternary chain whose runs of 3^5, 3^4, ... entries are
+# not multiples of 8, and a chain that never leaves minus, whose pasts may
+# have probability zero
+_ORACLE_JOINTS = {name: (lambda model=model: exact_joint(model)) for name, model in (
+    ("ising-3x3", ising_rect(3, 3, 0.3, "free")),
+    ("ternary-chain-7", _ternary_chain(7)),
+    ("absorbing-markov-6", MarkovChainModel(6, [0.5, 0.5], [[1.0, 0.0], [0.5, 0.5]])),
+)}
+_ORACLE_JOINTS.update(_LOWER_JOINTS)
+
+
+@pytest.mark.parametrize("name", list(_ORACLE_JOINTS))
+def test_bands_are_within_1e_15_of_the_long_double_reference_formula(name):
+    # on a platform whose long double is float64 the oracle would only
+    # repeat the float64 formula's rounding
+    assert np.finfo(np.longdouble).eps < 2.0 ** -60
+    joint = _ORACLE_JOINTS[name]()
+    wide = ExactJoint(joint.sites, joint.alphabet, joint.probs.astype(np.longdouble))
+    for i in range(joint.n_sites):
+        band = coupling_rows_all(joint, i, lower=True)
+        want = reference_coupling_rows(wide, i)
+        for attr, w in zip(("value", "lower", "upper"), want):
+            err = np.abs(getattr(band, attr) - w).max()
+            assert err <= 1e-15, (i, attr, float(err))
+        assert np.array_equal(band.past_mass, joint.prefix_marginal(i - 1).reshape(-1)), i
 
 
 @pytest.mark.parametrize("name", list(_LOWER_JOINTS))
