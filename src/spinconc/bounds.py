@@ -18,10 +18,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special
 
-from spinconc import sums
 from spinconc.errors import ConvergenceError
 from spinconc.fields import LocalFunction
-from spinconc.models import ExactJoint
+from spinconc.models import ExactJoint, sum_last
 
 # ---------------------------------------------------------------------------
 # martingale decomposition along the enumeration order
@@ -52,7 +51,7 @@ class MartingaleDecomposition:
 
     Every sum keeps numpy's order: a sum over one coordinate is
     `x.reshape(-1, k).sum(axis=1)` and a dot product `(v * b).sum()`, bit
-    for bit, taken by `sums.sum_last` and `np.add.reduce` in a few long
+    for bit, taken by `models.sum_last` and `np.add.reduce` in a few long
     array operations (`orthogonality_error` takes all pairs (i, j > i) of
     one i at once).
     """
@@ -73,7 +72,7 @@ class MartingaleDecomposition:
         """E[V_j; sigma_{<j}]: P(sigma_{<=j}) V_j summed over coordinate j,
         flat over the k**j pasts."""
         weighted = self.joint.prefix_marginal(j).reshape(-1) * self.increments[j].reshape(-1)
-        return sums.sum_last(weighted.reshape(-1, self.joint.k))
+        return sum_last(weighted.reshape(-1, self.joint.k))
 
     def conditional_mean_error(self) -> float:
         """max over i and positive-mass pasts sigma_{<i} of |E[V_i | F_{i-1}]|."""
@@ -99,7 +98,7 @@ class MartingaleDecomposition:
         worst = 0.0
         past = np.empty((0, k ** m))
         for i in range(m - 2, -1, -1):
-            down = sums.sum_last(past.reshape(len(past), k ** (i + 1), k))
+            down = sum_last(past.reshape(len(past), k ** (i + 1), k))
             past = np.concatenate([self._past_sums(i + 1)[None], down])
             dots = np.add.reduce(past * self.increments[i].reshape(-1), axis=1)
             worst = max(worst, float(np.abs(dots).max()))
@@ -111,9 +110,9 @@ def martingale_decomposition(joint: ExactJoint, g: LocalFunction) -> MartingaleD
     prefix's trailing block.
 
     Both block sums are `x.sum(axis=(i+1, ..., m-1), keepdims=True)` bit
-    for bit: numpy adds each block's k**(m-i-1) entries pairwise, and
-    `sums.sum_last` does so across every block at once, on p and p g
-    stacked in one array.
+    for bit: `sum_last` over each block's k**(m-i-1) entries, on p and
+    p g stacked in one array, adds blocks of fewer than 8 entries slice by
+    slice across every block at once and leaves longer ones to numpy.
     """
     p = joint.probs
     m, k = joint.n_sites, joint.k
@@ -127,7 +126,7 @@ def martingale_decomposition(joint: ExactJoint, g: LocalFunction) -> MartingaleD
     with np.errstate(invalid="ignore", divide="ignore"):
         for i in range(m):
             shape = (2,) + (k,) * (i + 1) + (1,) * (m - i - 1)
-            den, num = sums.sum_last(stack.reshape(2, k ** (i + 1), -1)).reshape(shape)
+            den, num = sum_last(stack.reshape(2, k ** (i + 1), -1)).reshape(shape)
             live = den > 0
             cond = np.where(live, num / np.where(live, den, 1.0), 0.0)
             increments.append(np.where(live, cond - prev, 0.0))

@@ -25,11 +25,10 @@ from scipy import sparse
 from scipy.linalg import block_diag
 from scipy.optimize import linprog
 
-from spinconc import sums
 from spinconc.errors import CapacityError, ConfigError, ConvergenceError
 from spinconc.fields import LocalFunction, delta_vector
 from spinconc.lattice import Site
-from spinconc.models import Batch, ExactJoint, GibbsModel, _heat_bath, stream
+from spinconc.models import Batch, ExactJoint, GibbsModel, _heat_bath, stream, sum_last
 
 _RESID_TOL = 1e-15
 
@@ -125,8 +124,8 @@ def coupling_rows_all(joint: ExactJoint, i: int, lower: bool = False) -> Couplin
     of a binary 2^20-state joint, where the pair holds 456 KiB.
     Each marginal is a few blocked or pairwise sums, not k^y runs added in
     sequence, so the bands meet a long-double evaluation of the formula
-    within 1e-15 (`tests/oracles.py`).  The sums over a short last axis
-    are `sums.sum_last`, numpy's own bits.
+    within 1e-15 (`tests/oracles.py`).  The sums over a last axis are
+    `models.sum_last`, numpy's own bits.
     """
     m, k = joint.n_sites, joint.k
     n_past = k ** i
@@ -144,7 +143,7 @@ def coupling_rows_all(joint: ExactJoint, i: int, lower: bool = False) -> Couplin
     n_hi = n_digits // 2
     digits = block_diag(_digits(n_hi, k), _digits(n_digits - n_hi, k))
     t = joint.probs.reshape(n_past, k, -1)
-    sym_mass = sums.sum_last(t)
+    sym_mass = sum_last(t)
     cond = t / np.where(sym_mass > 0.0, sym_mass, 1.0)[:, :, None]
     for a in range(k):
         for b in range(a + 1, k):
@@ -153,16 +152,16 @@ def coupling_rows_all(joint: ExactJoint, i: int, lower: bool = False) -> Couplin
                 continue
             p1, p2 = cond[:, a], cond[:, b]
             x = np.stack((p1, p2)) - np.minimum(p1, p2)  # r1, r2
-            resid = sums.sum_last(x[0])  # = TV of the full futures
+            resid = sum_last(x[0])  # = TV of the full futures
             x = x.reshape(2, n_past, k ** n_hi, -1)
-            halves = np.concatenate((sums.sum_last(x), x.sum(axis=2)), axis=-1)
+            halves = np.concatenate((sum_last(x), x.sum(axis=2)), axis=-1)
             g1, g2 = (halves @ digits).reshape(2, n_past, n_digits, k)
             live = ok & (resid > _RESID_TOL)
-            val = resid[:, None] - sums.sum_last(g1 * g2) / np.where(live, resid, 1.0)[:, None]
+            val = resid[:, None] - sum_last(g1 * g2) / np.where(live, resid, 1.0)[:, None]
             val = np.where(live[:, None], val, 0.0).clip(0.0)
             value[:, i + 1:] = np.maximum(value[:, i + 1:], val)
             if lower:
-                tv = 0.5 * sums.sum_last(np.abs(g1 - g2))
+                tv = 0.5 * sum_last(np.abs(g1 - g2))
                 low[:, i + 1:] = np.maximum(low[:, i + 1:], np.where(ok[:, None], tv, 0.0))
             upper[:, i + 1:] = np.maximum(upper[:, i + 1:], np.where(ok, resid, 0.0)[:, None])
     return band

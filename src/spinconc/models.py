@@ -40,7 +40,6 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from spinconc import sums
 from spinconc.errors import (
     CapacityError,
     ConfigError,
@@ -86,6 +85,26 @@ _openblas_one_thread()
 # exact joint law
 # ---------------------------------------------------------------------------
 
+def sum_last(x: np.ndarray) -> np.ndarray:
+    """`x.sum(axis=-1)` of a C-contiguous float64 x, bit for bit.
+
+    numpy adds a run of fewer than 8 entries in order from 0.0, one inner
+    loop per run; here each add is one array operation across all runs, in
+    that order.  Starting from the first entry instead of 0.0 changes only
+    the sign of a zero partial sum, and the last add of 0.0 turns -0.0
+    into +0.0 as numpy's start does.  Runs of 8 or more, which numpy adds
+    pairwise, go to numpy.
+    """
+    r = x.shape[-1]
+    if r >= 8:
+        return x.sum(axis=-1)
+    res = x[..., 0] + (x[..., 1] if r > 1 else 0.0)
+    for c in range(2, r):
+        res += x[..., c]
+    res += 0.0
+    return res
+
+
 @dataclass
 class ExactJoint:
     """Normalized law over all configurations of a finite ordered volume.
@@ -116,8 +135,8 @@ class ExactJoint:
         i = -1 is the empty prefix, whose mass is `np.array(1.0)`; any i
         outside -1..n_sites-1 is an IndexError.  Each table sums the next
         one over its last axis, `table.sum(axis=-1)` bit for bit, taken by
-        `sums.sum_last`: k - 1 adds across the table, not one numpy inner
-        loop per prefix.
+        `sum_last`: k - 1 adds across the table, not one numpy inner loop
+        per prefix.
         """
         if not -1 <= i < self.n_sites:
             raise IndexError(f"prefix index {i} outside -1..{self.n_sites - 1}")
@@ -126,7 +145,7 @@ class ExactJoint:
         if not self._prefix_cache:
             tables = [self.probs]
             for _ in range(self.n_sites - 1):
-                tables.append(sums.sum_last(tables[-1]))
+                tables.append(sum_last(tables[-1]))
             self._prefix_cache.extend(reversed(tables))
         return self._prefix_cache[i]
 

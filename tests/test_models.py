@@ -53,6 +53,7 @@ from spinconc.models import (
 from spinconc.verify import battery_models, ell_observable, empirical_tail
 
 from .oracles import ising_weight, numpy_openblas, reference_heat_bath
+from .test_coupling import _same_bits, _ternary_chain, _zero_mass_prefix_joint
 
 
 def test_uniform_at_infinite_temperature():
@@ -148,6 +149,98 @@ def test_prefix_marginal_reads_the_empty_prefix_and_refuses_other_indices():
     for i in (-2, joint.n_sites):
         with pytest.raises(IndexError):
             joint.prefix_marginal(i)
+
+
+def _data(rng, shape):
+    """float64 entries over 25 orders of magnitude, of both signs, with
+    +0.0 and -0.0 among them and, given two runs or more, a run of -0.0
+    and one of +0.0: numpy starts each sum at 0.0, so both sum to +0.0."""
+    x = rng.random(shape) ** 3 * rng.choice([1e-12, 1.0, 1e12], size=shape)
+    x *= rng.choice([-1.0, 1.0], size=shape)
+    x[rng.random(shape) < 0.15] = 0.0
+    x[rng.random(shape) < 0.15] = -0.0
+    runs = x.reshape(-1, shape[-1])
+    if len(runs) > 1:
+        runs[0] = -0.0
+        runs[-1] = 0.0
+    return x
+
+
+def _sum_cases(rng):
+    """(C-contiguous array, its sum over the last axis, label): last axes
+    of 1 to 9 entries and beyond, over few and many runs; then p and p g
+    stacked on a first axis of 2, as the decomposition sums them, over
+    their last t axes (runs of 1 to 256 entries for k = 2 and of 1 to 243
+    for k = 3), where the first run of every t is -0.0 throughout and the
+    last +0.0."""
+    for r in (1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 130):
+        for n in (1, 3, 40, 1100):
+            x = _data(rng, (n, r))
+            yield x, x.sum(axis=-1), f"{n}x{r}"
+    for k, m in ((2, 9), (3, 6)):
+        x = _data(rng, (2,) + (k,) * m)
+        x[0, 0] = -0.0
+        x[1, -1] = 0.0
+        for t in range(m):
+            want = x.sum(axis=tuple(range(x.ndim - t, x.ndim))).reshape(2, -1)
+            yield x.reshape(2, -1, k ** t), want, f"k={k}, last {t} axes"
+
+
+def _mismatches(sum_last) -> list[str]:
+    """Every case where `sum_last` is not numpy's `.sum` bit for bit."""
+    return [label for x, want, label in _sum_cases(np.random.default_rng(28))
+            if not _same_bits(sum_last(x), want)]
+
+
+def test_the_cases_cover_every_branch():
+    runs = {x.shape[-1] for x, _, _ in _sum_cases(np.random.default_rng(0))}
+    # every run of the decomposition's trailing axes, and runs of 1, of 2
+    # to 7 (added in order here) and of 8 or more (left to numpy)
+    assert {1, 3, 9, 27, 81, 243} <= runs and {2, 4, 8, 16, 32, 64, 128, 256} <= runs
+    assert set(range(1, 8)) <= runs and max(runs) >= 8
+
+
+def test_sum_last_is_numpys_sum_bit_for_bit():
+    assert _mismatches(models.sum_last) == []
+
+
+def test_a_five_entry_run_added_pairwise_is_caught():
+    # ((a+b)+(c+d))+e is numpy's order for a run of 8 or more, not of 5
+    def sabotaged(x):
+        if x.shape[-1] != 5:
+            return models.sum_last(x)
+        t = [x[..., c] for c in range(5)]
+        return ((t[0] + t[1]) + (t[2] + t[3])) + t[4] + 0.0
+
+    assert _mismatches(sabotaged)
+
+
+def test_a_lost_zero_start_is_caught():
+    # numpy adds from 0.0, so a run of -0.0 sums to +0.0; a sum that
+    # starts at its run's first entry keeps -0.0
+    def sabotaged(x):
+        if x.shape[-1] >= 8:
+            return models.sum_last(x)
+        res = x[..., 0].copy()
+        for c in range(1, x.shape[-1]):
+            res += x[..., c]
+        return res
+
+    assert _mismatches(sabotaged)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: exact_joint(ising_rect(4, 4, 0.2, "plus")),
+    lambda: exact_joint(ising_rect(2, 3, 0.5, "plus")),
+    lambda: exact_joint(_ternary_chain(7)),
+    _zero_mass_prefix_joint,
+], ids=["ising-4x4", "ising-2x3", "ternary-chain-7", "zero-mass-prefix"])
+def test_prefix_marginals_are_numpys_last_axis_sums_bit_for_bit(make):
+    joint = make()
+    want = joint.probs
+    for i in range(joint.n_sites - 1, -1, -1):
+        assert _same_bits(joint.prefix_marginal(i), want), i
+        want = want.sum(axis=-1)
 
 
 def test_capacity_guard():

@@ -184,3 +184,14 @@ def test_every_committed_config_has_a_pinned_stem():
     pinned = {case[1] for case in mark.args[1]}
     committed = {path.name for path in (ROOT / "configs").glob("*.json")}
     assert committed <= pinned, f"configs without a pinned stem: {sorted(committed - pinned)}"
+
+
+def test_readme_layout_names_every_package_module():
+    # the Layout block lists src/spinconc's modules, one a line; a module
+    # added, removed or renamed must show there too
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Layout", 1)[1].split("```")[1]
+    lines = block.split("src/spinconc/\n", 1)[1].splitlines()
+    listed = {line.split()[0] for line in lines if line.startswith("  ") and line.strip()}
+    modules = {path.name for path in (ROOT / "src" / "spinconc").glob("*.py")} - {"__init__.py"}
+    assert listed == modules
